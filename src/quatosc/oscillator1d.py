@@ -56,8 +56,8 @@ __all__ = [
     "default_grid",
 ]
 
-_PARALLEL_SAMPLES = 5
-_PARALLEL_SEED = 20260810
+_SAMPLE_SEED = 20260810
+_SAMPLE_COUNT = 5
 
 
 @dataclass(frozen=True)
@@ -105,29 +105,32 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - np.eye(self.size)))) if self.size else 0.0
 
 
+def _embedded_factor(q: QPair, dim: int, dims: int, params: PhysicalParams) -> tuple[Mode, Mode]:
+    """Slot-0 and slot-1 modes of the two-slot state q oscillating along
+    dimension dim of dims; the other dimensions carry the bare envelope."""
+    one = (1.0 + 0j,)
+    poly_n = tuple(complex(c) for c in hermite_coeffs(q.n))
+    poly_m = tuple(complex(c) for c in hermite_coeffs(q.m))
+    polys0 = tuple(poly_n if k == dim else one for k in range(dims))
+    polys1 = tuple(poly_m if k == dim else one for k in range(dims))
+    omega = params.omega
+    return (
+        Mode(0, math.cos(q.theta) * hermite_norm_const(q.n, params), polys0, -(q.n + 0.5) * omega),
+        Mode(1, math.sin(q.theta) * hermite_norm_const(q.m, params), polys1, +(q.m + 0.5) * omega),
+    )
+
+
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
     """The n-th complex oscillator eigenfunction as a slot-0 state."""
     params = params or PhysicalParams()
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    coeff = hermite_norm_const(n, params)
-    freq = -(n + 0.5) * params.omega
-    mode = Mode(0, coeff, (tuple(complex(c) for c in hermite_coeffs(n)),), freq)
-    return WaveState(1, (mode,), params)
+    return WaveState(1, _embedded_factor(QPair(n, 0), 0, 1, params)[:1], params)
 
 
 def psi_nm(q: QPair, params: PhysicalParams | None = None) -> WaveState:
     """Two-slot oscillator state: cos(theta) in slot 0 at level n, sin(theta)
     times the conjugated level-m eigenfunction in slot 1 (positive frequency)."""
     params = params or PhysicalParams()
-    omega = params.omega
-    mode0 = Mode(0, math.cos(q.theta) * hermite_norm_const(q.n, params),
-                 (tuple(complex(c) for c in hermite_coeffs(q.n)),),
-                 -(q.n + 0.5) * omega)
-    mode1 = Mode(1, math.sin(q.theta) * hermite_norm_const(q.m, params),
-                 (tuple(complex(c) for c in hermite_coeffs(q.m)),),
-                 +(q.m + 0.5) * omega)
-    return WaveState(1, (mode0, mode1), params)
+    return WaveState(1, _embedded_factor(q, 0, 1, params), params)
 
 
 def energy_nm(q: QPair, params: PhysicalParams | None = None) -> float:
@@ -162,6 +165,35 @@ def hamiltonian(params: PhysicalParams | None = None, dims: int = 1) -> Operator
     return terms[0] if dims == 1 else op_add(*terms)
 
 
+def _sample_points(*ranges) -> list[np.ndarray]:
+    """The fixed pseudo-random sample coordinates of the parallelism test,
+    one array per (low, high) range, drawn in order from one seeded stream."""
+    rng = np.random.default_rng(_SAMPLE_SEED)
+    return [rng.uniform(low, high, size=_SAMPLE_COUNT) for low, high in ranges]
+
+
+def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
+                 parallel_tol: float = 1e-10) -> GramMatrix:
+    """GramMatrix of a two-slot family from its computed entries.
+
+    keys[i] holds state i's slot-0 and slot-1 label keys, which give the
+    closed form cos a cos b [keys0 equal] + sin a sin b [keys1 equal];
+    values[i] holds its quaternion values at the shared sample points, which
+    give the pointwise parallelism table.
+    """
+    n = len(labels)
+    closed = np.zeros((n, n))
+    par = np.zeros((n, n), dtype=bool)
+    th_eq = np.zeros((n, n), dtype=bool)
+    for i, (a, (a0, a1)) in enumerate(zip(labels, keys)):
+        for j, (b, (b0, b1)) in enumerate(zip(labels, keys)):
+            closed[i, j] = (math.cos(a.theta) * math.cos(b.theta) * (a0 == b0)
+                            + math.sin(a.theta) * math.sin(b.theta) * (a1 == b1))
+            par[i, j] = all(is_parallel(p, q, parallel_tol) for p, q in zip(values[i], values[j]))
+            th_eq[i, j] = a.theta == b.theta
+    return GramMatrix(tuple(labels), entries, t, closed, par, th_eq)
+
+
 def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = None,
          parallel_tol: float = 1e-10) -> GramMatrix:
     """Gram matrix of the states for the given quantum-number pairs.
@@ -174,22 +206,10 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     pairs = tuple(pairs)
     states = [psi_nm(q, params) for q in pairs]
     n = len(states)
-    entries = np.zeros((n, n))
-    closed = np.zeros((n, n))
-    par = np.zeros((n, n), dtype=bool)
-    th_eq = np.zeros((n, n), dtype=bool)
-    rng = np.random.default_rng(_PARALLEL_SEED)
-    sample_x = rng.uniform(-3.0, 3.0, size=_PARALLEL_SAMPLES) / params.alpha
-    values = [[evaluate(s, x, t) for x in sample_x] for s in states]
-    for i, qa in enumerate(pairs):
-        for j, qb in enumerate(pairs):
-            entries[i, j] = inner(states[i], states[j], t)
-            closed[i, j] = (math.cos(qa.theta) * math.cos(qb.theta) * (qa.n == qb.n)
-                            + math.sin(qa.theta) * math.sin(qb.theta) * (qa.m == qb.m))
-            par[i, j] = all(is_parallel(values[i][k], values[j][k], parallel_tol)
-                            for k in range(_PARALLEL_SAMPLES))
-            th_eq[i, j] = qa.theta == qb.theta
-    return GramMatrix(pairs, entries, t, closed, par, th_eq)
+    entries = np.array([[inner(a, b, t) for b in states] for a in states]).reshape(n, n)
+    xs, = _sample_points((-3.0, 3.0))
+    values = [[evaluate(s, x, t) for x in xs / params.alpha] for s in states]
+    return _family_gram(pairs, entries, [(q.n, q.m) for q in pairs], values, t, parallel_tol)
 
 
 def ladder(which: str, dim: int = 0) -> Operator:

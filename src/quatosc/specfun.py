@@ -227,8 +227,10 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@lru_cache(maxsize=None)
 def make_rule(kind: str, order: int) -> QuadratureRule:
-    """Build a QuadratureRule of the given kind and node count."""
+    """The QuadratureRule of the given kind and node count; rules are
+    immutable, so one instance per (kind, order) is shared by every caller."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     if kind == "gauss_hermite":

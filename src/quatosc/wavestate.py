@@ -51,6 +51,7 @@ __all__ = [
     "apply",
     "inner",
     "inner_quad",
+    "quad_gram",
     "expectation",
     "expectation_quaternionic",
     "time_derivative",
@@ -254,22 +255,19 @@ def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     return Quaternion.from_symplectic(z[0] * envelope, z[1] * envelope)
 
 
-def _polypart_on_grid(state: WaveState, grids, t: float):
-    """Symplectic components on a coordinate grid with the Gaussian envelope
-    stripped; grids are arrays of the dimensionless coordinates X_k."""
-    shape = np.shape(grids[0])
-    z0 = np.zeros(shape, dtype=complex)
-    z1 = np.zeros(shape, dtype=complex)
-    for m in state.modes:
-        val = m.coeff * cmath.exp(1j * m.freq * t)
-        term = np.full(shape, val, dtype=complex)
-        for k, p in enumerate(m.polys):
-            term = term * _peval(p, grids[k])
-        if m.slot == 0:
-            z0 += term
-        else:
-            z1 += term
-    return z0, z1
+def _polypart_on_grid(states, grids, t: float):
+    """Symplectic components (z0, z1) of each state on a coordinate grid with
+    the Gaussian envelope stripped, as (states, nodes) arrays; grids are
+    arrays of the dimensionless coordinates X_k."""
+    coords = [g.ravel() for g in grids]
+    z = np.zeros((2, len(states), coords[0].size), dtype=complex)
+    for i, state in enumerate(states):
+        for m in state.modes:
+            term = np.full(coords[0].size, m.coeff * cmath.exp(1j * m.freq * t), dtype=complex)
+            for k, p in enumerate(m.polys):
+                term = term * _peval(p, coords[k])
+            z[m.slot, i] += term
+    return z[0], z[1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +447,46 @@ def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
                rules: list[QuadratureRule] | None = None) -> float:
-    """Real inner product by Gauss-Hermite quadrature, one rule per dimension.
+    """Real inner product by Gauss-Hermite quadrature, one rule per dimension;
+    the 1x1 case of quad_gram."""
+    return float(quad_gram([a], [b], t, rules)[0, 0])
+
+
+def _weighted_products(za, zb, w) -> np.ndarray:
+    """Re sum_k w_k [z0a_k conj(z0b_k) + z1a_k conj(z1b_k)] for every pair of
+    rows; za and zb are (z0, z1) pairs of (states, nodes) arrays."""
+    (z0, z1), (y0, y1) = za, zb
+    return ((z0 * w) @ y0.conj().T + (z1 * w) @ y1.conj().T).real
+
+
+def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0,
+              rules: list[QuadratureRule] | None = None) -> np.ndarray:
+    """Matrix of real inner products <a_i, b_j> by Gauss-Hermite quadrature,
+    one rule per dimension, evaluating each state once on the rules' grid.
 
     The Gaussian envelopes of the two states supply exactly the Hermite
     weight, so the integrand handed to the rule is the polynomial part of
     Sc(a * conj(b)).  Warns (without failing) when the rule order cannot
-    integrate the product degree exactly.
+    integrate the largest product degree exactly.
     """
-    _check_compatible(a, b)
+    states = [*a_states, *b_states]
+    for s in states:
+        _check_compatible(states[0], s)
+    dims = states[0].dims
     if rules is None:
-        rules = [make_rule("gauss_hermite", 64) for _ in range(a.dims)]
-    if len(rules) != a.dims:
-        raise ValueError(f"need {a.dims} quadrature rules, got {len(rules)}")
+        rules = [make_rule("gauss_hermite", 64)] * dims
+    if len(rules) != dims:
+        raise ValueError(f"need {dims} quadrature rules, got {len(rules)}")
     for r in rules:
         if r.kind != "gauss_hermite":
             raise ValueError(f"inner_quad requires gauss_hermite rules, got {r.kind!r}")
-    for k in range(a.dims):
+    for k in range(dims):
         deg = 0
-        for ma in a.modes:
-            for mb in b.modes:
-                if ma.slot == mb.slot:
-                    deg = max(deg, len(ma.polys[k]) + len(mb.polys[k]) - 2)
+        for slot in (0, 1):
+            la = [len(m.polys[k]) for s in a_states for m in s.modes if m.slot == slot]
+            lb = [len(m.polys[k]) for s in b_states for m in s.modes if m.slot == slot]
+            if la and lb:
+                deg = max(deg, max(la) + max(lb) - 2)
         if deg > 2 * rules[k].order - 1:
             warnings.warn(
                 f"quadrature order {rules[k].order} in dimension {k} is below the "
@@ -479,11 +496,9 @@ def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
     w = rules[0].weights
     for r in rules[1:]:
         w = np.multiply.outer(w, r.weights)
-    z0a, z1a = _polypart_on_grid(a, grids, t)
-    z0b, z1b = _polypart_on_grid(b, grids, t)
-    integrand = (z0a * np.conj(z0b) + z1a * np.conj(z1b)).real
-    jac = (1.0 / a.params.alpha) ** a.dims
-    return float(np.sum(w * integrand)) * jac
+    za = _polypart_on_grid(a_states, grids, t)
+    zb = za if b_states is a_states else _polypart_on_grid(b_states, grids, t)
+    return _weighted_products(za, zb, w.ravel()) * (1.0 / states[0].params.alpha) ** dims
 
 
 def _require_normalized(s: WaveState, t: float, check_norm: bool) -> None:

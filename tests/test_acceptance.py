@@ -47,6 +47,7 @@ from quatosc.wavestate import (
     inner,
     inner_quad,
     mul_x,
+    quad_gram,
     time_derivative,
 )
 
@@ -251,7 +252,21 @@ def test_criterion_09_dual_path_consistency():
         a, b = _random_state(rng), _random_state(rng)
         t = float(rng.uniform(-2.0, 2.0))
         worst = max(worst, abs(inner(a, b, t) - inner_quad(a, b, t, GH64)))
-    report("dual-path inner products", ("max deviation", worst, 1e-9))
+
+    # quad_gram, one weighted product over the whole family, against pairwise inner_quad
+    def factor():
+        return QPair(int(rng.integers(6)), int(rng.integers(6)), float(rng.uniform(0.0, 1.5)))
+
+    gram_devs = []
+    products = [product_state([factor(), factor()]) for _ in range(6)]
+    for states, rules in (([_random_state(rng) for _ in range(8)], GH64),
+                          (products, [make_rule("gauss_hermite", 16)] * 2)):
+        pairwise = np.array([[inner_quad(a, b, 0.3, rules) for b in states] for a in states])
+        gram_devs.append(max(np.max(np.abs(quad_gram(states, states, 0.3, rules) - pairwise)),
+                             np.max(np.abs(quad_gram(states[:3], states, 0.3, rules) - pairwise[:3]))))
+    report("dual-path inner products", ("max deviation", worst, 1e-9),
+           ("quad_gram vs inner_quad, 1-D", gram_devs[0], 1e-14),
+           ("quad_gram vs inner_quad, 2-D products", gram_devs[1], 1e-14))
 
 
 def _run_cli(*args, stdin=None):

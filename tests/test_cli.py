@@ -104,6 +104,7 @@ class TestGram:
         assert report["checks"]["max_closed_form_deviation"] <= 1e-10
         assert report["checks"]["non_orthogonal_closed_form"] is False
         assert report["checks"]["max_quadrature_delta"] <= 1e-9
+        assert report["checks"]["within_tolerance"] is True
 
     def test_non_orthogonal_flagged(self, tmp_path):
         states = write_states(tmp_path / "g.jsonl", [
@@ -136,6 +137,17 @@ class TestGram:
         assert report["results"]["theta_equal"] == [[True, True], [True, True]]
         assert report["results"]["parallel"][0][0] is True
 
+    def test_low_quadrature_order_warns_in_report(self, tmp_path):
+        states = write_states(tmp_path / "g.jsonl", [
+            {"kind": "ho1d", "n": 8, "m": 8, "theta": 0.5},
+            {"kind": "ho1d", "n": 2, "m": 1, "theta": 0.5},
+        ])
+        proc = run_cli("gram", "--states", states, "--quad-order", "3")
+        assert proc.returncode == 0
+        warned = json.loads(proc.stdout)["checks"]["warnings"]
+        # one warning, naming the family's largest product degree, 8 + 8
+        assert len(warned) == 1 and "quadrature order 3" in warned[0] and "degree 16" in warned[0]
+
     def test_mixed_kinds_rejected(self, tmp_path):
         states = write_states(tmp_path / "g.jsonl", [
             {"kind": "ho1d", "n": 0, "m": 1, "theta": 0.6},
@@ -151,6 +163,26 @@ class TestGram:
         ])
         proc = run_cli("gram", "--states", states)
         assert proc.returncode == 2
+
+
+class TestExitCodes:
+    # beyond the moment route's precision horizon: the checks fail, or the
+    # state is rejected as not normalized, and the exit code says so
+    @pytest.mark.parametrize("command, pairs, code", [
+        ("spectrum", [(25, 26)], 3),
+        ("spectrum", [(40, 41)], 2),
+        ("gram", [(40, 41), (1, 2)], 3),
+    ])
+    def test_failed_check_or_rejected_state(self, command, pairs, code, tmp_path):
+        states = write_states(tmp_path / "s.jsonl",
+                              [{"kind": "ho1d", "n": n, "m": m, "theta": 0.7} for n, m in pairs])
+        proc = run_cli(command, "--states", states)
+        assert proc.returncode == code
+        assert b"Traceback" not in proc.stderr
+        if code == 3:
+            assert json.loads(proc.stdout)["checks"]["within_tolerance"] is False
+        else:
+            assert len(proc.stderr.decode().splitlines()) == 1
 
 
 class TestVerify:
