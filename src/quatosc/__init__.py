@@ -34,10 +34,12 @@ from .wavestate import (
     apply,
     d_dx,
     evaluate,
+    evaluate_points,
     expectation,
     expectation_quaternionic,
     inner,
     inner_quad,
+    moment_gram,
     quad_gram,
     mul_x,
     op_add,

@@ -54,8 +54,9 @@ from .multidim import (
 from .specfun import make_rule
 from .wavestate import (
     PhysicalParams,
+    _magnitude,
     apply,
-    evaluate,
+    evaluate_points,
     expectation,
     inner_quad,
     quad_gram,
@@ -141,9 +142,9 @@ def _params_for(desc: dict, args) -> PhysicalParams:
         extra = set(override) - {"mu", "omega", "hbar"}
         if extra:
             raise ValidationError(f"unknown params fields: {sorted(extra)}")
-        mu = float(override.get("mu", mu))
-        omega = float(override.get("omega", omega))
-        hbar = float(override.get("hbar", hbar))
+        mu = _get_num(override, "mu", mu)
+        omega = _get_num(override, "omega", omega)
+        hbar = _get_num(override, "hbar", hbar)
     return PhysicalParams(mu, omega, hbar)
 
 
@@ -211,7 +212,7 @@ _KINDS = {
 def _build_state(desc: dict, args):
     """Returns (kind, label_dict, state_object, params)."""
     kind = desc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown state kind: {kind!r}")
     fields, build = _KINDS[kind]
     extra = set(desc) - fields - {"kind", "params"}
@@ -396,13 +397,9 @@ def _suite_ladder(tol, quad_order) -> list[dict]:
         s = psi_n(n, params)
         comm = apply(lower, apply(raise_op, s)) - apply(raise_op, apply(lower, s))
         comm_dev = max(comm_dev, (comm - s).norm())
-    build_dev = 0.0
-    grid = np.linspace(-6.0, 6.0, 41)
-    for n in range(7):
-        for m in range(7):
-            q = QPair(n, m, 0.7)
-            a, b = build_via_ladder(q, params), psi_nm(q, params)
-            build_dev = max(build_dev, max(abs(evaluate(a - b, x, 0.4)) for x in grid))
+    pairs = [QPair(n, m, 0.7) for n in range(7) for m in range(7)]
+    gaps = [build_via_ladder(q, params) - psi_nm(q, params) for q in pairs]
+    build_dev = float(np.max(_magnitude(*evaluate_points(gaps, np.linspace(-6.0, 6.0, 41), 0.4))))
     return [
         _check("lowering_annihilates_ground_state", ground_killed, tol or 1e-13),
         _check("ladder_commutator_is_identity", comm_dev, tol or 1e-10),
@@ -423,15 +420,13 @@ def _suite_residual(tol, quad_order) -> list[dict]:
     res_dev = 0.0
     for q in _residual_samples():
         res_dev = max(res_dev, schrodinger_residual(psi_nm(q, params), t=0.9))
-    fd_dev = 0.0
     h = 1e-6
-    for q in _residual_samples()[:5]:
-        s = psi_nm(q, params)
-        ds = time_derivative(s)
-        for x in (-1.3, 0.2, 2.1):
-            analytic = evaluate(ds, x, 0.7)
-            numeric = (evaluate(s, x, 0.7 + h) - evaluate(s, x, 0.7 - h)) * (0.5 / h)
-            fd_dev = max(fd_dev, abs(analytic - numeric))
+    states = [psi_nm(q, params) for q in _residual_samples()[:5]]
+    xs = (-1.3, 0.2, 2.1)
+    analytic = evaluate_points([time_derivative(s) for s in states], xs, 0.7)
+    ahead, behind = evaluate_points(states, xs, 0.7 + h), evaluate_points(states, xs, 0.7 - h)
+    gap = [a - (p - m) * (0.5 / h) for a, p, m in zip(analytic, ahead, behind)]
+    fd_dev = float(np.max(_magnitude(*gap)))
     return [
         _check("schrodinger_residual_on_solutions", res_dev, tol or 1e-10),
         _check("time_derivative_matches_finite_differences", fd_dev, tol or 1e-6),
@@ -450,8 +445,7 @@ def _suite_radial(tol, quad_order) -> list[dict]:
     for (u, v, l) in [(0, 0, 0), (1, 2, 1), (3, 1, 2), (2, 4, 3)]:
         state = radial_state(u, v, l, 0.6, params)
         res_true = max(res_true, radial_ode_residual(state))
-        grid = np.asarray([abs(state.evaluate(r)) for r in np.linspace(0.15, 6.0, 40)])
-        peak = float(np.max(grid))
+        peak = float(np.max(_magnitude(*state.components(np.linspace(0.15, 6.0, 40)))))
         for shift in (-1.0, 1.0):
             energies = (radial_energy(u, l, params) + shift, radial_energy(v, l, params) + shift)
             res_margin = min(res_margin, radial_ode_residual(state, energies) / peak)
@@ -534,18 +528,18 @@ def cmd_sample(args) -> int:
         raise ValidationError("sample expects exactly one state descriptor")
     grid = _parse_grid(args.grid)
     kind, label, state, _params = _build_state(descriptors[0], args)
-    rows = []
-    for x in grid:
-        if kind == "ho1d":
-            value = evaluate(state, float(x), args.time)
-        elif kind == "radial":
-            if x <= 0:
-                raise ValidationError("radial samples require positive radii")
-            value = state.evaluate(float(x))
-        else:
-            raise ValidationError(f"sample supports 'ho1d' and 'radial' kinds, got {kind!r}")
-        z0, z1 = value.to_symplectic()
-        rows.append([float(x), z0.real, z0.imag, z1.real, z1.imag, abs(value)])
+    if kind == "ho1d":
+        z0, z1 = (z[0] for z in evaluate_points([state], grid, args.time))
+    elif kind == "radial":
+        if np.any(grid <= 0):
+            raise ValidationError("radial samples require positive radii")
+        z0, z1 = state.components(grid)
+    else:
+        raise ValidationError(f"sample supports 'ho1d' and 'radial' kinds, got {kind!r}")
+    table = np.column_stack([grid, z0.real, z0.imag, z1.real, z1.imag, _magnitude(z0, z1)])
+    if not np.all(np.isfinite(table)):
+        raise ValidationError("sampled values are not finite")
+    rows = table.tolist()
     header = ["x", "re_z0", "im_z0", "re_z1", "im_z1", "abs"]
     report = {
         "command": "sample",

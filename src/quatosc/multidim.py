@@ -25,15 +25,16 @@ from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import (GramMatrix, QPair, _embedded_factor, _family_gram, _sample_points,
                            hamiltonian)
 from .specfun import (
+    _moment_table,
     hermite_coeffs,
     hermite_norm_const,
     laguerre_coeffs,
     laguerre_norm_const,
     make_rule,
-    radial_moment,
     sph_harm,
 )
-from .wavestate import Mode, PhysicalParams, WaveState, _weighted_products, expectation
+from .wavestate import (Mode, PhysicalParams, WaveState, _hankel_contract, _padded,
+                        _weighted_products, expectation)
 
 __all__ = [
     "SplitSpec",
@@ -176,13 +177,18 @@ class RadialState:
         return tuple(math.sin(self.theta) * n * complex(c)
                      for c in laguerre_coeffs(self.v, self.l + 0.5))
 
-    def evaluate(self, rho: float) -> Quaternion:
-        """Quaternion value at dimensionless radius rho = sqrt(mu omega/hbar) r."""
+    def components(self, rho):
+        """Symplectic components (z0, z1) at dimensionless radius
+        rho = sqrt(mu omega/hbar) r; scalars or numpy arrays."""
+        rho = np.asarray(rho, dtype=float)
         s = rho * rho
-        common = rho ** self.l * math.exp(-0.5 * s)
-        z0 = complex(np.polynomial.polynomial.polyval(s, np.asarray(self.poly0))) * common
-        z1 = complex(np.polynomial.polynomial.polyval(s, np.asarray(self.poly1))) * common
-        return Quaternion.from_symplectic(z0, z1)
+        common = rho ** self.l * np.exp(-0.5 * s)
+        return (np.polynomial.polynomial.polyval(s, np.asarray(self.poly0)) * common,
+                np.polynomial.polynomial.polyval(s, np.asarray(self.poly1)) * common)
+
+    def evaluate(self, rho: float) -> Quaternion:
+        """Quaternion value at dimensionless radius rho; the scalar case of components."""
+        return Quaternion.from_symplectic(*self.components(rho))
 
 
 def radial_state(u: int, v: int, l: int, theta: float = 0.0,
@@ -190,27 +196,36 @@ def radial_state(u: int, v: int, l: int, theta: float = 0.0,
     return RadialState(u, v, l, theta, params or PhysicalParams())
 
 
+def _half_line_hankel(polys_a, polys_b, l: int, shift: int) -> np.ndarray:
+    """Re A H B^H for polynomials in s = rho^2 with H_ij = M_(2(l+i+j)+shift) / 2,
+    the half-line integral of rho^(2(l+i+j)+shift) exp(-rho^2)."""
+    a, b = _padded(polys_a), _padded(polys_b)
+    moments = 0.5 * _moment_table(2 * (l + a.shape[1] + b.shape[1] - 2) + shift)[2 * l + shift::2]
+    return _hankel_contract(a, b, moments).real
+
+
+def _radial_entries(a_states, b_states) -> np.ndarray:
+    """Real inner products <a_i, b_j> under the measure rho^2 drho, by exact moments."""
+    ls = {s.l for s in [*a_states, *b_states]}
+    if len(ls) > 1:
+        raise ValueError("radial inner products require equal angular momentum l")
+    return sum(_half_line_hankel([getattr(s, slot) for s in a_states],
+                                 [getattr(s, slot) for s in b_states], max(ls, default=0), 2)
+               for slot in ("poly0", "poly1")).astype(float)
+
+
 def radial_inner(a: RadialState, b: RadialState) -> float:
     """Real inner product under the measure rho^2 drho, by exact moments."""
-    if a.l != b.l:
-        raise ValueError("radial inner product requires equal angular momentum l")
-    terms = []
-    for pa, pb in ((a.poly0, b.poly0), (a.poly1, b.poly1)):
-        prod = np.convolve(np.asarray(pa), np.conj(np.asarray(pb)))
-        terms.extend(float(c.real) * radial_moment(a.l + d) for d, c in enumerate(prod))
-    return math.fsum(terms)
+    return float(_radial_entries([a], [b])[0, 0])
 
 
 def radial_gram(states: list[RadialState], parallel_tol: float = 1e-10) -> GramMatrix:
     """Gram matrix of radial states sharing one angular momentum l."""
     states = tuple(states)
-    if len({s.l for s in states}) > 1:
-        raise ValueError("radial_gram requires all states to share l")
-    n = len(states)
-    entries = np.array([[radial_inner(a, b) for b in states] for a in states]).reshape(n, n)
     radii, = _sample_points((0.3, 3.0))
-    values = [[s.evaluate(float(r)) for r in radii] for s in states]
-    return _family_gram(states, entries, [(s.u, s.v) for s in states], values, 0.0, parallel_tol)
+    values = np.array([s.components(radii) for s in states]).reshape(len(states), 2, len(radii))
+    return _family_gram(states, _radial_entries(states, states), [(s.u, s.v) for s in states],
+                        values.swapaxes(0, 1), 0.0, parallel_tol)
 
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
@@ -283,16 +298,11 @@ def radial_ode_residual(state: RadialState, energies: tuple[float, float] | None
 def radial_energy_expectation(state: RadialState) -> float:
     """Expectation of the radial Hamiltonian by exact moments; equals the
     slot-weighted energies for the exact solution families."""
-    l = state.l
-    terms = []
+    total = 0.0
     for g in (state.poly0, state.poly1):
-        h = _radial_residual_poly(g, l, 0.0)  # eps = 0 leaves the pure Hamiltonian action
-        prod = np.convolve(h, np.conj(np.asarray(g, dtype=complex)))
-        for d, c in enumerate(prod):
-            if c == 0:
-                continue
-            terms.append(float(c.real) * radial_moment(l - 1 + d))
-    return math.fsum(terms) * state.params.energy_quantum
+        h = _radial_residual_poly(g, state.l, 0.0)  # eps = 0 leaves the pure Hamiltonian action
+        total += _half_line_hankel([h], [g], state.l, 0)[0, 0]
+    return float(total) * state.params.energy_quantum
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +379,9 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
         z1[i] = np.broadcast_to(b, weights.shape).ravel()
     entries = _weighted_products((z0, z1), (z0, z1), w)
     thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
-    values = [[qsph_harm(spec, conjugate_slot1).evaluate(float(th), float(ph))
-               for th, ph in zip(thetas, phis)] for spec in specs]
-    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values,
-                        0.0, parallel_tol)
+    values = np.array([qsph_harm(spec, conjugate_slot1).components(thetas, phis) for spec in specs])
+    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs],
+                        values.reshape(n, 2, len(thetas)).swapaxes(0, 1), 0.0, parallel_tol)
 
 
 def full_spherical_energy(u: int, v: int, l: int, theta: float = 0.0,

@@ -134,13 +134,23 @@ def right_mul_i(q: Quaternion) -> Quaternion:
     return Quaternion(-q.x1, q.x0, q.x3, -q.x2)
 
 
+def _parallel(p, q, tol: float):
+    """is_parallel on broadcastable (x0, x1, x2, x3) component arrays; p*conj(q)
+    is written out in the operation order of Quaternion.__mul__."""
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    a0, a1, a2, a3 = p
+    b0, b1, b2, b3 = q[0], -q[1], -q[2], -q[3]
+    r1 = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    r2 = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    r3 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    return (abs(r1) <= tol) & (abs(r2) <= tol) & (abs(r3) <= tol)
+
+
 def is_parallel(p: Quaternion, q: Quaternion, tol: float = PARALLEL_TOL) -> bool:
     """True iff every imaginary component of p*conj(q) is within tol of zero.
 
     Componentwise absolute tolerance; states with near-zero norm are
-    excluded by the callers.
+    excluded by the callers.  The one-pair case of the array rule.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    r = p * q.conj()
-    return abs(r.x1) <= tol and abs(r.x2) <= tol and abs(r.x3) <= tol
+    return bool(_parallel((p.x0, p.x1, p.x2, p.x3), (q.x0, q.x1, q.x2, q.x3), tol))

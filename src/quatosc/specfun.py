@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 __all__ = [
     "DEGREE_CAP",
@@ -198,10 +197,27 @@ def gaussian_moment(k: int) -> float:
 
 def radial_moment(k: int) -> float:
     """Exact half-line radial moment:
-    integral of rho^(2k) exp(-rho^2) rho^2 drho over [0, inf) = Gamma(k+3/2)/2."""
+    integral of rho^(2k) exp(-rho^2) rho^2 drho over [0, inf) = M_(2k+2) / 2."""
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    return 0.5 * math.gamma(k + 1.5)
+    return 0.5 * gaussian_moment(2 * k + 2)
+
+
+@lru_cache(maxsize=None)
+def _moment_table(max_degree: int) -> np.ndarray:
+    """Full-line Gaussian moments M_0..M_max_degree in extended precision,
+    the source of every exact inner product and expectation.
+
+    The moment contraction of a high-degree polynomial pair cancels large
+    terms down to an O(1) value, so it runs in long double; the recursion
+    M_k = (k-1)/2 M_{k-2} is exact apart from the shared sqrt(pi) seed.
+    """
+    m = np.zeros(max_degree + 1, dtype=np.longdouble)
+    m[0] = np.sqrt(np.longdouble("3.141592653589793238462643383279502884"))
+    for k in range(2, max_degree + 1, 2):
+        m[k] = 0.5 * (k - 1) * m[k - 2]
+    m.setflags(write=False)  # shared by every caller through the cache
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +256,8 @@ def make_rule(kind: str, order: int) -> QuadratureRule:
     elif kind == "half_line_gaussian":
         # Generalized Gauss-Laguerre in s = r^2 with weight s^(1/2) exp(-s):
         # integral f(r) r^2 exp(-r^2) dr = 1/2 integral f(sqrt(s)) s^(1/2) exp(-s) ds.
+        # scipy is imported here only: no command of the CLI uses this rule.
+        from scipy.special import roots_genlaguerre
         s_nodes, s_weights = roots_genlaguerre(order, 0.5)
         nodes = np.sqrt(s_nodes)
         weights = 0.5 * s_weights

@@ -26,12 +26,11 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .quaternion import Quaternion
-from .specfun import QuadratureRule, make_rule
+from .specfun import QuadratureRule, _moment_table, make_rule
 
 __all__ = [
     "PhysicalParams",
@@ -48,9 +47,11 @@ __all__ = [
     "identity_op",
     "zero_state",
     "evaluate",
+    "evaluate_points",
     "apply",
     "inner",
     "inner_quad",
+    "moment_gram",
     "quad_gram",
     "expectation",
     "expectation_quaternionic",
@@ -120,10 +121,6 @@ def _padd(a, b):
     for k, x in enumerate(b):
         out[k] += x
     return tuple(out)
-
-
-def _peval(c, x):
-    return np.polynomial.polynomial.polyval(x, np.asarray(c))
 
 
 def _is_zero_poly(c) -> bool:
@@ -230,44 +227,66 @@ def _merge_modes(modes) -> tuple[Mode, ...]:
     return tuple(out)
 
 
-def _as_coords(state: WaveState, x) -> tuple[float, ...]:
-    if np.isscalar(x):
-        xs = (float(x),)
-    else:
-        xs = tuple(float(v) for v in x)
-    if len(xs) != state.dims:
-        raise ValueError(f"expected {state.dims} coordinates, got {len(xs)}")
-    return xs
+def _padded(polys) -> np.ndarray:
+    """Polynomial coefficient rows, zero-padded to the longest polynomial:
+    a (rows, degree + 1) complex matrix."""
+    out = np.zeros((len(polys), max(map(len, polys), default=1)), dtype=complex)
+    for row, p in enumerate(polys):
+        out[row, :len(p)] = p
+    return out
+
+
+def _stacked(states, t: float):
+    """Every mode of the states, which must share dims and params, in order:
+    owner state index, slot and amplitude at time t, and per dimension the
+    padded polynomial matrix."""
+    for s in states:
+        _check_compatible(states[0], s)
+    modes = [(i, m) for i, s in enumerate(states) for m in s.modes]
+    owner = np.array([i for i, _ in modes], dtype=int)
+    slot = np.array([m.slot for _, m in modes], dtype=int)
+    freq = np.array([m.freq for _, m in modes], dtype=float)
+    amp = np.array([m.coeff for _, m in modes], dtype=complex) * np.exp(1j * freq * t)
+    return owner, slot, amp, [_padded([m.polys[k] for _, m in modes]) for k in range(states[0].dims)]
+
+
+def _polypart(states, coords, t: float):
+    """(z0, z1) of each state with the Gaussian envelope stripped, as
+    (states, points) arrays; coords holds one array of X_k per dimension."""
+    owner, slot, amp, polys = _stacked(states, t)
+    terms = amp[:, None]
+    for c, x in zip(polys, coords):
+        terms = terms * np.polynomial.polynomial.polyval(x, c.T)
+    z = np.zeros((2, len(states), coords[0].size), dtype=complex)
+    np.add.at(z, (slot, owner), terms)
+    return z[0], z[1]
+
+
+def evaluate_points(states: list[WaveState], x, t: float = 0.0):
+    """Symplectic components (z0, z1) of each state at each point and time t,
+    as (states, points) complex arrays; x holds one position per row, (points,)
+    or (points, dims)."""
+    if not states:
+        return tuple(np.zeros((2, 0, len(x)), dtype=complex))
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    if x.shape[1] != states[0].dims:
+        raise ValueError(f"expected points of {states[0].dims} coordinates, got {x.shape[1]}")
+    coords = list(states[0].params.alpha * x.T)
+    envelope = np.exp(-0.5 * sum(v * v for v in coords))
+    z0, z1 = _polypart(states, coords, t)
+    return z0 * envelope, z1 * envelope
 
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
-    """Quaternion value of the state at position x (scalar or p-vector) and time t."""
-    xs = _as_coords(state, x)
-    alpha = state.params.alpha
-    coords = [alpha * v for v in xs]
-    envelope = math.exp(-0.5 * sum(v * v for v in coords))
-    z = [0j, 0j]
-    for m in state.modes:
-        val = m.coeff * cmath.exp(1j * m.freq * t)
-        for k, p in enumerate(m.polys):
-            val *= complex(_peval(p, coords[k]))
-        z[m.slot] += val
-    return Quaternion.from_symplectic(z[0] * envelope, z[1] * envelope)
+    """Quaternion value of the state at position x (scalar or p-vector) and
+    time t; the one-point case of evaluate_points."""
+    z0, z1 = evaluate_points([state], [np.atleast_1d(x)], t)
+    return Quaternion.from_symplectic(z0[0, 0], z1[0, 0])
 
 
-def _polypart_on_grid(states, grids, t: float):
-    """Symplectic components (z0, z1) of each state on a coordinate grid with
-    the Gaussian envelope stripped, as (states, nodes) arrays; grids are
-    arrays of the dimensionless coordinates X_k."""
-    coords = [g.ravel() for g in grids]
-    z = np.zeros((2, len(states), coords[0].size), dtype=complex)
-    for i, state in enumerate(states):
-        for m in state.modes:
-            term = np.full(coords[0].size, m.coeff * cmath.exp(1j * m.freq * t), dtype=complex)
-            for k, p in enumerate(m.polys):
-                term = term * _peval(p, coords[k])
-            z[m.slot, i] += term
-    return z[0], z[1]
+def _magnitude(z0, z1):
+    """Quaternion magnitude |z0 + z1 j| of component arrays."""
+    return np.sqrt(z0.real * z0.real + z0.imag * z0.imag + z1.real * z1.real + z1.imag * z1.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -399,50 +418,39 @@ def _replace_poly(m: Mode, dim: int, poly) -> Mode:
 # ---------------------------------------------------------------------------
 # inner products and expectations
 
-_SQRT_PI_LD = np.sqrt(np.longdouble("3.141592653589793238462643383279502884"))
+def _hankel_contract(a: np.ndarray, b: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """A H B^H in long double: entry (p, q) is sum_ij a_pi conj(b_qj) moments[i + j],
+    for polynomial coefficient rows a and b."""
+    hankel = moments[np.add.outer(np.arange(a.shape[1]), np.arange(b.shape[1]))]
+    return (a.astype(np.clongdouble) @ hankel) @ b.astype(np.clongdouble).conj().T
 
 
-@lru_cache(maxsize=None)
-def _moment_table(max_degree: int) -> np.ndarray:
-    """Full-line Gaussian moments 0..max_degree in extended precision.
+def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0) -> np.ndarray:
+    """Matrix of real inner products <a_i, b_j> by exact Gaussian moments.
 
-    The moment contraction of a high-degree polynomial pair cancels large
-    terms down to an O(1) value, so it runs in long double; the recursion
-    M_k = (k-1)/2 M_{k-2} is exact apart from the shared sqrt(pi) seed.
+    Per dimension, every mode polynomial of the a states contracts with every
+    one of the b states through the Hankel matrix of moments (A H B^H, long
+    double); the product over dimensions, weighted by amplitude, time phase
+    and slot match, is summed over each state's modes.
     """
-    m = np.zeros(max_degree + 1, dtype=np.longdouble)
-    m[0] = _SQRT_PI_LD
-    for k in range(2, max_degree + 1, 2):
-        m[k] = 0.5 * (k - 1) * m[k - 2]
-    return m
+    states = [*a_states, *b_states]
+    if not states:
+        return np.zeros((0, 0))
+    owner, slot, amp, polys = _stacked(states, t)
+    a, b = owner < len(a_states), owner >= len(a_states)
+    prod = np.ones((a.sum(), b.sum()), dtype=np.clongdouble)
+    for c in polys:
+        prod *= _hankel_contract(c[a], c[b], _moment_table(2 * c.shape[1] - 2))
+    weight = np.multiply.outer(amp[a], amp[b].conj()) * np.equal.outer(slot[a], slot[b])
+    out = np.zeros((len(a_states), len(b_states)), dtype=np.longdouble)
+    np.add.at(out, (owner[a][:, None], owner[b][None, :] - len(a_states)), (prod * weight).real)
+    return out.astype(float) * (1.0 / states[0].params.alpha) ** len(polys)
 
 
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
-    """Real inner product, evaluated by exact Gaussian moments."""
-    _check_compatible(a, b)
-    max_deg = 0
-    for ma in a.modes:
-        for mb in b.modes:
-            if ma.slot != mb.slot:
-                continue
-            for k in range(a.dims):
-                max_deg = max(max_deg, len(ma.polys[k]) + len(mb.polys[k]) - 2)
-    moments = _moment_table(max_deg)
-    terms = []
-    for ma in a.modes:
-        for mb in b.modes:
-            if ma.slot != mb.slot:
-                continue
-            val = np.clongdouble(1.0)
-            for k in range(a.dims):
-                pa = np.asarray(ma.polys[k], dtype=np.clongdouble)
-                pb = np.conj(np.asarray(mb.polys[k], dtype=np.clongdouble))
-                prod = np.convolve(pa, pb)
-                val = val * np.dot(prod, moments[: len(prod)])
-            z = ma.coeff * mb.coeff.conjugate() * cmath.exp(1j * (ma.freq - mb.freq) * t)
-            terms.append((z * complex(val)).real)
-    jac = (1.0 / a.params.alpha) ** a.dims
-    return math.fsum(terms) * jac
+    """Real inner product, evaluated by exact Gaussian moments; the 1x1 case
+    of moment_gram."""
+    return float(moment_gram([a], [b], t)[0, 0])
 
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
@@ -496,8 +504,9 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     w = rules[0].weights
     for r in rules[1:]:
         w = np.multiply.outer(w, r.weights)
-    za = _polypart_on_grid(a_states, grids, t)
-    zb = za if b_states is a_states else _polypart_on_grid(b_states, grids, t)
+    coords = [g.ravel() for g in grids]
+    za = _polypart(a_states, coords, t)
+    zb = za if b_states is a_states else _polypart(b_states, coords, t)
     return _weighted_products(za, zb, w.ravel()) * (1.0 / states[0].params.alpha) ** dims
 
 

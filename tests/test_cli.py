@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,6 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quatosc import cli
 
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
@@ -184,6 +190,20 @@ class TestExitCodes:
         else:
             assert len(proc.stderr.decode().splitlines()) == 1
 
+    # valid JSON whose field types are wrong: rejected with one line, not a
+    # traceback, and never coerced
+    @pytest.mark.parametrize("desc", [
+        {"kind": ["ho1d"], "n": 0, "m": 0},
+        {"kind": "ho1d", "n": 0, "m": 0, "params": {"mu": [1]}},
+        {"kind": "ho1d", "n": 0, "m": 0, "params": {"mu": "2"}},
+        {"kind": "ho1d", "n": 0, "m": 0, "params": {"mu": True}},
+    ])
+    def test_wrong_field_type_is_validation_error(self, desc, tmp_path):
+        proc = run_cli("spectrum", "--states", write_states(tmp_path / "s.jsonl", [desc]))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert len(proc.stderr.decode().splitlines()) == 1
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["algebra", "residual"])
@@ -304,3 +324,70 @@ class TestUnitsAndFlags:
         states = write_states(tmp_path / "s.jsonl", [desc, desc])
         rejected = run_cli("gram", "--states", states)
         assert rejected.returncode == 2
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy serves only the half_line_gaussian rule, which no command uses
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, quatosc.cli; sys.exit('scipy' in sys.modules)"],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+# --- generated descriptors ------------------------------------------------
+
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, -1),
+                   st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(0, 2), max_size=2))
+_LEVEL = st.integers(0, 30)
+_THETA = st.floats(-4.0, 4.0)
+_PAIR = st.fixed_dictionaries({"n": _LEVEL, "m": _LEVEL, "theta": _THETA})
+_DIMS = st.lists(st.integers(0, 2), max_size=3)
+_KINDS = {
+    "ho1d": _PAIR,
+    "product": st.fixed_dictionaries({"factors": st.lists(_PAIR, min_size=1, max_size=3)}),
+    "split": st.fixed_dictionaries({"dims": st.integers(1, 3), "slot0_dims": _DIMS,
+                                    "slot1_dims": _DIMS, "n": _LEVEL, "m": _LEVEL,
+                                    "theta": _THETA}),
+    "radial": st.fixed_dictionaries({"u": _LEVEL, "v": _LEVEL, "l": _LEVEL, "theta": _THETA}),
+    "spherical": st.fixed_dictionaries({"l": _LEVEL, "m1": st.integers(-30, 30),
+                                        "m2": st.integers(-30, 30), "theta": _THETA}),
+}
+_PARAMS = st.dictionaries(st.sampled_from(["mu", "omega", "hbar"]),
+                          st.one_of(st.floats(0.1, 10.0), _WRONG), max_size=2)
+
+
+@st.composite
+def _requests(draw):
+    """A command with one to three descriptors of a kind it accepts; now and
+    then a params override, and one field with a wrong type, value or kind."""
+    argv, kinds, count = draw(st.sampled_from([
+        (["spectrum"], ["ho1d"], 3),
+        (["gram"], sorted(_KINDS), 3),
+        (["sample", "--grid", "-3:3:7"], ["ho1d"], 1),
+        (["sample", "--grid", "0.5:4:6"], ["radial"], 1),
+    ]))
+    kind = draw(st.sampled_from(kinds))
+    descriptors = [{"kind": kind, **draw(_KINDS[kind])} for _ in range(draw(st.integers(1, count)))]
+    if draw(st.booleans()):
+        draw(st.sampled_from(descriptors))["params"] = draw(_PARAMS)
+    if draw(st.booleans()):
+        desc = draw(st.sampled_from(descriptors))
+        desc[draw(st.sampled_from(sorted(desc)))] = draw(st.one_of(_WRONG, st.sampled_from(sorted(_KINDS))))
+    return argv, descriptors
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(request=_requests())
+def test_generated_descriptors_keep_the_exit_code_contract(request, tmp_path_factory):
+    argv, descriptors = request
+    path = write_states(tmp_path_factory.mktemp("desc") / "s.jsonl", descriptors)
+    out, err = io.StringIO(), io.StringIO()
+    # in-process, an exception escaping main fails the example as a traceback would
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*argv, "--states", path])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        checks = json.loads(out.getvalue())["checks"]
+        assert checks.get("within_tolerance") is not False
+        assert checks.get("all_passed") is not False

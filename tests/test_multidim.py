@@ -171,6 +171,11 @@ class TestRadialGram:
             g = radial_gram(states)
             assert g.max_closed_form_deviation() <= 1e-10
 
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_closed_form_through_degree_8(self, l):
+        states = [radial_state(u, v, l, 0.8) for u in range(9) for v in range(9)]
+        assert radial_gram(states).max_closed_form_deviation() <= 1e-12
+
     def test_against_quadrature(self):
         a = radial_state(1, 2, 1, 0.5)
         b = radial_state(1, 3, 1, 0.5)
@@ -338,6 +343,10 @@ class TestFullSphericalEnergy:
             s = radial_state(u, v, l, theta)
             assert radial_energy_expectation(s) == pytest.approx(
                 full_spherical_energy(u, v, l, theta), abs=1e-10)
+
+    def test_matches_radial_expectation_at_high_degree(self):
+        s = radial_state(8, 7, 2, 0.6)
+        assert abs(radial_energy_expectation(s) - full_spherical_energy(8, 7, 2, 0.6)) <= 1e-10
 
     def test_azimuthal_numbers_do_not_enter(self):
         # the energy depends on (u, v, l, theta) only; the angular factor is

@@ -12,6 +12,7 @@ from quatosc.quaternion import (
     ONE,
     Quaternion,
     SymplecticPair,
+    _parallel,
     conj,
     is_parallel,
     mul,
@@ -195,6 +196,21 @@ class TestIsParallel:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             is_parallel(ONE, ONE, -1.0)
+
+    @pytest.mark.parametrize("pairs", ["random", "parallel"])
+    def test_array_rule_matches_pairwise(self, pairs):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(-2.0, 2.0, size=(4, 40))
+        if pairs == "random":
+            q = rng.uniform(-2.0, 2.0, size=(4, 40))
+        else:
+            # real multiples, with rounding left in the imaginary part of p*conj(q)
+            q = p * rng.uniform(-3.0, 3.0, size=40)
+        for tol in (0.0, 1e-15, 1e-10):
+            table = _parallel(p[:, :, None], q[:, None, :], tol)
+            want = [[is_parallel(Quaternion(*p[:, i]), Quaternion(*q[:, j]), tol) for j in range(40)]
+                    for i in range(40)]
+            assert table.tolist() == want
 
 
 def test_components_must_be_finite():

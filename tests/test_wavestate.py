@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatosc.multidim import product_state
 from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
 from quatosc.specfun import make_rule
 from quatosc.wavestate import (
@@ -19,7 +20,9 @@ from quatosc.wavestate import (
     expectation_quaternionic,
     inner,
     inner_quad,
+    moment_gram,
     mul_x,
+    quad_gram,
     right_i,
     scale,
     time_derivative,
@@ -162,6 +165,25 @@ class TestInner:
         # normalization holds in physical units, not only natural ones
         p = PhysicalParams(mu=3.0, omega=0.5, hbar=2.0)
         assert inner(psi_n(4, p), psi_n(4, p), 1.0) == pytest.approx(1.0, abs=1e-13)
+
+    def test_zero_state_is_orthogonal_to_everything(self):
+        assert inner(zero_state(), psi_nm(QPair(3, 2, 0.4)), 0.7) == 0.0
+
+
+class TestMomentGram:
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_agrees_with_quad_gram(self, dims):
+        rng = np.random.default_rng(11 + dims)
+
+        def pair():
+            return QPair(int(rng.integers(8)), int(rng.integers(8)), float(rng.uniform(0.0, 1.5)))
+
+        states = [product_state([pair() for _ in range(dims)]) for _ in range(7)]
+        rules = [make_rule("gauss_hermite", 24)] * dims
+        for a_states in (states, states[:3]):
+            moments = moment_gram(a_states, states, 0.6)
+            assert moments.shape == (len(a_states), len(states))
+            assert np.max(np.abs(moments - quad_gram(a_states, states, 0.6, rules))) <= 1e-12
 
 
 class TestInnerQuad:
