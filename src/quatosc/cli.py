@@ -24,6 +24,7 @@ import re
 import sys
 import time
 import warnings
+from functools import cache
 
 import numpy as np
 
@@ -209,11 +210,19 @@ _KINDS = {
 }
 
 
+def _check_kinds(descriptors: list[dict], command: str, accepted: tuple[str, ...]) -> None:
+    """Rejects an unknown kind, or one the command does not accept, before
+    any state is built."""
+    for kind in (d.get("kind") for d in descriptors):
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ValidationError(f"unknown state kind: {kind!r}")
+        if kind not in accepted:
+            raise ValidationError(f"{command} accepts {'/'.join(accepted)} only, got {kind!r}")
+
+
 def _build_state(desc: dict, args):
-    """Returns (kind, label_dict, state_object, params)."""
-    kind = desc.get("kind")
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ValidationError(f"unknown state kind: {kind!r}")
+    """Returns (kind, label_dict, state_object, params) for a checked kind."""
+    kind = desc["kind"]
     fields, build = _KINDS[kind]
     extra = set(desc) - fields - {"kind", "params"}
     if extra:
@@ -225,10 +234,6 @@ def _build_state(desc: dict, args):
 
 # ---------------------------------------------------------------------------
 # report emission
-
-def _matrix(a: np.ndarray) -> list[list]:
-    return [[x.item() for x in row] for row in np.asarray(a)]
-
 
 def _finish(args, t0: float, report: dict, header: list[str], rows: list[list]) -> int:
     """Writes the report as JSON, or its table as CSV, with the wall-time
@@ -259,13 +264,12 @@ def cmd_spectrum(args) -> int:
     if not descriptors:
         sys.stderr.write("spectrum: no state descriptors provided\n")
         return EXIT_USAGE
+    _check_kinds(descriptors, "spectrum", ("ho1d",))
     rows = []
     rules = [make_rule("gauss_hermite", args.quad_order)]
     caught: list[str] = []
     for desc in descriptors:
-        kind, label, state, params = _build_state(desc, args)
-        if kind != "ho1d":
-            raise ValidationError("spectrum supports only 'ho1d' descriptors")
+        _kind, label, state, params = _build_state(desc, args)
         q = QPair(label["n"], label["m"], label["theta"])
         unit = params.energy_quantum
         e_closed = energy_nm(q, params) / unit
@@ -307,10 +311,11 @@ def cmd_gram(args) -> int:
     if not descriptors:
         sys.stderr.write("gram: no state descriptors provided\n")
         return EXIT_USAGE
-    built = [_build_state(d, args) for d in descriptors]
-    kinds = {b[0] for b in built}
+    _check_kinds(descriptors, "gram", ("ho1d", "radial", "spherical"))
+    kinds = {d["kind"] for d in descriptors}
     if len(kinds) > 1:
         raise ValidationError(f"gram requires homogeneous state kinds, got {sorted(kinds)}")
+    built = [_build_state(d, args) for d in descriptors]
     kind = built[0][0]
     if len({b[3] for b in built}) > 1:
         raise ValidationError("gram requires all states to share physical parameters")
@@ -328,16 +333,14 @@ def cmd_gram(args) -> int:
         checks["warnings"] = sorted({str(w.message) for w in grabbed})
     elif kind == "radial":
         g = radial_gram(states)
-    elif kind == "spherical":
+    else:
         g = angular_gram(states, n_polar=args.quad_order,
                          n_azimuth=2 * args.quad_order, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
-    else:
-        raise ValidationError(f"gram does not support kind {kind!r}")
-    results["parallel"] = _matrix(g.parallel)
-    results["theta_equal"] = _matrix(g.theta_equal)
-    results["entries"] = _matrix(g.entries)
-    results["closed_form"] = _matrix(g.closed_form)
+    results["parallel"] = g.parallel.tolist()
+    results["theta_equal"] = g.theta_equal.tolist()
+    results["entries"] = g.entries.tolist()
+    results["closed_form"] = g.closed_form.tolist()
     off = g.closed_form - np.diag(np.diag(g.closed_form))
     tol = args.tol if args.tol is not None else 1e-10
     checks["max_closed_form_deviation"] = g.max_closed_form_deviation()
@@ -526,16 +529,15 @@ def cmd_sample(args) -> int:
         return EXIT_USAGE
     if len(descriptors) != 1:
         raise ValidationError("sample expects exactly one state descriptor")
+    _check_kinds(descriptors, "sample", ("ho1d", "radial"))
     grid = _parse_grid(args.grid)
     kind, label, state, _params = _build_state(descriptors[0], args)
     if kind == "ho1d":
         z0, z1 = (z[0] for z in evaluate_points([state], grid, args.time))
-    elif kind == "radial":
+    else:
         if np.any(grid <= 0):
             raise ValidationError("radial samples require positive radii")
         z0, z1 = state.components(grid)
-    else:
-        raise ValidationError(f"sample supports 'ho1d' and 'radial' kinds, got {kind!r}")
     table = np.column_stack([grid, z0.real, z0.imag, z1.real, z1.imag, _magnitude(z0, z1)])
     if not np.all(np.isfinite(table)):
         raise ValidationError("sampled values are not finite")
@@ -578,32 +580,33 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="energy table: closed forms vs expectation values")
     _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gram", help="Gram matrix of candidate basis states")
     _add_common(p)
-    p.set_defaults(func=cmd_gram)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
     _add_common(p, states=False)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sample", help="tabulate a state on a grid")
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")
     _add_common(p)
-    p.set_defaults(func=cmd_sample)
 
     return parser
 
 
+_parser = cache(build_parser)  # built once per process; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, not kept in the cached parser, so a rebound cmd_* still runs
+    commands = {"spectrum": cmd_spectrum, "gram": cmd_gram,
+                "verify": cmd_verify, "sample": cmd_sample}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return args.func(args)
+            return commands[args.command](args)
     except ValueError as exc:
         # ValidationError, or a library ValueError on the given inputs
         sys.stderr.write(f"quatosc {args.command}: {exc}\n")

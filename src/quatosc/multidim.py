@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from .specfun import (
     make_rule,
     sph_harm,
 )
-from .wavestate import (Mode, PhysicalParams, WaveState, _hankel_contract, _padded,
-                        _weighted_products, expectation)
+from .wavestate import Mode, PhysicalParams, WaveState, _hankel_contract, _padded, expectation
 
 __all__ = [
     "SplitSpec",
@@ -354,30 +353,26 @@ def qsph_harm(spec: QSphericalHarmonic, conjugate_slot1: bool = False) -> Angula
     return AngularState(spec, conjugate_slot1)
 
 
-def _sphere_grid(n_polar: int, n_azimuth: int):
-    gl = make_rule("gauss_legendre", n_polar)
-    az = make_rule("uniform_periodic", n_azimuth)
-    polar = np.arccos(gl.nodes)[:, None]
-    azimuth = az.nodes[None, :]
-    weights = gl.weights[:, None] * az.weights[None, :]
-    return polar, azimuth, weights
-
-
 def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: int = 128,
                  conjugate_slot1: bool = False, parallel_tol: float = 1e-10) -> GramMatrix:
     """Gram matrix of quaternionic spherical harmonics over the full sphere,
-    by Gauss-Legendre x uniform-azimuth quadrature."""
+    by Gauss-Legendre x uniform-azimuth quadrature.  Y_l^m(polar, azimuth) =
+    Y_l^m(polar, 0) exp(i m azimuth) on a tensor-product rule, so each slot's
+    node sum factors: Re sum_s (F_s W F_s^T) o (E_s V E_s^H), with F_s the real
+    polar profiles and E_s the azimuth phases exp(+-i m azimuth) on the nodes."""
     specs = tuple(specs)
     n = len(specs)
-    polar, azimuth, weights = _sphere_grid(n_polar, n_azimuth)
-    w = weights.ravel()
-    z0 = np.zeros((n, w.size), dtype=complex)
-    z1 = np.zeros((n, w.size), dtype=complex)
-    for i, spec in enumerate(specs):
-        a, b = qsph_harm(spec, conjugate_slot1).components(polar, azimuth)
-        z0[i] = np.broadcast_to(a, weights.shape).ravel()
-        z1[i] = np.broadcast_to(b, weights.shape).ravel()
-    entries = _weighted_products((z0, z1), (z0, z1), w)
+    gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
+    polar = np.arccos(gl.nodes)
+    profile = cache(lambda l, m: sph_harm(l, m, polar, 0.0).real)
+    entries = np.zeros((n, n))
+    for mix, m, sign in ((math.cos, "m1", 1), (math.sin, "m2", -1 if conjugate_slot1 else 1)):
+        f = np.reshape([mix(s.theta) * profile(s.l, getattr(s, m)) for s in specs], (n, n_polar))
+        polar_sum = (f * gl.weights) @ f.T
+        # one azimuth row per distinct frequency k, spread back to the states
+        k, row = np.unique([sign * getattr(s, m) for s in specs], return_inverse=True)
+        e = np.exp(1j * np.outer(k, az.nodes))
+        entries += (polar_sum * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
     thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
     values = np.array([qsph_harm(spec, conjugate_slot1).components(thetas, phis) for spec in specs])
     return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs],

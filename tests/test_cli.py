@@ -34,6 +34,10 @@ HO1D = [
 ]
 
 
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a state was built")
+
+
 class TestSpectrum:
     def test_energies_and_deltas(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl", HO1D)
@@ -204,6 +208,27 @@ class TestExitCodes:
         assert b"Traceback" not in proc.stderr
         assert len(proc.stderr.decode().splitlines()) == 1
 
+    # a command rejects a kind it does not accept before building any state:
+    # a product of k factors multiplies 2^k mode combinations
+    @pytest.mark.parametrize("argv", [["spectrum"], ["gram"], ["sample", "--grid", "-3:3:7"]])
+    def test_unsupported_kind_is_rejected_unbuilt(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "product_state", _refuse_to_build)
+        factors = [{"n": k % 3, "m": 1, "theta": 0.4} for k in range(40)]
+        path = write_states(tmp_path / "s.jsonl", [{"kind": "product", "factors": factors}])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--states", path])
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1
+
+    def test_mixed_gram_kinds_are_rejected_unbuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "psi_nm", _refuse_to_build)
+        radial = {"kind": "radial", "u": 0, "v": 0, "l": 0}
+        path = write_states(tmp_path / "s.jsonl", [HO1D[0], radial])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["gram", "--states", path]) == 2
+        assert "homogeneous" in err.getvalue()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["algebra", "residual"])
@@ -324,6 +349,17 @@ class TestUnitsAndFlags:
         states = write_states(tmp_path / "s.jsonl", [desc, desc])
         rejected = run_cli("gram", "--states", states)
         assert rejected.returncode == 2
+
+
+def test_reused_parser_keeps_no_option_between_calls(tmp_path):
+    path = write_states(tmp_path / "s.jsonl", HO1D)
+    tolerances = []
+    for extra in (["--tol", "1e-3"], []):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["gram", "--states", path, *extra]) == 0
+        tolerances.append(json.loads(out.getvalue())["checks"]["tolerance"])
+    assert tolerances == [1e-3, 1e-10]
 
 
 def test_cli_import_leaves_scipy_out():

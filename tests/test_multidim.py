@@ -1,8 +1,12 @@
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from quatosc import cli
 from quatosc.multidim import (
     QSphericalHarmonic,
     SplitSpec,
@@ -325,6 +329,40 @@ class TestAngularGram:
         g = angular_gram(specs)
         assert bool(g.parallel[0, 1]) and bool(g.parallel[1, 1])
         assert bool(g.theta_equal[0, 1]) and not bool(g.theta_equal[0, 2])
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("n_polar, n_azimuth", [(64, 128), (9, 18)])
+    def test_matches_sum_over_every_sphere_node(self, conjugate, n_polar, n_azimuth):
+        rng = np.random.default_rng(n_polar + conjugate)
+        specs = []
+        for _ in range(12):
+            l = int(rng.integers(0, 9))
+            m1, m2 = (int(m) for m in rng.integers(-l, l + 1, size=2))
+            specs.append(QSphericalHarmonic(l, m1, m2, float(rng.uniform(0.0, math.pi))))
+        specs.append(QSphericalHarmonic(8, -8, -7, 0.4))
+        gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
+        polar, azimuth = np.meshgrid(np.arccos(gl.nodes), az.nodes, indexing="ij")
+        w = np.outer(gl.weights, az.weights)
+        z = [qsph_harm(s, conjugate).components(polar, azimuth) for s in specs]
+        want = np.array([[sum(np.sum(w * a * np.conj(b)).real for a, b in zip(za, zb)) for zb in z]
+                         for za in z])
+        g = angular_gram(specs, n_polar, n_azimuth, conjugate_slot1=conjugate)
+        np.testing.assert_allclose(g.entries, want, rtol=0, atol=1e-14)
+
+    def test_coarse_azimuth_rule_aliases(self):
+        # on 2 azimuth nodes exp(-2i phi) sums to 2 pi, not 0: Y_1^-1 and Y_1^1 overlap
+        specs = [QSphericalHarmonic(1, -1, -1, 0.5), QSphericalHarmonic(1, 1, 1, 0.5)]
+        g = angular_gram(specs, n_polar=64, n_azimuth=2)
+        assert g.entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
+        assert g.max_closed_form_deviation() > 0.5
+
+    def test_too_coarse_rule_still_fails_verify(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "angular", "--quad-order", "4"])
+        assert code == 3
+        checks = {c["name"]: c for c in json.loads(out.getvalue())["results"]["checks"]}
+        assert checks["angular_gram_matches_closed_form"]["passed"] is False
 
 
 class TestFullSphericalEnergy:
