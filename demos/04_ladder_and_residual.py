@@ -49,7 +49,7 @@ for n, m, theta in [(0, 0, 0.0), (1, 2, 0.7), (4, 3, math.pi / 2)]:
     print(f"  (n={n}, m={m}, theta={theta:.3f}): residual = {r:.3e}")
 
 print("\n=== and on a state with a deliberately wrong frequency ===")
-pi4 = math.pi ** -0.25
-bad = WaveState(1, (Mode(0, pi4, ((1.0 + 0j,),), -1.6),), PhysicalParams())
+# coefficient 1 on phi_0 = pi^(-1/4) exp(-X^2/2), the normalized ground state
+bad = WaveState(1, (Mode(0, 1.0, ((1.0,),), -1.6),), PhysicalParams())
 print("ground-state shape with frequency -1.6 instead of -0.5:")
 print("residual =", schrodinger_residual(bad, t=0.0), " (scales with the frequency error)")

@@ -1,8 +1,9 @@
 """Quaternionic quantum harmonic oscillator in a real Hilbert space.
 
-The package builds every solution family of the model exactly (Gaussian
-envelopes times polynomials), evaluates the real inner product both by
-closed-form Gaussian moments and by quadrature, and verifies the
+The package builds every solution family of the model exactly (Cartesian
+states in orthonormal Hermite-function coefficients, radial states as
+Gaussian envelopes times polynomials), evaluates the real inner product
+both from the coefficients or exact moments and by quadrature, and verifies the
 orthogonality, energy, ladder-algebra and differential-equation claims.
 """
 

@@ -52,7 +52,7 @@ from .multidim import (
     radial_state,
     split_state,
 )
-from .specfun import make_rule
+from .specfun import DEGREE_CAP, make_rule
 from .wavestate import (
     PhysicalParams,
     _magnitude,
@@ -185,7 +185,7 @@ def _split(desc: dict, args, params: PhysicalParams):
     label = {"dims": dims, "slot0_dims": sorted(spec.slot0_dims),
              "slot1_dims": sorted(spec.slot1_dims), "n": spec.n, "m": spec.m,
              "theta": spec.theta}
-    return label, split_state(spec, params, allow_overlap=args.allow_overlap)
+    return label, split_state(spec, params)
 
 
 def _radial(desc: dict, args, params: PhysicalParams):
@@ -346,7 +346,10 @@ def cmd_gram(args) -> int:
     checks["max_closed_form_deviation"] = g.max_closed_form_deviation()
     checks["non_orthogonal_closed_form"] = bool(np.max(np.abs(off), initial=0.0) > tol)
     checks["tolerance"] = tol
-    checks["within_tolerance"] = bool(checks["max_closed_form_deviation"] <= tol)
+    # a ho1d coefficient Gram equals its closed form by construction, so the
+    # quadrature route is the check that can fail
+    checks["within_tolerance"] = bool(checks["max_closed_form_deviation"] <= tol
+                                      and checks.get("max_quadrature_delta", 0.0) <= tol)
     report = {
         "command": "gram",
         "inputs": {"states": descriptors, "time": args.time, "quad_order": args.quad_order,
@@ -403,10 +406,14 @@ def _suite_ladder(tol, quad_order) -> list[dict]:
     pairs = [QPair(n, m, 0.7) for n in range(7) for m in range(7)]
     gaps = [build_via_ladder(q, params) - psi_nm(q, params) for q in pairs]
     build_dev = float(np.max(_magnitude(*evaluate_points(gaps, np.linspace(-6.0, 6.0, 41), 0.4))))
+    basis = [psi_n(n, params) for n in range(DEGREE_CAP + 1)]
+    quad = quad_gram(basis, basis, 0.0, [make_rule("gauss_hermite", DEGREE_CAP + 1)])
+    ortho_dev = float(np.max(np.abs(quad - np.eye(DEGREE_CAP + 1))))
     return [
         _check("lowering_annihilates_ground_state", ground_killed, tol or 1e-13),
         _check("ladder_commutator_is_identity", comm_dev, tol or 1e-10),
         _check("algebraic_state_matches_direct_build", build_dev, tol or 1e-10),
+        _check("hermite_functions_orthonormal_by_quadrature", ortho_dev, tol or 1e-12),
     ]
 
 
@@ -569,8 +576,6 @@ def _add_common(parser: argparse.ArgumentParser, states: bool = True) -> None:
                         help="quadrature order for the cross-check paths")
     parser.add_argument("--conjugate-angular", action="store_true", dest="conjugate_angular",
                         help="conjugate the slot-1 spherical harmonic")
-    parser.add_argument("--allow-overlap", action="store_true", dest="allow_overlap",
-                        help="permit overlapping dimension sets in split states")
 
 
 def build_parser() -> _Parser:

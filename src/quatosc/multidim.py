@@ -22,18 +22,9 @@ import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
-from .oscillator1d import (GramMatrix, QPair, _embedded_factor, _family_gram, _sample_points,
-                           hamiltonian)
-from .specfun import (
-    _moment_table,
-    hermite_coeffs,
-    hermite_norm_const,
-    laguerre_coeffs,
-    laguerre_norm_const,
-    make_rule,
-    sph_harm,
-)
-from .wavestate import Mode, PhysicalParams, WaveState, _hankel_contract, _padded, expectation
+from .oscillator1d import GramMatrix, QPair, _family_gram, _level, _pair_modes, _sample_points, hamiltonian
+from .specfun import laguerre_coeffs, laguerre_norm_const, make_rule, sph_harm
+from .wavestate import Mode, PhysicalParams, WaveState, _padded, expectation
 
 __all__ = [
     "SplitSpec",
@@ -60,17 +51,14 @@ __all__ = [
 # Cartesian sector
 
 def _mode_product(ma: Mode, mb: Mode) -> Mode:
-    """Symplectic product of two modes (ma taken first)."""
+    """Symplectic product of a mode (ma, taken first) and a one-dimensional
+    factor mode mb, which supplies the next dimension's coefficients."""
     conj_b = ma.slot == 1
     sign = -1.0 if (ma.slot == 1 and mb.slot == 1) else 1.0
-    slot = ma.slot ^ mb.slot
     cb = mb.coeff.conjugate() if conj_b else mb.coeff
     fb = -mb.freq if conj_b else mb.freq
-    polys = []
-    for pa, pb in zip(ma.polys, mb.polys):
-        pb_eff = tuple(c.conjugate() for c in pb) if conj_b else pb
-        polys.append(tuple(np.convolve(np.asarray(pa), np.asarray(pb_eff))))
-    return Mode(slot, sign * ma.coeff * cb, tuple(polys), ma.freq + fb)
+    coefs_b = mb.coefs[0].conj() if conj_b else mb.coefs[0]
+    return Mode(ma.slot ^ mb.slot, sign * ma.coeff * cb, ma.coefs + (coefs_b,), ma.freq + fb)
 
 
 def product_state(factors: list[QPair], params: PhysicalParams | None = None) -> WaveState:
@@ -80,12 +68,11 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
     factors = tuple(factors)
     if not factors:
         raise ValueError("product_state needs at least one factor")
-    dims = len(factors)
-    modes = _embedded_factor(factors[0], 0, dims, params)
-    for k in range(1, dims):
-        fk = _embedded_factor(factors[k], k, dims, params)
+    modes = _pair_modes(factors[0], params)
+    for q in factors[1:]:
+        fk = _pair_modes(q, params)
         modes = tuple(_mode_product(ma, mb) for ma in modes for mb in fk)
-    return WaveState(dims, modes, params).merged()
+    return WaveState(len(factors), modes, params).merged()
 
 
 @dataclass(frozen=True)
@@ -125,16 +112,12 @@ def split_state(spec: SplitSpec, params: PhysicalParams | None = None,
     if not allow_overlap and spec.slot0_dims & spec.slot1_dims:
         raise ValueError("slot dimension sets overlap; pass allow_overlap=True to permit this")
     omega = params.omega
-    a0 = hermite_norm_const(0, params)
+    norm = params.alpha ** (0.5 * spec.dims)
 
     def slot_mode(slot, mix, level, dims_set, freq_sign):
-        poly = tuple(complex(c) for c in hermite_coeffs(level))
-        polys = tuple(poly if k in dims_set else (1.0 + 0j,) for k in range(spec.dims))
-        coeff = mix
-        for k in range(spec.dims):
-            coeff *= hermite_norm_const(level, params) if k in dims_set else a0
+        coefs = tuple(_level(level) if k in dims_set else _level(0) for k in range(spec.dims))
         freq = freq_sign * len(dims_set) * (level + 0.5) * omega
-        return Mode(slot, coeff, polys, freq)
+        return Mode(slot, mix * norm, coefs, freq)
 
     mode0 = slot_mode(0, math.cos(spec.theta), spec.n, spec.slot0_dims, -1.0)
     mode1 = slot_mode(1, math.sin(spec.theta), spec.m, spec.slot1_dims, +1.0)
@@ -193,6 +176,31 @@ class RadialState:
 def radial_state(u: int, v: int, l: int, theta: float = 0.0,
                  params: PhysicalParams | None = None) -> RadialState:
     return RadialState(u, v, l, theta, params or PhysicalParams())
+
+
+@cache
+def _moment_table(max_degree: int) -> np.ndarray:
+    """Full-line Gaussian moments M_0..M_max_degree in extended precision,
+    the source of the radial sector's exact inner products and expectations.
+
+    The radial states are stored in monomial coefficients, so the moment
+    contraction of a high-degree pair cancels large terms down to an O(1)
+    value; it runs in long double, and the recursion M_k = (k-1)/2 M_(k-2) is
+    exact apart from the shared sqrt(pi) seed.
+    """
+    m = np.zeros(max_degree + 1, dtype=np.longdouble)
+    m[0] = np.sqrt(np.longdouble("3.141592653589793238462643383279502884"))
+    for k in range(2, max_degree + 1, 2):
+        m[k] = 0.5 * (k - 1) * m[k - 2]
+    m.setflags(write=False)  # shared by every caller through the cache
+    return m
+
+
+def _hankel_contract(a: np.ndarray, b: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """A H B^H in long double: entry (p, q) is sum_ij a_pi conj(b_qj) moments[i + j],
+    for polynomial coefficient rows a and b."""
+    hankel = moments[np.add.outer(np.arange(a.shape[1]), np.arange(b.shape[1]))]
+    return (a.astype(np.clongdouble) @ hankel) @ b.astype(np.clongdouble).conj().T
 
 
 def _half_line_hankel(polys_a, polys_b, l: int, shift: int) -> np.ndarray:

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import _parallel, is_parallel  # noqa: F401
-from .specfun import hermite_coeffs, hermite_norm_const
+from .specfun import _check_degree
 from .wavestate import (
     Mode,
     Operator,
@@ -107,32 +108,39 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - np.eye(self.size)))) if self.size else 0.0
 
 
-def _embedded_factor(q: QPair, dim: int, dims: int, params: PhysicalParams) -> tuple[Mode, Mode]:
-    """Slot-0 and slot-1 modes of the two-slot state q oscillating along
-    dimension dim of dims; the other dimensions carry the bare envelope."""
-    one = (1.0 + 0j,)
-    poly_n = tuple(complex(c) for c in hermite_coeffs(q.n))
-    poly_m = tuple(complex(c) for c in hermite_coeffs(q.m))
-    polys0 = tuple(poly_n if k == dim else one for k in range(dims))
-    polys1 = tuple(poly_m if k == dim else one for k in range(dims))
+@cache
+def _level(n: int) -> np.ndarray:
+    """Hermite-function coefficients of phi_n, the n-th unit vector; read-only,
+    since every state at level n shares it."""
+    _check_degree(n, "n")
+    c = np.zeros(n + 1, dtype=complex)
+    c[n] = 1.0
+    c.setflags(write=False)
+    return c
+
+
+def _pair_modes(q: QPair, params: PhysicalParams) -> tuple[Mode, Mode]:
+    """Slot-0 and slot-1 modes of the one-dimensional two-slot state q; the
+    factor sqrt(alpha) normalizes phi_n(alpha x) in x."""
+    root_alpha = math.sqrt(params.alpha)
     omega = params.omega
     return (
-        Mode(0, math.cos(q.theta) * hermite_norm_const(q.n, params), polys0, -(q.n + 0.5) * omega),
-        Mode(1, math.sin(q.theta) * hermite_norm_const(q.m, params), polys1, +(q.m + 0.5) * omega),
+        Mode(0, math.cos(q.theta) * root_alpha, (_level(q.n),), -(q.n + 0.5) * omega),
+        Mode(1, math.sin(q.theta) * root_alpha, (_level(q.m),), +(q.m + 0.5) * omega),
     )
 
 
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
     """The n-th complex oscillator eigenfunction as a slot-0 state."""
     params = params or PhysicalParams()
-    return WaveState(1, _embedded_factor(QPair(n, 0), 0, 1, params)[:1], params)
+    return WaveState(1, _pair_modes(QPair(n, 0), params)[:1], params)
 
 
 def psi_nm(q: QPair, params: PhysicalParams | None = None) -> WaveState:
     """Two-slot oscillator state: cos(theta) in slot 0 at level n, sin(theta)
     times the conjugated level-m eigenfunction in slot 1 (positive frequency)."""
     params = params or PhysicalParams()
-    return WaveState(1, _embedded_factor(q, 0, 1, params), params)
+    return WaveState(1, _pair_modes(q, params), params)
 
 
 def energy_nm(q: QPair, params: PhysicalParams | None = None) -> float:
@@ -207,6 +215,8 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     Alongside the inner products it reports the closed form and, per pair
     of labels, whether the evaluated states pass the quaternionic
     parallelism test at 5 fixed sample points and whether the angles match.
+    The entries come from the Hermite-function coefficients, so they equal
+    the closed form by construction; quad_gram is the route that tests them.
     """
     params = params or PhysicalParams()
     pairs = tuple(pairs)
@@ -235,20 +245,19 @@ def ladder(which: str, dim: int = 0) -> Operator:
 
 def build_via_ladder(q: QPair, params: PhysicalParams | None = None) -> WaveState:
     """Construct the two-slot state algebraically: repeated raising operators
-    on the bare Gaussian in each slot, with the time phases of psi_nm.
+    on the ground state in each slot, with the time phases of psi_nm.
 
-    n applications of the raising operator turn the bare Gaussian into the
-    degree-n Hermite function scaled by 2^(-n/2), so the slot seed uses the
-    ground constant divided by sqrt(n!) and the result coincides with
-    psi_nm(q) pointwise.
+    n applications of the raising operator turn phi_0 into sqrt(n!) phi_n,
+    so the slot seed is the normalized ground state divided by sqrt(n!) and
+    the result coincides with psi_nm(q) pointwise.
     """
     params = params or PhysicalParams()
     omega = params.omega
-    a0 = hermite_norm_const(0, params)
+    root_alpha = math.sqrt(params.alpha)
     raise_op = ladder("raise")
 
     def slot_build(slot, mix, level, freq):
-        seed = Mode(slot, mix * a0 * math.exp(-0.5 * math.lgamma(level + 1.0)), ((1.0 + 0j,),), freq)
+        seed = Mode(slot, mix * root_alpha * math.exp(-0.5 * math.lgamma(level + 1.0)), (_level(0),), freq)
         s = WaveState(1, (seed,), params)
         for _ in range(level):
             s = apply(raise_op, s)

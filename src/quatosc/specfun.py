@@ -4,8 +4,9 @@ Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences (stable, no factorial ratios), spherical harmonics
 by a normalized associated Legendre recurrence with the Condon-Shortley
 phase.  The moment helpers give closed-form values of the Gaussian
-integrals that make inner products exact; the quadrature rules are the
-independent numerical route used to cross-check them.
+integrals, the references the tests hold inner products to; the
+quadrature rules are the independent numerical route that cross-checks
+every exact inner product.
 """
 
 from __future__ import annotations
@@ -201,23 +202,6 @@ def radial_moment(k: int) -> float:
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     return 0.5 * gaussian_moment(2 * k + 2)
-
-
-@lru_cache(maxsize=None)
-def _moment_table(max_degree: int) -> np.ndarray:
-    """Full-line Gaussian moments M_0..M_max_degree in extended precision,
-    the source of every exact inner product and expectation.
-
-    The moment contraction of a high-degree polynomial pair cancels large
-    terms down to an O(1) value, so it runs in long double; the recursion
-    M_k = (k-1)/2 M_{k-2} is exact apart from the shared sqrt(pi) seed.
-    """
-    m = np.zeros(max_degree + 1, dtype=np.longdouble)
-    m[0] = np.sqrt(np.longdouble("3.141592653589793238462643383279502884"))
-    for k in range(2, max_degree + 1, 2):
-        m[k] = 0.5 * (k - 1) * m[k - 2]
-    m.setflags(write=False)  # shared by every caller through the cache
-    return m
 
 
 @dataclass(frozen=True, eq=False)

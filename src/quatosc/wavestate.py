@@ -1,16 +1,19 @@
-"""Quaternionic wavefunctions as exact Gaussian-enveloped polynomial modes.
+"""Quaternionic wavefunctions stored in orthonormal Hermite-function coefficients.
 
 A WaveState is a finite sum of modes.  Each mode lives in one symplectic
-slot (z0 or z1), carries a complex amplitude, one polynomial per dimension
-in the dimensionless coordinates X_k = sqrt(mu*omega/hbar) x_k, and a real
-time frequency nu giving the factor exp(i nu t).  The represented value is
+slot (z0 or z1), carries a complex amplitude, a real time frequency nu
+giving the factor exp(i nu t), and per dimension a coefficient vector in
+the Hermite functions phi_n of the dimensionless coordinate
+X_k = sqrt(mu*omega/hbar) x_k.  The represented value is
 
-    z_slot += coeff * exp(i nu t) * prod_k poly_k(X_k) * exp(-sum_k X_k^2 / 2)
+    z_slot += coeff * exp(i nu t) * prod_k sum_n c_kn phi_n(X_k)
 
-and the quaternion value of the state is z0 + z1*j.  Because every state
-is a polynomial times the shared Gaussian envelope, inner products reduce
-to exact Gaussian moments; Gauss-Hermite quadrature provides a second,
-independent evaluation of the same integrals.
+and the quaternion value of the state is z0 + z1*j.  The phi_n are
+orthonormal, so an inner product is one coefficient dot product per
+dimension, and X and d/dX act as two-band shifts of the coefficients.
+Gauss-Hermite quadrature of the values, which the normalized three-term
+recurrence gives pointwise, is the independent evaluation of the same
+integrals.
 
 The real inner product used throughout is the scalar part
 
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quaternion import Quaternion
-from .specfun import QuadratureRule, _moment_table, make_rule
+from .specfun import QuadratureRule, make_rule
 
 __all__ = [
     "PhysicalParams",
@@ -90,53 +93,21 @@ class PhysicalParams:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient tuples, ascending powers, complex)
-
-def _ptrim(c: tuple[complex, ...]) -> tuple[complex, ...]:
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return tuple(c[:n])
-
-
-def _pshift(c):
-    """Multiply by the variable."""
-    return (0j,) + tuple(c)
-
-
-def _pderiv(c):
-    if len(c) == 1:
-        return (0j,)
-    return tuple((k + 1) * c[k + 1] for k in range(len(c) - 1))
-
-
-def _pscale(c, z):
-    return tuple(z * x for x in c)
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, x in enumerate(b):
-        out[k] += x
-    return tuple(out)
-
-
-def _is_zero_poly(c) -> bool:
-    return all(x == 0 for x in c)
-
-
-# ---------------------------------------------------------------------------
 # states
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mode:
-    """One Gaussian-enveloped polynomial term of a WaveState."""
+    """One term of a WaveState: a slot, an amplitude, a time frequency and,
+    per dimension, the coefficients of its factor in the orthonormal Hermite
+    functions phi_n(X) = pi^(-1/4) (2^n n!)^(-1/2) H_n(X) exp(-X^2/2).
+
+    coefs[k][n] weighs phi_n(X_k).  The arrays are shared between modes and
+    states, so they must not be modified in place.
+    """
 
     slot: int
     coeff: complex
-    polys: tuple[tuple[complex, ...], ...]
+    coefs: tuple[np.ndarray, ...]
     freq: float = 0.0
 
     def __post_init__(self):
@@ -145,7 +116,7 @@ class Mode:
         if not (cmath.isfinite(self.coeff) and math.isfinite(self.freq)):
             raise ValueError("mode amplitude and frequency must be finite")
         object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "polys", tuple(_ptrim(tuple(complex(x) for x in p)) for p in self.polys))
+        object.__setattr__(self, "coefs", tuple(np.asarray(c, dtype=complex) for c in self.coefs))
 
 
 @dataclass(frozen=True)
@@ -161,8 +132,8 @@ class WaveState:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         object.__setattr__(self, "modes", tuple(self.modes))
         for m in self.modes:
-            if len(m.polys) != self.dims:
-                raise ValueError(f"mode has {len(m.polys)} polynomials, state has {self.dims} dimensions")
+            if len(m.coefs) != self.dims:
+                raise ValueError(f"mode has {len(m.coefs)} factors, state has {self.dims} dimensions")
 
     def evaluate(self, x, t: float = 0.0) -> Quaternion:
         return evaluate(self, x, t)
@@ -183,7 +154,7 @@ class WaveState:
     def __mul__(self, c):
         if isinstance(c, (int, float)):
             return WaveState(self.dims,
-                             tuple(Mode(m.slot, m.coeff * c, m.polys, m.freq) for m in self.modes),
+                             tuple(Mode(m.slot, m.coeff * c, m.coefs, m.freq) for m in self.modes),
                              self.params)
         return NotImplemented
 
@@ -206,40 +177,37 @@ def _check_compatible(a: WaveState, b: WaveState) -> None:
 
 def _merge_modes(modes) -> tuple[Mode, ...]:
     """Combine like terms: exact key match on slot, frequency and the
-    polynomials of every dimension past the first; amplitudes fold into the
-    first-dimension polynomial, so evaluations are unchanged up to rounding."""
+    coefficients of every dimension past the first.  Amplitudes fold into the
+    first dimension's coefficients, so evaluations are unchanged up to
+    rounding; trailing zero coefficients are cut and a term that cancels to
+    zero is dropped."""
     groups: dict = {}
-    order: list = []
     for m in modes:
-        key = (m.slot, m.freq, m.polys[1:])
-        if key not in groups:
-            groups[key] = _pscale(m.polys[0], m.coeff)
-            order.append(key)
-        else:
-            groups[key] = _padd(groups[key], _pscale(m.polys[0], m.coeff))
+        key = (m.slot, m.freq, tuple(tuple(c.tolist()) for c in m.coefs[1:]))
+        groups.setdefault(key, (m.coefs[1:], []))[1].append(m.coeff * m.coefs[0])
     out = []
-    for key in order:
-        slot, freq, rest = key
-        poly0 = _ptrim(groups[key])
-        if _is_zero_poly(poly0):
-            continue
-        out.append(Mode(slot, 1.0 + 0j, (poly0,) + rest, freq))
+    for (slot, freq, _), (rest, terms) in groups.items():
+        first = terms[0] if len(terms) == 1 else _padded(terms).sum(axis=0)
+        n = len(first)
+        while n and first[n - 1] == 0:
+            n -= 1
+        if n:
+            out.append(Mode(slot, 1.0, (first[:n],) + rest, freq))
     return tuple(out)
 
 
-def _padded(polys) -> np.ndarray:
-    """Polynomial coefficient rows, zero-padded to the longest polynomial:
-    a (rows, degree + 1) complex matrix."""
-    out = np.zeros((len(polys), max(map(len, polys), default=1)), dtype=complex)
-    for row, p in enumerate(polys):
-        out[row, :len(p)] = p
+def _padded(rows) -> np.ndarray:
+    """Coefficient rows, zero-padded to the longest: a (rows, width) complex matrix."""
+    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
+    for r, c in enumerate(rows):
+        out[r, :len(c)] = c
     return out
 
 
 def _stacked(states, t: float):
     """Every mode of the states, which must share dims and params, in order:
     owner state index, slot and amplitude at time t, and per dimension the
-    padded polynomial matrix."""
+    padded coefficient matrix."""
     for s in states:
         _check_compatible(states[0], s)
     modes = [(i, m) for i, s in enumerate(states) for m in s.modes]
@@ -247,19 +215,24 @@ def _stacked(states, t: float):
     slot = np.array([m.slot for _, m in modes], dtype=int)
     freq = np.array([m.freq for _, m in modes], dtype=float)
     amp = np.array([m.coeff for _, m in modes], dtype=complex) * np.exp(1j * freq * t)
-    return owner, slot, amp, [_padded([m.polys[k] for _, m in modes]) for k in range(states[0].dims)]
+    return owner, slot, amp, [_padded([m.coefs[k] for _, m in modes]) for k in range(states[0].dims)]
 
 
-def _polypart(states, coords, t: float):
-    """(z0, z1) of each state with the Gaussian envelope stripped, as
-    (states, points) arrays; coords holds one array of X_k per dimension."""
-    owner, slot, amp, polys = _stacked(states, t)
-    terms = amp[:, None]
-    for c, x in zip(polys, coords):
-        terms = terms * np.polynomial.polynomial.polyval(x, c.T)
-    z = np.zeros((2, len(states), coords[0].size), dtype=complex)
-    np.add.at(z, (slot, owner), terms)
-    return z[0], z[1]
+def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
+    """phi_n(x) exp(x^2/2) for n < count, as the rows of a (count, points) array.
+
+    Normalized three-term recurrence (Bunck, BIT 49 (2009)):
+    h_0 = pi^(-1/4), h_1 = sqrt(2) x h_0 and
+    h_(n+1) = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_(n-1); no factorials,
+    no cancellation of large monomial terms.
+    """
+    h = np.empty((count, x.size))
+    h[0] = math.pi ** -0.25
+    if count > 1:
+        h[1] = math.sqrt(2.0) * x * h[0]
+    for n in range(1, count - 1):
+        h[n + 1] = math.sqrt(2.0 / (n + 1)) * x * h[n] - math.sqrt(n / (n + 1)) * h[n - 1]
+    return h
 
 
 def evaluate_points(states: list[WaveState], x, t: float = 0.0):
@@ -271,10 +244,14 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     if x.shape[1] != states[0].dims:
         raise ValueError(f"expected points of {states[0].dims} coordinates, got {x.shape[1]}")
-    coords = list(states[0].params.alpha * x.T)
-    envelope = np.exp(-0.5 * sum(v * v for v in coords))
-    z0, z1 = _polypart(states, coords, t)
-    return z0 * envelope, z1 * envelope
+    coords = states[0].params.alpha * x.T
+    owner, slot, amp, coefs = _stacked(states, t)
+    terms = amp[:, None]
+    for c, xk in zip(coefs, coords):
+        terms = terms * (c @ _hermite_functions(c.shape[1], xk))
+    z = np.zeros((2, len(states), len(x)), dtype=complex)
+    np.add.at(z, (slot, owner), terms)
+    return tuple(z * np.exp(-0.5 * np.sum(coords * coords, axis=0)))
 
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
@@ -374,19 +351,14 @@ def op_compose(*ops: Operator) -> Operator:
 def apply(op: Operator, state: WaveState) -> WaveState:
     """Exact symbolic action of an operator tree on a state."""
     k = op.kind
-    if k == "mul_x":
+    if k in ("mul_x", "d_dx"):
         _check_dim(op, state)
-        modes = tuple(_replace_poly(m, op.dim, _pshift(m.polys[op.dim])) for m in state.modes)
-        return WaveState(state.dims, modes, state.params)
-    if k == "d_dx":
-        # product rule against the envelope: d/dX [p e^(-X^2/2)] = (p' - X p) e^(-X^2/2)
-        _check_dim(op, state)
-        modes = tuple(
-            _replace_poly(m, op.dim, _padd(_pderiv(m.polys[op.dim]), _pscale(_pshift(m.polys[op.dim]), -1.0)))
-            for m in state.modes)
+        upper_sign = 1.0 if k == "mul_x" else -1.0
+        modes = tuple(_replace_coefs(m, op.dim, _band_shift(m.coefs[op.dim], upper_sign))
+                      for m in state.modes)
         return WaveState(state.dims, modes, state.params)
     if k == "right_i":
-        modes = tuple(Mode(m.slot, m.coeff * (1j if m.slot == 0 else -1j), m.polys, m.freq)
+        modes = tuple(Mode(m.slot, m.coeff * (1j if m.slot == 0 else -1j), m.coefs, m.freq)
                       for m in state.modes)
         return WaveState(state.dims, modes, state.params)
     if k == "scale":
@@ -409,47 +381,63 @@ def _check_dim(op: Operator, state: WaveState) -> None:
         raise ValueError(f"operator dimension {op.dim} out of range for a {state.dims}-dimensional state")
 
 
-def _replace_poly(m: Mode, dim: int, poly) -> Mode:
-    polys = list(m.polys)
-    polys[dim] = poly
-    return Mode(m.slot, m.coeff, tuple(polys), m.freq)
+def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
+    """Hermite-function coefficients of X f (upper_sign +1) or d/dX f
+    (upper_sign -1) for f = sum_n c_n phi_n:
+    X phi_n = sqrt(n/2) phi_(n-1) + sqrt((n+1)/2) phi_(n+1), and d/dX is the
+    same with the upper band negated."""
+    n = len(c)
+    root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
+    out = np.zeros(n + 1, dtype=complex)
+    out[1:] = upper_sign * root * c
+    out[:n - 1] += root[:n - 1] * c[1:]
+    return out
+
+
+def _replace_coefs(m: Mode, dim: int, c: np.ndarray) -> Mode:
+    coefs = list(m.coefs)
+    coefs[dim] = c
+    return Mode(m.slot, m.coeff, tuple(coefs), m.freq)
 
 
 # ---------------------------------------------------------------------------
 # inner products and expectations
 
-def _hankel_contract(a: np.ndarray, b: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """A H B^H in long double: entry (p, q) is sum_ij a_pi conj(b_qj) moments[i + j],
-    for polynomial coefficient rows a and b."""
-    hankel = moments[np.add.outer(np.arange(a.shape[1]), np.arange(b.shape[1]))]
-    return (a.astype(np.clongdouble) @ hankel) @ b.astype(np.clongdouble).conj().T
+def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
+    """Matrix of real inner products <a_i, b_j>, one factor per dimension.
 
-
-def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0) -> np.ndarray:
-    """Matrix of real inner products <a_i, b_j> by exact Gaussian moments.
-
-    Per dimension, every mode polynomial of the a states contracts with every
-    one of the b states through the Hankel matrix of moments (A H B^H, long
-    double); the product over dimensions, weighted by amplitude, time phase
-    and slot match, is summed over each state's modes.
+    contract(k, A, B) gives, for the coefficient rows A of the a modes and B
+    of the b modes in dimension k, the (a modes, b modes) matrix of integrals
+    over X_k of each a factor times the conjugated b factor.  Their product
+    over dimensions, weighted by amplitude, time phase and slot match, is
+    summed over each state's modes.
     """
     states = [*a_states, *b_states]
     if not states:
         return np.zeros((0, 0))
-    owner, slot, amp, polys = _stacked(states, t)
-    a, b = owner < len(a_states), owner >= len(a_states)
-    prod = np.ones((a.sum(), b.sum()), dtype=np.clongdouble)
-    for c in polys:
-        prod *= _hankel_contract(c[a], c[b], _moment_table(2 * c.shape[1] - 2))
-    weight = np.multiply.outer(amp[a], amp[b].conj()) * np.equal.outer(slot[a], slot[b])
-    out = np.zeros((len(a_states), len(b_states)), dtype=np.longdouble)
-    np.add.at(out, (owner[a][:, None], owner[b][None, :] - len(a_states)), (prod * weight).real)
-    return out.astype(float) * (1.0 / states[0].params.alpha) ** len(polys)
+    owner, slot, amp, coefs = _stacked(states, t)
+    na = np.searchsorted(owner, len(a_states))  # the a states' modes come first
+    prod = np.multiply.outer(amp[:na], amp[na:].conj()) * np.equal.outer(slot[:na], slot[na:])
+    for k, c in enumerate(coefs):
+        prod *= contract(k, c[:na], c[na:])
+    out = np.zeros((len(a_states), len(b_states)))
+    np.add.at(out, (owner[:na, None], owner[None, na:] - len(a_states)), prod.real)
+    return out * (1.0 / states[0].params.alpha) ** len(coefs)
+
+
+def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0) -> np.ndarray:
+    """Matrix of real inner products <a_i, b_j> from the coefficients.
+
+    The Hermite functions are orthonormal, so per dimension the integral of
+    one mode factor against another is the dot product of their coefficients:
+    one complex matmul A B^H per dimension for the whole family.
+    """
+    return _mode_gram(a_states, b_states, t, lambda k, a, b: a @ b.conj().T)
 
 
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
-    """Real inner product, evaluated by exact Gaussian moments; the 1x1 case
-    of moment_gram."""
+    """Real inner product from the Hermite-function coefficients; the 1x1
+    case of moment_gram."""
     return float(moment_gram([a], [b], t)[0, 0])
 
 
@@ -460,26 +448,22 @@ def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
     return float(quad_gram([a], [b], t, rules)[0, 0])
 
 
-def _weighted_products(za, zb, w) -> np.ndarray:
-    """Re sum_k w_k [z0a_k conj(z0b_k) + z1a_k conj(z1b_k)] for every pair of
-    rows; za and zb are (z0, z1) pairs of (states, nodes) arrays."""
-    (z0, z1), (y0, y1) = za, zb
-    return ((z0 * w) @ y0.conj().T + (z1 * w) @ y1.conj().T).real
-
-
 def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0,
               rules: list[QuadratureRule] | None = None) -> np.ndarray:
     """Matrix of real inner products <a_i, b_j> by Gauss-Hermite quadrature,
-    one rule per dimension, evaluating each state once on the rules' grid.
+    one rule per dimension.
 
-    The Gaussian envelopes of the two states supply exactly the Hermite
-    weight, so the integrand handed to the rule is the polynomial part of
-    Sc(a * conj(b)).  Warns (without failing) when the rule order cannot
-    integrate the largest product degree exactly.
+    The Hermite functions are evaluated pointwise on each dimension's nodes
+    by their recurrence.  The Gaussian envelopes of the two states supply
+    exactly the Hermite weight, so the rule integrates the polynomial part
+    of Sc(a * conj(b)); on the tensor-product grid that sum factors into one
+    node sum per dimension, A G B^H with G the rule's Gram matrix of the
+    Hermite functions.  Warns (without failing) when the rule order
+    cannot integrate the largest product degree exactly.
     """
     states = [*a_states, *b_states]
-    for s in states:
-        _check_compatible(states[0], s)
+    if not states:
+        return np.zeros((0, 0))
     dims = states[0].dims
     if rules is None:
         rules = [make_rule("gauss_hermite", 64)] * dims
@@ -491,8 +475,8 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     for k in range(dims):
         deg = 0
         for slot in (0, 1):
-            la = [len(m.polys[k]) for s in a_states for m in s.modes if m.slot == slot]
-            lb = [len(m.polys[k]) for s in b_states for m in s.modes if m.slot == slot]
+            la = [len(m.coefs[k]) for s in a_states for m in s.modes if m.slot == slot]
+            lb = [len(m.coefs[k]) for s in b_states for m in s.modes if m.slot == slot]
             if la and lb:
                 deg = max(deg, max(la) + max(lb) - 2)
         if deg > 2 * rules[k].order - 1:
@@ -500,14 +484,13 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
                 f"quadrature order {rules[k].order} in dimension {k} is below the "
                 f"product degree {deg}; result may be inexact",
                 QuadratureOrderWarning, stacklevel=2)
-    grids = np.meshgrid(*[r.nodes for r in rules], indexing="ij")
-    w = rules[0].weights
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r.weights)
-    coords = [g.ravel() for g in grids]
-    za = _polypart(a_states, coords, t)
-    zb = za if b_states is a_states else _polypart(b_states, coords, t)
-    return _weighted_products(za, zb, w.ravel()) * (1.0 / states[0].params.alpha) ** dims
+
+    def contract(k, a, b):
+        # the rule's Gram matrix of the Hermite functions: the identity when exact
+        h = _hermite_functions(a.shape[1], rules[k].nodes)
+        return a @ ((h * rules[k].weights) @ h.T) @ b.conj().T
+
+    return _mode_gram(a_states, b_states, t, contract)
 
 
 def _require_normalized(s: WaveState, t: float, check_norm: bool) -> None:
@@ -542,5 +525,5 @@ def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
 
 def time_derivative(s: WaveState) -> WaveState:
     """Exact time derivative: each mode amplitude picks up a factor i*nu."""
-    modes = tuple(Mode(m.slot, m.coeff * 1j * m.freq, m.polys, m.freq) for m in s.modes)
+    modes = tuple(Mode(m.slot, m.coeff * 1j * m.freq, m.coefs, m.freq) for m in s.modes)
     return WaveState(s.dims, modes, s.params)

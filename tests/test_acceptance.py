@@ -35,7 +35,7 @@ from quatosc.oscillator1d import (
     psi_nm,
     schrodinger_residual,
 )
-from quatosc.specfun import hermite_coeffs, hermite_norm_const, make_rule
+from quatosc.specfun import make_rule
 from quatosc.wavestate import (
     Mode,
     PhysicalParams,
@@ -237,11 +237,9 @@ def _random_state(rng):
     for slot in (0, 1):
         for n in rng.choice(21, size=3, replace=False):
             coeff = complex(rng.normal(), rng.normal()) / 3.0
-            coeff *= hermite_norm_const(int(n))
             sign = -1.0 if slot == 0 else 1.0
-            modes.append(Mode(slot, coeff,
-                              (tuple(complex(c) for c in hermite_coeffs(int(n))),),
-                              sign * (n + 0.5)))
+            # phi_n, the n-th unit vector: hermite_norm_const(n) * hermite_coeffs(n) in monomials
+            modes.append(Mode(slot, coeff, (np.eye(int(n) + 1)[n],), sign * (n + 0.5)))
     return WaveState(1, tuple(modes), PhysicalParams())
 
 

@@ -6,11 +6,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatosc import cli
+from quatosc import cli, wavestate
 
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
@@ -153,7 +154,7 @@ class TestGram:
             {"kind": "ho1d", "n": 2, "m": 1, "theta": 0.5},
         ])
         proc = run_cli("gram", "--states", states, "--quad-order", "3")
-        assert proc.returncode == 0
+        assert proc.returncode == 3  # the quadrature route is gram's ho1d gate
         warned = json.loads(proc.stdout)["checks"]["warnings"]
         # one warning, naming the family's largest product degree, 8 + 8
         assert len(warned) == 1 and "quadrature order 3" in warned[0] and "degree 16" in warned[0]
@@ -176,23 +177,26 @@ class TestGram:
 
 
 class TestExitCodes:
-    # beyond the moment route's precision horizon: the checks fail, or the
-    # state is rejected as not normalized, and the exit code says so
-    @pytest.mark.parametrize("command, pairs, code", [
-        ("spectrum", [(25, 26)], 3),
-        ("spectrum", [(40, 41)], 2),
-        ("gram", [(40, 41), (1, 2)], 3),
+    # a quadrature rule too coarse for the family fails gram's check; a level
+    # above DEGREE_CAP is rejected; every level up to the cap passes both routes
+    @pytest.mark.parametrize("command, pairs, extra, code", [
+        pytest.param("gram", [(40, 41), (1, 2)], ["--quad-order", "20"], 3, id="gram-coarse-rule-3"),
+        pytest.param("spectrum", [(201, 0)], [], 2, id="spectrum-above-cap-2"),
+        pytest.param("spectrum", [(40, 41)], [], 0, id="spectrum-40-41-0"),
+        pytest.param("spectrum", [(200, 199)], [], 0, id="spectrum-200-199-0"),
+        pytest.param("gram", [(40, 41)], [], 0, id="gram-40-41-0"),
+        pytest.param("gram", [(200, 199)], ["--quad-order", "201"], 0, id="gram-200-199-0"),
     ])
-    def test_failed_check_or_rejected_state(self, command, pairs, code, tmp_path):
+    def test_failed_check_or_rejected_state(self, command, pairs, extra, code, tmp_path):
         states = write_states(tmp_path / "s.jsonl",
                               [{"kind": "ho1d", "n": n, "m": m, "theta": 0.7} for n, m in pairs])
-        proc = run_cli(command, "--states", states)
+        proc = run_cli(command, "--states", states, *extra)
         assert proc.returncode == code
         assert b"Traceback" not in proc.stderr
-        if code == 3:
-            assert json.loads(proc.stdout)["checks"]["within_tolerance"] is False
-        else:
+        if code == 2:
             assert len(proc.stderr.decode().splitlines()) == 1
+        else:
+            assert json.loads(proc.stdout)["checks"]["within_tolerance"] is (code == 0)
 
     # valid JSON whose field types are wrong: rejected with one line, not a
     # traceback, and never coerced
@@ -228,6 +232,57 @@ class TestExitCodes:
         with contextlib.redirect_stderr(io.StringIO()) as err:
             assert cli.main(["gram", "--states", path]) == 2
         assert "homogeneous" in err.getvalue()
+
+
+class TestNegativeControls:
+    # a defect planted in one route makes the check that covers it exit 3
+
+    @staticmethod
+    def _report(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        return code, json.loads(out.getvalue())
+
+    def test_flipped_derivative_band_fails_ladder_suite(self, monkeypatch):
+        band_shift = wavestate._band_shift
+
+        def flipped(c, upper_sign):
+            out = band_shift(c, upper_sign)
+            # d/dX with its lower band negated; band_shift(c, 0) is that band alone
+            return out - 2.0 * band_shift(c, 0.0) if upper_sign < 0 else out
+
+        monkeypatch.setattr(wavestate, "_band_shift", flipped)
+        code, report = self._report(["verify", "ladder"])
+        assert code == 3
+        assert "ladder_commutator_is_identity" in report["checks"]["failed"]
+
+    @staticmethod
+    def _wrong_recurrence(count, x):
+        """The normalized Hermite recurrence with sqrt(2/n) for sqrt(2/(n+1)) at n = 3."""
+        h = np.empty((count, x.size))
+        h[0] = math.pi ** -0.25
+        if count > 1:
+            h[1] = math.sqrt(2.0) * x * h[0]
+        for n in range(1, count - 1):
+            a = math.sqrt(2.0 / (n if n == 3 else n + 1))
+            h[n + 1] = a * x * h[n] - math.sqrt(n / (n + 1)) * h[n - 1]
+        return h
+
+    def test_wrong_recurrence_fails_ladder_suite(self, monkeypatch):
+        monkeypatch.setattr(wavestate, "_hermite_functions", self._wrong_recurrence)
+        code, report = self._report(["verify", "ladder"])
+        assert code == 3
+        assert report["checks"]["failed"] == ["hermite_functions_orthonormal_by_quadrature"]
+
+    def test_wrong_recurrence_fails_ho1d_gram(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(wavestate, "_hermite_functions", self._wrong_recurrence)
+        path = write_states(tmp_path / "g.jsonl", [{"kind": "ho1d", "n": 5, "m": 2, "theta": 0.7},
+                                                   {"kind": "ho1d", "n": 1, "m": 4, "theta": 0.7}])
+        code, report = self._report(["gram", "--states", path])
+        assert code == 3
+        assert report["checks"]["max_closed_form_deviation"] <= 1e-10
+        assert report["checks"]["max_quadrature_delta"] > 1e-10
 
 
 class TestVerify:

@@ -166,7 +166,8 @@ class TestLadder:
         assert out.norm() <= 1e-14
 
     def test_raising_bare_gaussian(self):
-        s = WaveState(1, (Mode(0, 1.0 + 0j, ((1.0 + 0j,),), 0.0),), PhysicalParams())
+        # the bare Gaussian exp(-X^2/2) = pi^(1/4) phi_0
+        s = WaveState(1, (Mode(0, 1.0 + 0j, ((math.pi ** 0.25,),), 0.0),), PhysicalParams())
         out = apply(ladder("raise"), s)
         for x in np.linspace(-2.5, 2.5, 11):
             want = math.sqrt(2.0) * x * math.exp(-0.5 * x * x)
@@ -220,6 +221,10 @@ class TestBuildViaLadder:
         q = QPair(n, m, 0.35)
         assert sup_difference(build_via_ladder(q), psi_nm(q)) <= 1e-10
 
+    def test_top_of_degree_cap(self):
+        q = QPair(200, 199, 0.7)
+        assert sup_difference(build_via_ladder(q), psi_nm(q), t=0.4) <= 1e-10
+
 
 class TestSchrodingerResidual:
     @pytest.mark.parametrize("q", [QPair(0, 0, 0.0), QPair(1, 2, 0.7), QPair(4, 3, math.pi / 2)])
@@ -231,7 +236,8 @@ class TestSchrodingerResidual:
         assert schrodinger_residual(s, t=0.3) <= 1e-10
 
     def test_wrong_frequency_detected(self):
-        bad = WaveState(1, (Mode(0, PI4, ((1.0 + 0j,),), -1.6),), PhysicalParams())
+        # PI4 exp(-X^2/2) = phi_0
+        bad = WaveState(1, (Mode(0, PI4, ((math.pi ** 0.25,),), -1.6),), PhysicalParams())
         assert schrodinger_residual(bad, t=0.0) >= 0.05
 
     def test_default_grid_span(self):

@@ -33,7 +33,8 @@ PI4 = math.pi ** -0.25
 
 
 def bare_gaussian(params=None, slot=0, coeff=1.0 + 0j, freq=0.0):
-    return WaveState(1, (Mode(slot, coeff, ((1.0 + 0j,),), freq),), params or PhysicalParams())
+    # exp(-X^2/2) = pi^(1/4) phi_0
+    return WaveState(1, (Mode(slot, coeff, ((math.pi ** 0.25,),), freq),), params or PhysicalParams())
 
 
 def random_eigenmode_combo(rng, n_max=8):
@@ -214,6 +215,25 @@ class TestInnerQuad:
     def test_requires_one_rule_per_dimension(self):
         with pytest.raises(ValueError):
             inner_quad(psi_n(0), psi_n(0), 0.0, [make_rule("gauss_hermite", 16)] * 2)
+
+
+class TestHighDegree:
+    # every level up to DEGREE_CAP is verified, not only accepted
+    @pytest.mark.parametrize("n", [100, 150, 200])
+    def test_both_routes_normalized(self, n):
+        s = psi_nm(QPair(n, n - 1, 0.7))
+        assert abs(inner(s, s, 0.3) - 1.0) <= 1e-12
+        assert abs(inner_quad(s, s, 0.3, [make_rule("gauss_hermite", n + 2)]) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, 150, 200])
+    def test_values_match_mpmath(self, n):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            norm = 1 / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * mpmath.mpf(2) ** n * mpmath.factorial(n))
+            for x in (-5.9, -3.3, -0.45, 1.2, 2.7, 4.4, 6.0):
+                big_x = mpmath.mpf(x)
+                want = float(norm * mpmath.hermite(n, big_x) * mpmath.exp(-big_x * big_x / 2))
+                assert evaluate(psi_n(n), x).x0 == pytest.approx(want, rel=1e-12)
 
 
 class TestExpectation:
