@@ -292,7 +292,8 @@ def cmd_spectrum(args) -> int:
         "tolerance": args.tol if args.tol is not None else 1e-10,
         "warnings": sorted(set(caught)),
     }
-    checks["within_tolerance"] = bool(checks["max_delta_expectation"] <= checks["tolerance"])
+    checks["within_tolerance"] = bool(max(checks["max_delta_expectation"], checks["max_delta_quadrature"])
+                                      <= checks["tolerance"])
     report = {
         "command": "spectrum",
         "inputs": {"states": descriptors, "time": args.time, "quad_order": args.quad_order,

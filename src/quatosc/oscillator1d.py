@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -165,8 +165,15 @@ def momentum(dim: int = 0) -> Operator:
 
 
 def hamiltonian(params: PhysicalParams | None = None, dims: int = 1) -> Operator:
-    """Oscillator Hamiltonian hbar omega (P^2 + X^2)/2, summed over dims."""
-    params = params or PhysicalParams()
+    """Oscillator Hamiltonian hbar omega (P^2 + X^2)/2, summed over dims.
+
+    One shared Operator per (params, dims), so its normal form is expanded
+    once and reused by every caller."""
+    return _hamiltonian(params or PhysicalParams(), dims)
+
+
+@lru_cache(maxsize=32)
+def _hamiltonian(params: PhysicalParams, dims: int) -> Operator:
     terms = []
     for k in range(dims):
         p = momentum(k)
@@ -233,8 +240,14 @@ def ladder(which: str, dim: int = 0) -> Operator:
     Built literally as (X +/- (P | i)) / sqrt(2), where (P | i) is the
     momentum followed by right multiplication with i; the right-i pair
     cancels, so the action reduces to (X + d/dX)/sqrt(2) for 'lower' and
-    (X - d/dX)/sqrt(2) for 'raise'.
+    (X - d/dX)/sqrt(2) for 'raise'.  One shared Operator per (which, dim),
+    so its normal form is expanded once.
     """
+    return _ladder(which, dim)
+
+
+@lru_cache(maxsize=32)
+def _ladder(which: str, dim: int) -> Operator:
     p_then_i = op_compose(right_i(), momentum(dim))
     if which == "lower":
         return (1.0 / math.sqrt(2.0)) * op_add(mul_x(dim), p_then_i)

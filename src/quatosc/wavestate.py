@@ -15,6 +15,14 @@ Gauss-Hermite quadrature of the values, which the normalized three-term
 recurrence gives pointwise, is the independent evaluation of the same
 integrals.
 
+Operators are trees over X, d/dX, right multiplication by i and real
+scaling.  Since right_i commutes with the other three and squares to -1 in
+both slots, every tree has a normal form, cached on the Operator: a sum of
+terms c (right_i)^r W_0 W_1 ..., with one word W_k of X and d/dX per
+dimension the term touches.  apply expands that form once per operator and
+runs each word as band shifts on all of a state's modes at once, stacked in
+one coefficient matrix per dimension.
+
 The real inner product used throughout is the scalar part
 
     <a, b> = integral Sc(a * conj(b)) d^p x
@@ -29,6 +37,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -135,6 +144,14 @@ class WaveState:
             if len(m.coefs) != self.dims:
                 raise ValueError(f"mode has {len(m.coefs)} factors, state has {self.dims} dimensions")
 
+    @cached_property
+    def _columns(self):
+        """_mode_arrays of the state's modes, read-only, since they are shared."""
+        slot, coeff, freq, coefs = _mode_arrays(self.modes, self.dims)
+        for a in (slot, coeff, freq, *coefs):
+            a.setflags(write=False)
+        return slot, coeff, freq, coefs
+
     def evaluate(self, x, t: float = 0.0) -> Quaternion:
         return evaluate(self, x, t)
 
@@ -142,11 +159,11 @@ class WaveState:
         return math.sqrt(max(inner(self, self, t), 0.0))
 
     def merged(self) -> "WaveState":
-        return WaveState(self.dims, _merge_modes(self.modes), self.params)
+        return WaveState(self.dims, _merge_modes(_raw(self.modes)), self.params)
 
     def __add__(self, other: "WaveState") -> "WaveState":
         _check_compatible(self, other)
-        return WaveState(self.dims, _merge_modes(self.modes + other.modes), self.params)
+        return WaveState(self.dims, _merge_modes(_raw(self.modes + other.modes)), self.params)
 
     def __sub__(self, other: "WaveState") -> "WaveState":
         return self + (-1.0) * other
@@ -175,16 +192,21 @@ def _check_compatible(a: WaveState, b: WaveState) -> None:
         raise ValueError("states carry different physical parameters")
 
 
-def _merge_modes(modes) -> tuple[Mode, ...]:
-    """Combine like terms: exact key match on slot, frequency and the
-    coefficients of every dimension past the first.  Amplitudes fold into the
-    first dimension's coefficients, so evaluations are unchanged up to
-    rounding; trailing zero coefficients are cut and a term that cancels to
-    zero is dropped."""
+def _raw(modes):
+    """Each mode as a (slot, coeff, coefs, freq) tuple, the input of _merge_modes."""
+    return ((m.slot, m.coeff, m.coefs, m.freq) for m in modes)
+
+
+def _merge_modes(terms) -> tuple[Mode, ...]:
+    """Modes from (slot, coeff, coefs, freq) terms, like terms combined: exact
+    key match on slot, frequency and the coefficients of every dimension past
+    the first.  Amplitudes fold into the first dimension's coefficients, so
+    evaluations are unchanged up to rounding; trailing zero coefficients are
+    cut and a term that cancels to zero is dropped."""
     groups: dict = {}
-    for m in modes:
-        key = (m.slot, m.freq, tuple(tuple(c.tolist()) for c in m.coefs[1:]))
-        groups.setdefault(key, (m.coefs[1:], []))[1].append(m.coeff * m.coefs[0])
+    for slot, coeff, coefs, freq in terms:
+        key = (slot, freq, tuple(tuple(c.tolist()) for c in coefs[1:]))
+        groups.setdefault(key, (coefs[1:], []))[1].append(coeff * coefs[0])
     out = []
     for (slot, freq, _), (rest, terms) in groups.items():
         first = terms[0] if len(terms) == 1 else _padded(terms).sum(axis=0)
@@ -204,18 +226,29 @@ def _padded(rows) -> np.ndarray:
     return out
 
 
+def _mode_arrays(modes, dims: int):
+    """Slot, amplitude and frequency arrays of the modes and, per dimension,
+    their zero-padded (modes, width) coefficient matrix."""
+    return (np.array([m.slot for m in modes], dtype=int),
+            np.array([m.coeff for m in modes], dtype=complex),
+            np.array([m.freq for m in modes], dtype=float),
+            tuple(_padded([m.coefs[k] for m in modes]) for k in range(dims)))
+
+
 def _stacked(states, t: float):
     """Every mode of the states, which must share dims and params, in order:
     owner state index, slot and amplitude at time t, and per dimension the
-    padded coefficient matrix."""
+    padded coefficient matrix.  A single state's arrays are cached on it; a
+    family is stacked in one pass over its modes, since its states are
+    usually built for that one call."""
     for s in states:
         _check_compatible(states[0], s)
-    modes = [(i, m) for i, s in enumerate(states) for m in s.modes]
-    owner = np.array([i for i, _ in modes], dtype=int)
-    slot = np.array([m.slot for _, m in modes], dtype=int)
-    freq = np.array([m.freq for _, m in modes], dtype=float)
-    amp = np.array([m.coeff for _, m in modes], dtype=complex) * np.exp(1j * freq * t)
-    return owner, slot, amp, [_padded([m.coefs[k] for _, m in modes]) for k in range(states[0].dims)]
+    if len(states) == 1:
+        slot, coeff, freq, coefs = states[0]._columns
+    else:
+        slot, coeff, freq, coefs = _mode_arrays([m for s in states for m in s.modes], states[0].dims)
+    owner = np.repeat(np.arange(len(states)), [len(s.modes) for s in states])
+    return owner, slot, coeff * np.exp(1j * freq * t), coefs
 
 
 def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
@@ -314,6 +347,63 @@ class Operator:
             out = op_compose(out, self)
         return out
 
+    @cached_property
+    def _dims(self) -> frozenset[int]:
+        """Every dimension a mul_x or d_dx node of the tree acts on."""
+        if self.kind in ("mul_x", "d_dx"):
+            return frozenset((self.dim,))
+        return frozenset().union(*(c._dims for c in self.children))
+
+    @cached_property
+    def _terms(self) -> tuple:
+        """Normal form: the operator as a sum of terms (c, r, words) meaning
+        c (right_i)^r times, per dimension k, the word w_k of X and d/dX.
+
+        right_i commutes with X, d/dX and real scaling, and right_i^2 = -1 in
+        both slots, so every tree expands into this form.  A word is a tuple
+        of band-shift signs in application order, +1 for X and -1 for d/dX;
+        words is a tuple of (k, w_k) sorted by k, over the dimensions the term
+        touches.  Like terms are combined and zero terms dropped.  The form is
+        symbolic: no coefficient array is cached.
+        """
+        k = self.kind
+        if k in ("mul_x", "d_dx"):
+            terms = ((1.0, 0, ((self.dim, (1.0 if k == "mul_x" else -1.0,)),)),)
+        elif k == "right_i":
+            terms = ((1.0, 1, ()),)
+        elif k == "scale":
+            terms = ((self.factor, 0, ()),)
+        elif k == "add":
+            terms = _collect(((r, words), c) for child in self.children for c, r, words in child._terms)
+        elif k == "compose":
+            terms = ((1.0, 0, ()),)
+            for child in reversed(self.children):
+                terms = _collect(_product(a, b) for a in child._terms for b in terms)
+        else:
+            raise ValueError(f"unknown operator kind: {k!r}")
+        if not all(math.isfinite(c) for c, _, _ in terms):
+            raise ValueError("operator coefficients must be finite")
+        return terms
+
+
+def _product(outer, inner):
+    """Term of outer * inner (inner acts first) as ((r, words), c)."""
+    ca, ra, wa = outer
+    cb, rb, wb = inner
+    words = dict(wb)
+    for k, w in wa:
+        words[k] = words.get(k, ()) + w
+    return (ra ^ rb, tuple(sorted(words.items()))), (-ca * cb if ra & rb else ca * cb)
+
+
+def _collect(pairs) -> tuple:
+    """Terms (c, r, words) from ((r, words), c) pairs, like terms summed and
+    zero terms dropped, in order of first appearance."""
+    sums: dict = {}
+    for key, c in pairs:
+        sums[key] = sums.get(key, 0.0) + c
+    return tuple((c, r, words) for (r, words), c in sums.items() if c != 0.0)
+
 
 def mul_x(dim: int = 0) -> Operator:
     """Multiplication by the dimensionless coordinate X_dim."""
@@ -349,55 +439,81 @@ def op_compose(*ops: Operator) -> Operator:
 
 
 def apply(op: Operator, state: WaveState) -> WaveState:
-    """Exact symbolic action of an operator tree on a state."""
-    k = op.kind
-    if k in ("mul_x", "d_dx"):
-        _check_dim(op, state)
-        upper_sign = 1.0 if k == "mul_x" else -1.0
-        modes = tuple(_replace_coefs(m, op.dim, _band_shift(m.coefs[op.dim], upper_sign))
-                      for m in state.modes)
-        return WaveState(state.dims, modes, state.params)
-    if k == "right_i":
-        modes = tuple(Mode(m.slot, m.coeff * (1j if m.slot == 0 else -1j), m.coefs, m.freq)
-                      for m in state.modes)
-        return WaveState(state.dims, modes, state.params)
-    if k == "scale":
-        return op.factor * state
-    if k == "add":
-        out = zero_state(state.dims, state.params)
-        for child in op.children:
-            out = out + apply(child, state)
-        return out
-    if k == "compose":
-        out = state
-        for child in reversed(op.children):
-            out = apply(child, out)
-        return out
-    raise ValueError(f"unknown operator kind: {k!r}")
+    """Exact action of an operator on a state, from the operator's normal form.
+
+    Each term c (right_i)^r W_0 W_1 ... of op._terms acts on every mode at
+    once: the words W_k are band shifts of the state's stacked coefficient
+    matrix in dimension k, and r = 1 turns the amplitude by i in slot 0 and
+    -i in slot 1.  Terms that touch the same single dimension with the same
+    r are summed as coefficient matrices before any mode is built, and the
+    modes are merged once.  The shifted matrices are computed afresh on every
+    call; only the symbolic terms are cached.
+    """
+    for d in op._dims:
+        if not 0 <= d < state.dims:
+            raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
+    if not state.modes:
+        return state
+    slot, coeff, _freq, coefs = state._columns
+    shifted = {(k, ()): c for k, c in enumerate(coefs)}
+    single: dict = {}
+    blocks = []
+    for c, r, words in op._terms:
+        if len(words) <= 1:
+            # a scalar term (no word) scales the factor of dimension 0
+            k, w = words[0] if words else (0, ())
+            single.setdefault((r, k), []).append(c * _word(shifted, k, w))
+        else:
+            (k0, w0), *rest = words
+            blocks.append((r, {k0: c * _word(shifted, k0, w0), **{k: _word(shifted, k, w) for k, w in rest}}))
+    for (r, k), parts in single.items():
+        total = np.zeros((len(slot), max(p.shape[1] for p in parts)), dtype=complex)
+        for p in parts:
+            total[:, :p.shape[1]] += p
+        blocks.append((r, {k: total}))
+
+    amps = (coeff, coeff * np.where(slot == 0, 1j, -1j))
+    terms = []
+    for r, replaced in blocks:
+        rows = {k: _trimmed_rows(a) for k, a in replaced.items()}
+        for i, m in enumerate(state.modes):
+            new = list(m.coefs)
+            for k, rk in rows.items():
+                new[k] = rk[i]
+            if all(len(c) for c in new):
+                terms.append((m.slot, amps[r][i], tuple(new), m.freq))
+    return WaveState(state.dims, _merge_modes(terms), state.params)
 
 
-def _check_dim(op: Operator, state: WaveState) -> None:
-    if not 0 <= op.dim < state.dims:
-        raise ValueError(f"operator dimension {op.dim} out of range for a {state.dims}-dimensional state")
+def _word(shifted: dict, k: int, w: tuple) -> np.ndarray:
+    """Dimension k's coefficient matrix after the band shifts of word w, in
+    application order.  shifted maps (k, word) to matrices already built in
+    this call, so a prefix shared by several words is shifted once."""
+    if (k, w) not in shifted:
+        shifted[k, w] = _band_shift(_word(shifted, k, w[:-1]), w[-1])
+    return shifted[k, w]
+
+
+def _trimmed_rows(a: np.ndarray) -> list[np.ndarray]:
+    """Rows of a coefficient matrix with their trailing zeros cut; a row of
+    zeros comes back empty."""
+    nonzero = a != 0
+    lengths = a.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
+    lengths[~nonzero.any(axis=1)] = 0
+    return [row[:n] for row, n in zip(a, lengths.tolist())]
 
 
 def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
     """Hermite-function coefficients of X f (upper_sign +1) or d/dX f
-    (upper_sign -1) for f = sum_n c_n phi_n:
+    (upper_sign -1) for f = sum_n c_n phi_n, along the last axis of c:
     X phi_n = sqrt(n/2) phi_(n-1) + sqrt((n+1)/2) phi_(n+1), and d/dX is the
     same with the upper band negated."""
-    n = len(c)
+    n = c.shape[-1]
     root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
-    out = np.zeros(n + 1, dtype=complex)
-    out[1:] = upper_sign * root * c
-    out[:n - 1] += root[:n - 1] * c[1:]
+    out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
+    out[..., 1:] = upper_sign * root * c
+    out[..., :n - 1] += root[:n - 1] * c[..., 1:]
     return out
-
-
-def _replace_coefs(m: Mode, dim: int, c: np.ndarray) -> Mode:
-    coefs = list(m.coefs)
-    coefs[dim] = c
-    return Mode(m.slot, m.coeff, tuple(coefs), m.freq)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +526,25 @@ def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
     of the b modes in dimension k, the (a modes, b modes) matrix of integrals
     over X_k of each a factor times the conjugated b factor.  Their product
     over dimensions, weighted by amplitude, time phase and slot match, is
-    summed over each state's modes.
+    summed over each state's modes.  A family compared with itself
+    (b_states is a_states) is stacked once and contracted with itself.
     """
-    states = [*a_states, *b_states]
+    states = list(a_states) if b_states is a_states else [*a_states, *b_states]
     if not states:
         return np.zeros((0, 0))
     owner, slot, amp, coefs = _stacked(states, t)
-    na = np.searchsorted(owner, len(a_states))  # the a states' modes come first
-    prod = np.multiply.outer(amp[:na], amp[na:].conj()) * np.equal.outer(slot[:na], slot[na:])
+    if b_states is a_states:
+        rows = cols = slice(None)
+        col_owner = owner
+    else:
+        na = np.searchsorted(owner, len(a_states))  # the a states' modes come first
+        rows, cols = slice(None, na), slice(na, None)
+        col_owner = owner[cols] - len(a_states)
+    prod = np.multiply.outer(amp[rows], amp[cols].conj()) * np.equal.outer(slot[rows], slot[cols])
     for k, c in enumerate(coefs):
-        prod *= contract(k, c[:na], c[na:])
+        prod *= contract(k, c[rows], c[cols])
     out = np.zeros((len(a_states), len(b_states)))
-    np.add.at(out, (owner[:na, None], owner[None, na:] - len(a_states)), prod.real)
+    np.add.at(out, (owner[rows, None], col_owner[None, :]), prod.real)
     return out * (1.0 / states[0].params.alpha) ** len(coefs)
 
 
@@ -438,7 +561,8 @@ def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float =
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
     """Real inner product from the Hermite-function coefficients; the 1x1
     case of moment_gram."""
-    return float(moment_gram([a], [b], t)[0, 0])
+    states = [a]
+    return float(moment_gram(states, states if b is a else [b], t)[0, 0])
 
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,

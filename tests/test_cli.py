@@ -94,7 +94,7 @@ class TestSpectrum:
         states = write_states(tmp_path / "s.jsonl",
                               [{"kind": "ho1d", "n": 8, "m": 8, "theta": 0.5}])
         proc = run_cli("spectrum", "--states", states, "--quad-order", "3")
-        assert proc.returncode == 0
+        assert proc.returncode == 3  # the quadrature route is spectrum's gate too
         report = json.loads(proc.stdout)
         assert report["checks"]["warnings"]
         assert "quadrature order" in report["checks"]["warnings"][0]
@@ -183,7 +183,7 @@ class TestExitCodes:
         pytest.param("gram", [(40, 41), (1, 2)], ["--quad-order", "20"], 3, id="gram-coarse-rule-3"),
         pytest.param("spectrum", [(201, 0)], [], 2, id="spectrum-above-cap-2"),
         pytest.param("spectrum", [(40, 41)], [], 0, id="spectrum-40-41-0"),
-        pytest.param("spectrum", [(200, 199)], [], 0, id="spectrum-200-199-0"),
+        pytest.param("spectrum", [(200, 199)], ["--quad-order", "202"], 0, id="spectrum-200-199-0"),
         pytest.param("gram", [(40, 41)], [], 0, id="gram-40-41-0"),
         pytest.param("gram", [(200, 199)], ["--quad-order", "201"], 0, id="gram-200-199-0"),
     ])

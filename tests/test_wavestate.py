@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quatosc import wavestate
 from quatosc.multidim import product_state
 from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
 from quatosc.specfun import make_rule
@@ -16,12 +17,15 @@ from quatosc.wavestate import (
     apply,
     d_dx,
     evaluate,
+    evaluate_points,
     expectation,
     expectation_quaternionic,
     inner,
     inner_quad,
     moment_gram,
     mul_x,
+    op_add,
+    op_compose,
     quad_gram,
     right_i,
     scale,
@@ -332,3 +336,154 @@ class TestAdditionAndMerge:
         two = WaveState(2, (), PhysicalParams())
         with pytest.raises(ValueError):
             one + two
+
+
+def tree_walk(op, state):
+    """Reference action of an operator tree: a recursive walk, one node at a
+    time, building a new state at each node and merging modes at each add."""
+    k = op.kind
+    if k in ("mul_x", "d_dx"):
+        if not 0 <= op.dim < state.dims:
+            raise ValueError(f"operator dimension {op.dim} out of range")
+        modes = []
+        for m in state.modes:
+            coefs = list(m.coefs)
+            coefs[op.dim] = wavestate._band_shift(coefs[op.dim], 1.0 if k == "mul_x" else -1.0)
+            modes.append(Mode(m.slot, m.coeff, tuple(coefs), m.freq))
+        return WaveState(state.dims, tuple(modes), state.params)
+    if k == "right_i":
+        return WaveState(state.dims, tuple(Mode(m.slot, m.coeff * (1j if m.slot == 0 else -1j), m.coefs, m.freq)
+                                           for m in state.modes), state.params)
+    if k == "scale":
+        return op.factor * state
+    if k == "add":
+        out = zero_state(state.dims, state.params)
+        for child in op.children:
+            out = out + tree_walk(child, state)
+        return out
+    if k == "compose":
+        out = state
+        for child in reversed(op.children):
+            out = tree_walk(child, out)
+        return out
+    raise ValueError(f"unknown operator kind: {k!r}")
+
+
+def random_state(rng, dims, modes):
+    """Multi-mode state with random complex coefficient vectors of lengths 1-5;
+    frequencies from a short list, so that some modes merge."""
+    return WaveState(dims, tuple(
+        Mode(int(rng.integers(2)), complex(*rng.normal(size=2)),
+             tuple(np.array((1.0, 1j)) @ rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(dims)),
+             float(rng.choice((-1.5, 0.5, 2.0))))
+        for _ in range(modes)), PhysicalParams())
+
+
+def operators(dims, depth):
+    """Operator trees over dims dimensions, at most depth levels deep."""
+    leaves = st.one_of(st.integers(0, dims - 1).map(mul_x), st.integers(0, dims - 1).map(d_dx),
+                       st.just(right_i()),
+                       st.floats(-2.0, 2.0, allow_subnormal=False).map(scale))
+    if depth == 1:
+        return leaves
+    sub = operators(dims, depth - 1)
+    return st.one_of(leaves,
+                     st.lists(sub, min_size=1, max_size=3).map(lambda ops: op_add(*ops)),
+                     st.lists(sub, min_size=1, max_size=2).map(lambda ops: op_compose(*ops)),
+                     st.tuples(sub, st.integers(0, 2)).map(lambda p: p[0] ** p[1]))
+
+
+def assert_same_values(a, b, rel):
+    """a and b agree at 20 random points, within rel of b's largest value.
+    Pointwise, since the norm of an unmerged difference carries the rounding
+    of its cancelling cross terms under a square root."""
+    points = np.random.default_rng(6).uniform(-2.5, 2.5, size=(20, b.dims))
+    za, zb = evaluate_points([a], points, 0.7), evaluate_points([b], points, 0.7)
+    scale_b = max(float(np.max(np.abs(z))) for z in zb)
+    assert max(float(np.max(np.abs(x - y))) for x, y in zip(za, zb)) <= rel * scale_b
+
+
+@st.composite
+def operator_cases(draw):
+    dims = draw(st.integers(1, 3))
+    op = draw(operators(dims, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return op, random_state(rng, dims, draw(st.integers(0, 4))), random_state(rng, dims, 3)
+
+
+class TestNormalForm:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_cases())
+    def test_matches_tree_walk(self, case):
+        op, s, probe = case
+        got, want = apply(op, s), tree_walk(op, s)
+        points = np.random.default_rng(5).uniform(-2.0, 2.0, size=(6, s.dims))
+        got_z, want_z = evaluate_points([got], points, 0.3), evaluate_points([want], points, 0.3)
+        scale_z = max(1.0, *(float(np.max(np.abs(z))) for z in want_z))
+        for g, w in zip(got_z, want_z):
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale_z
+        gram_got = moment_gram([got, s, probe], [got, s, probe], 0.3)
+        gram_want = moment_gram([want, s, probe], [want, s, probe], 0.3)
+        assert np.max(np.abs(gram_got - gram_want)) <= 1e-12 * max(1.0, np.max(np.abs(gram_want)))
+
+    def test_right_i_squared_is_minus_one(self):
+        rng = np.random.default_rng(21)
+        for dims in (1, 2, 3):
+            s = random_state(rng, dims, 5)
+            assert_same_values(apply(right_i() ** 2, s), -s, 1e-15)
+            assert_same_values(apply(right_i(), apply(right_i(), s)), -s, 1e-15)
+
+    def test_ladder_commutator_on_random_states(self):
+        rng = np.random.default_rng(22)
+        for dims in (1, 2, 3):
+            s = random_state(rng, dims, 5)
+            for k in range(dims):
+                lower, raise_ = ladder("lower", k), ladder("raise", k)
+                comm = apply(lower, apply(raise_, s)) - apply(raise_, apply(lower, s))
+                assert_same_values(comm, s, 1e-13)
+                assert_same_values(apply(op_add(lower * raise_, -(raise_ * lower)), s), s, 1e-13)
+
+    @pytest.mark.parametrize("op", [d_dx(1), mul_x(-1), op_add(scale(2.0), mul_x(3)),
+                                    scale(0.0) * d_dx(2), op_compose(op_add(), mul_x(5))])
+    @pytest.mark.parametrize("state", [psi_n(0), zero_state()])
+    def test_dim_out_of_range_raises(self, op, state):
+        with pytest.raises(ValueError):
+            apply(op, state)
+        with pytest.raises(ValueError):
+            tree_walk(op, state)
+
+    @pytest.mark.parametrize("op", [scale(math.inf), scale(1e200) * scale(1e200) * mul_x(),
+                                    op_add(mul_x(), scale(math.nan))])
+    def test_non_finite_coefficient_raises(self, op):
+        with pytest.raises(ValueError):
+            apply(op, psi_n(1))
+        with pytest.raises(ValueError):
+            tree_walk(op, psi_n(1))
+
+    def test_patched_band_shift_takes_effect_after_caching(self, monkeypatch):
+        op = ladder("raise")
+        s = psi_nm(QPair(2, 3, 0.4))
+        before = apply(op, s)
+        assert "_terms" in vars(op)  # the symbolic form is cached on the operator
+        band_shift = wavestate._band_shift
+        monkeypatch.setattr(wavestate, "_band_shift", lambda c, upper_sign: -band_shift(c, upper_sign))
+        assert_same_values(apply(op, s), -before, 1e-15)
+
+    def test_memoized_operators_are_shared(self):
+        assert hamiltonian(PhysicalParams(), 3) is hamiltonian(PhysicalParams(), 3)
+        assert ladder("raise") is ladder("raise", 0)
+
+
+class TestSelfGram:
+    def test_equals_two_list_call(self):
+        rng = np.random.default_rng(23)
+        for dims in (1, 2):
+            states = [random_state(rng, dims, 3) for _ in range(6)] + [psi_nm(QPair(4, 7, 0.3))] * (dims == 1)
+            twin = list(states)
+            assert np.max(np.abs(moment_gram(states, states, 0.4) - moment_gram(states, twin, 0.4))) <= 1e-15
+            rules = [make_rule("gauss_hermite", 16)] * dims
+            assert np.max(np.abs(quad_gram(states, states, 0.4, rules) - quad_gram(states, twin, 0.4, rules))) <= 1e-15
+
+    def test_empty_family(self):
+        family: list = []
+        assert moment_gram(family, family).shape == (0, 0)
