@@ -1,10 +1,10 @@
 """Quaternionic quantum harmonic oscillator in a real Hilbert space.
 
 The package builds every solution family of the model exactly (Cartesian
-states in orthonormal Hermite-function coefficients, radial states as
-Gaussian envelopes times polynomials), evaluates the real inner product
-both from the coefficients or exact moments and by quadrature, and verifies the
-orthogonality, energy, ladder-algebra and differential-equation claims.
+states in orthonormal Hermite-function coefficients, radial states by their
+Laguerre labels), evaluates the real inner product from the coefficients and
+by quadrature, or for radial states by exact half-line Gauss quadrature, and
+verifies the orthogonality, energy, ladder-algebra and differential-equation claims.
 """
 
 from .quaternion import (

@@ -232,6 +232,11 @@ def _build_state(desc: dict, args):
     return kind, label, state, params
 
 
+def _quad_order(args, default: int) -> int:
+    """The --quad-order given, else the command's default order."""
+    return default if args.quad_order is None else args.quad_order
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -265,11 +270,13 @@ def cmd_spectrum(args) -> int:
         sys.stderr.write("spectrum: no state descriptors provided\n")
         return EXIT_USAGE
     _check_kinds(descriptors, "spectrum", ("ho1d",))
+    built = [_build_state(desc, args) for desc in descriptors]
+    # apply(H) raises the degree by two, so order top + 2 is exact for the family
+    quad_order = _quad_order(args, max(max(b[1]["n"], b[1]["m"]) for b in built) + 2)
     rows = []
-    rules = [make_rule("gauss_hermite", args.quad_order)]
+    rules = [make_rule("gauss_hermite", quad_order)]
     caught: list[str] = []
-    for desc in descriptors:
-        _kind, label, state, params = _build_state(desc, args)
+    for _kind, label, state, params in built:
         q = QPair(label["n"], label["m"], label["theta"])
         unit = params.energy_quantum
         e_closed = energy_nm(q, params) / unit
@@ -296,7 +303,7 @@ def cmd_spectrum(args) -> int:
                                       <= checks["tolerance"])
     report = {
         "command": "spectrum",
-        "inputs": {"states": descriptors, "time": args.time, "quad_order": args.quad_order,
+        "inputs": {"states": descriptors, "time": args.time, "quad_order": quad_order,
                    "mu": args.mu, "omega": args.omega, "hbar": args.hbar},
         "results": {"energy_unit": "hbar*omega", "rows": rows},
         "checks": checks,
@@ -325,18 +332,21 @@ def cmd_gram(args) -> int:
     states = [b[2] for b in built]
     results: dict = {"kind": kind, "labels": labels}
     checks: dict = {}
+    quad_order = args.quad_order  # unused by radial families, whose rule order is exact
     if kind == "ho1d":
         g = gram([QPair(l["n"], l["m"], l["theta"]) for l in labels], args.time, params)
+        quad_order = _quad_order(args, max(max(l["n"], l["m"]) for l in labels) + 1)
         with warnings.catch_warnings(record=True) as grabbed:
             warnings.simplefilter("always")
-            quad = quad_gram(states, states, args.time, [make_rule("gauss_hermite", args.quad_order)])
+            quad = quad_gram(states, states, args.time, [make_rule("gauss_hermite", quad_order)])
         checks["max_quadrature_delta"] = float(np.max(np.abs(g.entries - quad)))
         checks["warnings"] = sorted({str(w.message) for w in grabbed})
     elif kind == "radial":
         g = radial_gram(states)
     else:
-        g = angular_gram(states, n_polar=args.quad_order,
-                         n_azimuth=2 * args.quad_order, conjugate_slot1=args.conjugate_angular)
+        quad_order = _quad_order(args, 64)
+        g = angular_gram(states, n_polar=quad_order,
+                         n_azimuth=2 * quad_order, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
     results["parallel"] = g.parallel.tolist()
     results["theta_equal"] = g.theta_equal.tolist()
@@ -353,7 +363,7 @@ def cmd_gram(args) -> int:
                                       and checks.get("max_quadrature_delta", 0.0) <= tol)
     report = {
         "command": "gram",
-        "inputs": {"states": descriptors, "time": args.time, "quad_order": args.quad_order,
+        "inputs": {"states": descriptors, "time": args.time, "quad_order": quad_order,
                    "mu": args.mu, "omega": args.omega, "hbar": args.hbar},
         "results": results,
         "checks": checks,
@@ -502,13 +512,14 @@ _SUITES = {
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    quad_order = _quad_order(args, 64)
     checks = []
     for name in names:
-        checks.extend(_SUITES[name](args.tol, args.quad_order))
+        checks.extend(_SUITES[name](args.tol, quad_order))
     failed = [c["name"] for c in checks if not c["passed"]]
     report = {
         "command": "verify",
-        "inputs": {"suite": args.suite, "tol": args.tol, "quad_order": args.quad_order},
+        "inputs": {"suite": args.suite, "tol": args.tol, "quad_order": quad_order},
         "results": {"checks": checks},
         "checks": {"all_passed": not failed, "failed": failed},
     }
@@ -573,8 +584,8 @@ def _add_common(parser: argparse.ArgumentParser, states: bool = True) -> None:
     parser.add_argument("--omega", type=float, default=1.0, help="angular frequency")
     parser.add_argument("--hbar", type=float, default=1.0)
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--quad-order", type=int, default=64, dest="quad_order",
-                        help="quadrature order for the cross-check paths")
+    parser.add_argument("--quad-order", type=int, default=None, dest="quad_order",
+                        help="cross-check quadrature order (default: exact for the family; 64 for sphere and verify)")
     parser.add_argument("--conjugate-angular", action="store_true", dest="conjugate_angular",
                         help="conjugate the slot-1 spherical harmonic")
 

@@ -9,22 +9,23 @@ the quaternion (symplectic) product law
 so reordering the factors changes pointwise values but neither the norm
 nor the total energy.  The spherical families pair generalized Laguerre
 radial profiles, or complex spherical harmonics, across the two slots with
-a shared polarization angle.
+a shared polarization angle.  A radial state is its labels; its inner
+products and energies come from the half-line Gauss rule that makes them exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import GramMatrix, QPair, _family_gram, _level, _pair_modes, _sample_points, hamiltonian
-from .specfun import laguerre_coeffs, laguerre_norm_const, make_rule, sph_harm
-from .wavestate import Mode, PhysicalParams, WaveState, _padded, expectation
+from .specfun import _check_degree, laguerre, laguerre_norm_const, make_rule, sph_harm
+from .wavestate import Mode, PhysicalParams, WaveState, expectation
 
 __all__ = [
     "SplitSpec",
@@ -134,8 +135,9 @@ def cartesian_energy(state: WaveState, t: float = 0.0, check_norm: bool = True) 
 
 @dataclass(frozen=True)
 class RadialState:
-    """Spherical radial profile: rho^l exp(-rho^2/2) times slot-tagged
-    Laguerre polynomials in rho^2, with mixing angle theta."""
+    """Spherical radial state, held as its labels: cos(theta) R_u in slot 0 and
+    sin(theta) R_v in slot 1, R_u = N_u rho^l exp(-rho^2/2) L_u^(l+1/2)(rho^2)
+    the unit radial function of level u under the measure rho^2 drho."""
 
     u: int
     v: int
@@ -144,29 +146,14 @@ class RadialState:
     params: PhysicalParams = field(default_factory=PhysicalParams)
 
     def __post_init__(self):
-        if self.u < 0 or self.v < 0 or self.l < 0:
-            raise ValueError("u, v and l must be non-negative")
-
-    @cached_property
-    def poly0(self) -> tuple[complex, ...]:
-        n = laguerre_norm_const(self.u, self.l)
-        return tuple(math.cos(self.theta) * n * complex(c)
-                     for c in laguerre_coeffs(self.u, self.l + 0.5))
-
-    @cached_property
-    def poly1(self) -> tuple[complex, ...]:
-        n = laguerre_norm_const(self.v, self.l)
-        return tuple(math.sin(self.theta) * n * complex(c)
-                     for c in laguerre_coeffs(self.v, self.l + 0.5))
+        for name in ("u", "v", "l"):
+            _check_degree(getattr(self, name), name)
 
     def components(self, rho):
         """Symplectic components (z0, z1) at dimensionless radius
         rho = sqrt(mu omega/hbar) r; scalars or numpy arrays."""
-        rho = np.asarray(rho, dtype=float)
-        s = rho * rho
-        common = rho ** self.l * np.exp(-0.5 * s)
-        return (np.polynomial.polynomial.polyval(s, np.asarray(self.poly0)) * common,
-                np.polynomial.polynomial.polyval(s, np.asarray(self.poly1)) * common)
+        r0, r1 = _radial_values((self.u, self.v), self.l, np.asarray(rho, dtype=float))
+        return math.cos(self.theta) * r0, math.sin(self.theta) * r1
 
     def evaluate(self, rho: float) -> Quaternion:
         """Quaternion value at dimensionless radius rho; the scalar case of components."""
@@ -178,61 +165,62 @@ def radial_state(u: int, v: int, l: int, theta: float = 0.0,
     return RadialState(u, v, l, theta, params or PhysicalParams())
 
 
-@cache
-def _moment_table(max_degree: int) -> np.ndarray:
-    """Full-line Gaussian moments M_0..M_max_degree in extended precision,
-    the source of the radial sector's exact inner products and expectations.
-
-    The radial states are stored in monomial coefficients, so the moment
-    contraction of a high-degree pair cancels large terms down to an O(1)
-    value; it runs in long double, and the recursion M_k = (k-1)/2 M_(k-2) is
-    exact apart from the shared sqrt(pi) seed.
-    """
-    m = np.zeros(max_degree + 1, dtype=np.longdouble)
-    m[0] = np.sqrt(np.longdouble("3.141592653589793238462643383279502884"))
-    for k in range(2, max_degree + 1, 2):
-        m[k] = 0.5 * (k - 1) * m[k - 2]
-    m.setflags(write=False)  # shared by every caller through the cache
-    return m
+def _envelope(u: int, l: int, rho: np.ndarray) -> np.ndarray:
+    """N_u rho^l exp(-rho^2/2), formed in log space so that l up to the cap stays finite."""
+    with np.errstate(divide="ignore"):
+        log_power = l * np.log(np.abs(rho)) if l else 0.0
+    return np.sign(rho) ** l * np.exp(log_power - 0.5 * rho * rho + math.log(laguerre_norm_const(u, l)))
 
 
-def _hankel_contract(a: np.ndarray, b: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """A H B^H in long double: entry (p, q) is sum_ij a_pi conj(b_qj) moments[i + j],
-    for polynomial coefficient rows a and b."""
-    hankel = moments[np.add.outer(np.arange(a.shape[1]), np.arange(b.shape[1]))]
-    return (a.astype(np.clongdouble) @ hankel) @ b.astype(np.clongdouble).conj().T
+def _radial_values(levels, l: int, rho: np.ndarray) -> np.ndarray:
+    """R_u(rho) for each level u, one row per level."""
+    values = [_envelope(u, l, rho) * laguerre(u, l + 0.5, rho * rho) for u in levels]
+    return np.reshape(values, (len(values), *rho.shape))
 
 
-def _half_line_hankel(polys_a, polys_b, l: int, shift: int) -> np.ndarray:
-    """Re A H B^H for polynomials in s = rho^2 with H_ij = M_(2(l+i+j)+shift) / 2,
-    the half-line integral of rho^(2(l+i+j)+shift) exp(-rho^2)."""
-    a, b = _padded(polys_a), _padded(polys_b)
-    moments = 0.5 * _moment_table(2 * (l + a.shape[1] + b.shape[1] - 2) + shift)[2 * l + shift::2]
-    return _hankel_contract(a, b, moments).real
+def _family_levels(states) -> tuple[int, list[int]]:
+    """The shared angular momentum l and the sorted distinct levels of a family."""
+    ls = {s.l for s in states}
+    if len(ls) > 1:
+        raise ValueError("radial inner products require equal angular momentum l")
+    return max(ls, default=0), sorted({u for s in states for u in (s.u, s.v)})
+
+
+def _spread(states, levels, t: np.ndarray) -> np.ndarray:
+    """(2, states, points): cos(theta) R_u, sin(theta) R_v from the levels' rows t."""
+    row = {u: i for i, u in enumerate(levels)}
+    mix = np.array([[math.cos(s.theta) for s in states], [math.sin(s.theta) for s in states]])
+    rows = np.array([[row[s.u] for s in states], [row[s.v] for s in states]], dtype=int)
+    return mix.reshape(2, -1, 1) * t[rows.reshape(2, -1)]
+
+
+def _exact_rule(top: int, l: int):
+    """Half-line rule exact for R_u R_v and R_u H R_v, u, v <= top (degree 2 top + l in rho^2)."""
+    return make_rule("half_line", top + l // 2 + 1)
 
 
 def _radial_entries(a_states, b_states) -> np.ndarray:
-    """Real inner products <a_i, b_j> under the measure rho^2 drho, by exact moments."""
-    ls = {s.l for s in [*a_states, *b_states]}
-    if len(ls) > 1:
-        raise ValueError("radial inner products require equal angular momentum l")
-    return sum(_half_line_hankel([getattr(s, slot) for s in a_states],
-                                 [getattr(s, slot) for s in b_states], max(ls, default=0), 2)
-               for slot in ("poly0", "poly1")).astype(float)
+    """Real inner products <a_i, b_j> under rho^2 drho: T W T^T on the exact half-line
+    rule, the family's distinct radial functions spread to the states' slots."""
+    l, levels = _family_levels((*a_states, *b_states))
+    rule = _exact_rule(max(levels, default=0), l)
+    t = _radial_values(levels, l, rule.nodes)
+    a, b = _spread(a_states, levels, t), _spread(b_states, levels, t)
+    return (a[0] * rule.weights) @ b[0].T + (a[1] * rule.weights) @ b[1].T
 
 
 def radial_inner(a: RadialState, b: RadialState) -> float:
-    """Real inner product under the measure rho^2 drho, by exact moments."""
+    """Real inner product under the measure rho^2 drho, by exact quadrature."""
     return float(_radial_entries([a], [b])[0, 0])
 
 
 def radial_gram(states: list[RadialState], parallel_tol: float = 1e-10) -> GramMatrix:
     """Gram matrix of radial states sharing one angular momentum l."""
     states = tuple(states)
+    l, levels = _family_levels(states)
     radii, = _sample_points((0.3, 3.0))
-    values = np.array([s.components(radii) for s in states]).reshape(len(states), 2, len(radii))
     return _family_gram(states, _radial_entries(states, states), [(s.u, s.v) for s in states],
-                        values.swapaxes(0, 1), 0.0, parallel_tol)
+                        _spread(states, levels, _radial_values(levels, l, radii)), 0.0, parallel_tol)
 
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
@@ -247,36 +235,14 @@ def default_radial_grid(count: int = 40):
     return np.linspace(0.15, 6.0, count)
 
 
-def _radial_derivative_polys(g, l):
-    """Polynomials g1, g2 in s = rho^2 with R' = rho^(l-1) e^(-s/2) g1(s) and
-    R'' = rho^(l-2) e^(-s/2) g2(s) for R = rho^l e^(-s/2) g(s)."""
-    g = np.asarray(g, dtype=complex)
-
-    def step(h, power):
-        out = np.zeros(len(h) + 1, dtype=complex)
-        out[: len(h)] += power * h           # power * h
-        out[1:] -= h                          # - s h
-        dh = np.arange(1, len(h)) * h[1:]
-        out[1: len(h)] += 2.0 * dh            # + 2 s h'
-        return out
-
-    g1 = step(g, l)
-    g2 = step(g1, l - 1)
-    return g1, g2
-
-
-def _radial_residual_poly(g, l, eps):
-    """Residual polynomial r(s): the radial equation residual is
-    rho^(l-2) e^(-s/2) r(s) at energy eps (in units of hbar omega)."""
-    g = np.asarray(g, dtype=complex)
-    g1, g2 = _radial_derivative_polys(g, l)
-    r = np.zeros(len(g) + 2, dtype=complex)
-    r[: len(g2)] -= 0.5 * g2
-    r[: len(g1)] -= g1
-    r[2: len(g) + 2] += 0.5 * g
-    r[1: len(g) + 1] -= eps * g
-    r[: len(g)] += 0.5 * l * (l + 1.0) * g
-    return r
+def _radial_action(u: int, l: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_u and H R_u at rho > 0, H = -(d^2/drho^2 + (2/rho) d/drho)/2 + l(l+1)/(2 rho^2)
+    + rho^2/2 in units of hbar omega.  With R = E L(s), E = N_u rho^l exp(-s/2), s = rho^2,
+    H R = E ((l + 3/2) L - (2l + 3 - 2s) L' - 2s L''), L' = -L_(u-1)^(alpha+1), L'' = L_(u-2)^(alpha+2)."""
+    s = rho * rho
+    lg, minus_d1, d2 = (laguerre(u - k, l + 0.5 + k, s) if u >= k else 0.0 for k in range(3))
+    env = _envelope(u, l, rho)
+    return env * lg, env * ((l + 1.5) * lg + (2.0 * l + 3.0 - 2.0 * s) * minus_d1 - 2.0 * s * d2)
 
 
 def radial_ode_residual(state: RadialState, energies: tuple[float, float] | None = None,
@@ -293,23 +259,22 @@ def radial_ode_residual(state: RadialState, energies: tuple[float, float] | None
     if np.any(grid <= 0.0):
         raise ValueError("radial grid must contain positive radii only")
     worst = 0.0
-    for poly, energy in ((state.poly0, energies[0]), (state.poly1, energies[1])):
-        eps = energy / params.energy_quantum
-        r = _radial_residual_poly(poly, state.l, eps)
-        s = grid * grid
-        vals = np.abs(np.polynomial.polynomial.polyval(s, r)) * grid ** (state.l - 2) * np.exp(-0.5 * s)
-        worst = max(worst, float(np.max(vals)))
+    for level, mix, energy in ((state.u, math.cos(state.theta), energies[0]),
+                               (state.v, math.sin(state.theta), energies[1])):
+        r, hr = _radial_action(level, state.l, grid)
+        worst = max(worst, float(np.max(np.abs(mix * (hr - energy / params.energy_quantum * r)))))
     return worst
 
 
 def radial_energy_expectation(state: RadialState) -> float:
-    """Expectation of the radial Hamiltonian by exact moments; equals the
-    slot-weighted energies for the exact solution families."""
+    """Expectation of the radial Hamiltonian, sum over slots of mix^2 <R, H R> on the
+    exact half-line rule; equals the slot-weighted energies for the solution families."""
+    rule = _exact_rule(max(state.u, state.v), state.l)
     total = 0.0
-    for g in (state.poly0, state.poly1):
-        h = _radial_residual_poly(g, state.l, 0.0)  # eps = 0 leaves the pure Hamiltonian action
-        total += _half_line_hankel([h], [g], state.l, 0)[0, 0]
-    return float(total) * state.params.energy_quantum
+    for level, mix in ((state.u, math.cos(state.theta)), (state.v, math.sin(state.theta))):
+        r, hr = _radial_action(level, state.l, rule.nodes)
+        total += mix * mix * float(np.dot(rule.weights, r * hr))
+    return total * state.params.energy_quantum
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences (stable, no factorial ratios), spherical harmonics
 by a normalized associated Legendre recurrence with the Condon-Shortley
 phase.  The moment helpers give closed-form values of the Gaussian
-integrals, the references the tests hold inner products to; the
-quadrature rules are the independent numerical route that cross-checks
-every exact inner product.
+integrals, the references the tests hold inner products to.  The
+quadrature rules cross-check the Cartesian coefficient inner products and
+are the radial sector's one numeric route, exact for its polynomial degrees.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ __all__ = [
 # Degree cap shared by the polynomial evaluators; keeps double precision
 # coefficients finite.
 DEGREE_CAP = 200
-
-QUAD_KINDS = ("gauss_hermite", "gauss_legendre", "half_line_gaussian", "uniform_periodic")
-
 
 def _check_degree(n: int, name: str) -> None:
     if n < 0:
@@ -208,11 +205,12 @@ def radial_moment(k: int) -> float:
 class QuadratureRule:
     """Nodes and weights of one of the supported integration rules.
 
-    gauss_hermite      : sum w f(x) ~ integral f(x) exp(-x^2) dx over R
-    gauss_legendre     : sum w f(x) ~ integral f(x) dx over [-1, 1]
-    half_line_gaussian : sum w f(r) ~ integral f(r) exp(-r^2) r^2 dr over [0, inf)
-                         (exact for f polynomial in r^2 up to degree 2*order-1)
-    uniform_periodic   : sum w f(t) ~ integral f(t) dt over [0, 2 pi)
+    gauss_hermite    : sum w f(x) ~ integral f(x) exp(-x^2) dx over R
+    gauss_legendre   : sum w f(x) ~ integral f(x) dx over [-1, 1]
+    half_line        : sum w f(r) ~ integral f(r) r^2 dr over [0, inf), exact for
+                       f = exp(-r^2) p(r^2), deg p <= 2*order-1; the Gaussian stays
+                       in f, so no weight underflows at the outer nodes
+    uniform_periodic : sum w f(t) ~ integral f(t) dt over [0, 2 pi)
     """
 
     kind: str
@@ -227,6 +225,37 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+def _laguerre_sweep(s: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """psi_(n-1), psi_n (n = order; psi_k orthonormal under s^(1/2) exp(-s)) in a
+    shared per-node scale, and the r-rule weights exp(s) / (2 sum_(k<n) psi_k(s)^2).
+    A node whose values pass 2^500 is scaled by 2^-500; log_scale, from -s/2, is the
+    log of its stored unit, so neither psi_k nor exp(-s/2) leaves the double range."""
+    prev, cur, total = np.zeros_like(s), np.ones_like(s), np.zeros_like(s)
+    log_scale = -0.5 * s - 0.5 * math.lgamma(1.5)  # psi_0 = Gamma(3/2)^(-1/2)
+    for k in range(order):
+        total += cur * cur
+        # b_(k+1) psi_(k+1) = (s - a_k) psi_k - b_k psi_(k-1), a_k = 2k + 3/2, b_k = sqrt(k (k + 1/2))
+        prev, cur = cur, ((s - 2.0 * k - 1.5) * cur - math.sqrt(k * (k + 0.5)) * prev) \
+            / math.sqrt((k + 1.0) * (k + 1.5))
+        e = np.where(np.abs(cur) > 2.0 ** 500, -500, 0)
+        prev, cur, total = np.ldexp(prev, e), np.ldexp(cur, e), np.ldexp(total, 2 * e)
+        log_scale -= e * math.log(2.0)
+    return prev, cur, 0.5 * np.exp(-2.0 * log_scale) / total
+
+
+def _half_line_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Golub-Welsch rule for s^(1/2) exp(-s) in r = sqrt(s): Jacobi eigenvalues
+    polished by one Newton step, and Christoffel weights from the recurrence (as
+    numpy's hermgauss takes them), not from eigenvectors."""
+    k = np.arange(1, order)
+    off = np.sqrt(k * (k + 0.5))
+    s = np.linalg.eigvalsh(np.diag(2.0 * np.arange(order) + 1.5) + np.diag(off, 1) + np.diag(off, -1))
+    below, last, _ = _laguerre_sweep(s, order)
+    # one Newton step on psi_n, with s psi_n' = n psi_n + b_n psi_(n-1)
+    s -= s * last / (order * last + math.sqrt(order * (order + 0.5)) * below)
+    return np.sqrt(s), _laguerre_sweep(s, order)[2]
+
+
 @lru_cache(maxsize=None)
 def make_rule(kind: str, order: int) -> QuadratureRule:
     """The QuadratureRule of the given kind and node count; rules are
@@ -237,14 +266,8 @@ def make_rule(kind: str, order: int) -> QuadratureRule:
         nodes, weights = np.polynomial.hermite.hermgauss(order)
     elif kind == "gauss_legendre":
         nodes, weights = np.polynomial.legendre.leggauss(order)
-    elif kind == "half_line_gaussian":
-        # Generalized Gauss-Laguerre in s = r^2 with weight s^(1/2) exp(-s):
-        # integral f(r) r^2 exp(-r^2) dr = 1/2 integral f(sqrt(s)) s^(1/2) exp(-s) ds.
-        # scipy is imported here only: no command of the CLI uses this rule.
-        from scipy.special import roots_genlaguerre
-        s_nodes, s_weights = roots_genlaguerre(order, 0.5)
-        nodes = np.sqrt(s_nodes)
-        weights = 0.5 * s_weights
+    elif kind == "half_line":
+        nodes, weights = _half_line_rule(order)
     elif kind == "uniform_periodic":
         nodes = 2.0 * math.pi * np.arange(order) / order
         weights = np.full(order, 2.0 * math.pi / order)

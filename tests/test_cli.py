@@ -5,13 +5,14 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatosc import cli, wavestate
+from quatosc import cli, multidim, wavestate
 
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
@@ -233,6 +234,82 @@ class TestExitCodes:
             assert cli.main(["gram", "--states", path]) == 2
         assert "homogeneous" in err.getvalue()
 
+    @pytest.mark.parametrize("desc", [
+        pytest.param({"u": 201, "v": 0, "l": 0}, id="u-201"),
+        pytest.param({"u": 5, "v": 0, "l": 201}, id="l-201"),
+        pytest.param({"u": 0, "v": 0, "l": 10**6}, id="l-1e6"),
+    ])
+    def test_radial_label_above_cap_rejected(self, desc, tmp_path):
+        states = write_states(tmp_path / "s.jsonl", [{"kind": "radial", "theta": 0.3, **desc}])
+        proc = run_cli("gram", "--states", states)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert len(proc.stderr.decode().splitlines()) == 1
+
+    def test_huge_radial_l_rejected_before_any_rule(self, tmp_path):
+        # l sets the half-line rule order; l = 10**6 must not reach an eigenproblem
+        states = write_states(tmp_path / "s.jsonl",
+                              [{"kind": "radial", "u": 0, "v": 0, "l": 10**6, "theta": 0.3}])
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["gram", "--states", states])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and len(err.getvalue().splitlines()) == 1
+
+    def test_radial_gram_at_the_cap(self, tmp_path):
+        states = write_states(tmp_path / "s.jsonl", [
+            {"kind": "radial", "u": 200, "v": 199, "l": 2, "theta": 0.7},
+            {"kind": "radial", "u": 198, "v": 200, "l": 2, "theta": 0.7},
+            {"kind": "radial", "u": 0, "v": 1, "l": 2, "theta": 0.7},
+        ])
+        proc = run_cli("gram", "--states", states)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["checks"]["max_closed_form_deviation"] <= 1e-12
+
+    # without --quad-order, spectrum and ho1d gram take the exact Gauss-Hermite
+    # order of the family: top level + 2 (H raises the degree by two) and + 1
+    @pytest.mark.parametrize("command, pairs, order", [
+        pytest.param("spectrum", [(64, 0, 0.3)], 66, id="spectrum-64-0"),
+        pytest.param("spectrum", [(200, 199, 0.7)], 202, id="spectrum-200-199"),
+        pytest.param("gram", [(200, 199, 0.7)], 201, id="gram-200-199"),
+    ])
+    def test_default_order_is_exact_for_the_family(self, command, pairs, order, tmp_path):
+        states = write_states(tmp_path / "s.jsonl",
+                              [{"kind": "ho1d", "n": n, "m": m, "theta": th} for n, m, th in pairs])
+        proc = run_cli(command, "--states", states)
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["inputs"]["quad_order"] == order
+        assert report["checks"]["within_tolerance"] is True
+
+
+class TestRadialNegativeControls:
+    # a defect planted in the radial values makes verify radial exit 3
+
+    @staticmethod
+    def _verify_radial():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "radial"])
+        return code, json.loads(out.getvalue())
+
+    def test_wrong_laguerre_alpha_fails(self, monkeypatch):
+        laguerre = multidim.laguerre
+        # alpha = l - 1/2 in place of l + 1/2, also in the derivatives' alpha + 1, alpha + 2
+        monkeypatch.setattr(multidim, "laguerre", lambda u, alpha, x: laguerre(u, alpha - 1.0, x))
+        code, report = self._verify_radial()
+        assert code == 3
+        assert "radial_gram_matches_closed_form" in report["checks"]["failed"]
+
+    def test_dropped_sqrt2_in_norm_const_fails(self, monkeypatch):
+        norm_const = multidim.laguerre_norm_const
+        monkeypatch.setattr(multidim, "laguerre_norm_const",
+                            lambda u, l: norm_const(u, l) / math.sqrt(2.0))
+        code, report = self._verify_radial()
+        assert code == 3
+        assert "radial_gram_matches_closed_form" in report["checks"]["failed"]
+
 
 class TestNegativeControls:
     # a defect planted in one route makes the check that covers it exit 3
@@ -417,11 +494,32 @@ def test_reused_parser_keeps_no_option_between_calls(tmp_path):
     assert tolerances == [1e-3, 1e-10]
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy serves only the half_line_gaussian rule, which no command uses
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is a test-only dependency: importing the CLI leaves it out, and
+    # every command runs with any scipy import made to fail
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, quatosc.cli; sys.exit('scipy' in sys.modules)"],
                           capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    ho1d = write_states(tmp_path / "h.jsonl", HO1D)
+    radial = write_states(tmp_path / "r.jsonl", [{"kind": "radial", "u": 200, "v": 3, "l": 2, "theta": 0.4},
+                                                 {"kind": "radial", "u": 1, "v": 0, "l": 2, "theta": 0.4}])
+    spherical = write_states(tmp_path / "y.jsonl", [{"kind": "spherical", "l": 2, "m1": 1, "m2": 0, "theta": 0.4}])
+    one_ho1d = write_states(tmp_path / "h1.jsonl", HO1D[:1])
+    one_radial = write_states(tmp_path / "r1.jsonl", [{"kind": "radial", "u": 3, "v": 1, "l": 2, "theta": 0.4}])
+    requests = [["spectrum", "--states", ho1d], ["gram", "--states", ho1d],
+                ["gram", "--states", radial], ["gram", "--states", spherical],
+                ["sample", "--states", one_ho1d, "--grid", "-2:2:5"],
+                ["sample", "--states", one_radial, "--grid", "0.5:4:6"], ["verify", "all"]]
+    script = ("import contextlib, io, sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from quatosc import cli\n"
+              f"for argv in {requests!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        code = cli.main(argv)\n"
+              "    if code:\n"
+              "        sys.exit(f'{argv[0]} exited {code}')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from quatosc.multidim import (
     split_state,
 )
 from quatosc.oscillator1d import QPair, energy_nm, psi_n, psi_nm
-from quatosc.specfun import make_rule, sph_harm
+from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
 from quatosc.wavestate import PhysicalParams, evaluate, inner, inner_quad
 
 PI4 = math.pi ** -0.25
@@ -138,8 +139,8 @@ class TestRadialState:
 
     def test_norm_by_half_line_quadrature(self):
         s = radial_state(3, 1, 2, 0.9)
-        rule = make_rule("half_line_gaussian", 40)
-        vals = np.array([abs(s.evaluate(r)) ** 2 * math.exp(r * r) for r in rule.nodes])
+        rule = make_rule("half_line", 40)
+        vals = np.array([abs(s.evaluate(r)) ** 2 for r in rule.nodes])
         assert float(np.dot(rule.weights, vals)) == pytest.approx(1.0, abs=1e-10)
 
     def test_equal_slots_single_energy(self):
@@ -183,11 +184,11 @@ class TestRadialGram:
     def test_against_quadrature(self):
         a = radial_state(1, 2, 1, 0.5)
         b = radial_state(1, 3, 1, 0.5)
-        rule = make_rule("half_line_gaussian", 40)
+        rule = make_rule("half_line", 40)
 
         def overlap(r):
             qa, qb = a.evaluate(r), b.evaluate(r)
-            return (qa * qb.conj()).sc() * math.exp(r * r)
+            return (qa * qb.conj()).sc()
 
         quad = float(np.dot(rule.weights, [overlap(r) for r in rule.nodes]))
         assert radial_inner(a, b) == pytest.approx(quad, abs=1e-10)
@@ -204,6 +205,66 @@ class TestRadialGram:
         g = radial_gram(states)
         assert bool(g.parallel[0, 1]) and bool(g.parallel[0, 0])
         assert bool(g.theta_equal[0, 1]) and not bool(g.theta_equal[0, 2])
+
+
+def mp_radial(u, l, rho):
+    """Oracle: N_u rho^l exp(-rho^2/2) L_u^(l+1/2)(rho^2) in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        rho = mpmath.mpf(rho)
+        norm = mpmath.sqrt(2 * mpmath.factorial(u) / mpmath.gamma(u + l + mpmath.mpf(3) / 2))
+        return norm * rho**l * mpmath.exp(-rho * rho / 2) * mpmath.laguerre(u, l + mpmath.mpf(1) / 2, rho * rho)
+
+
+def mp_grid(u, l):
+    """23 radii from 0.25 to 3 past the classical turning point sqrt(4u + 2l + 3)."""
+    return np.linspace(0.25, math.sqrt(4.0 * u + 2.0 * l + 3.0) + 3.0, 23)
+
+
+class TestRadialThroughDegreeCap:
+    # every label the library accepts is verified: values against mpmath,
+    # norms and energies on the exact half-line rule
+
+    @pytest.mark.parametrize("u", [30, 100, 200])
+    @pytest.mark.parametrize("l", [0, 2, 6])
+    def test_components_match_mpmath(self, u, l):
+        theta, v = 0.3, 2
+        rho = mp_grid(u, l)
+        z0, z1 = radial_state(u, v, l, theta).components(rho)
+        np.testing.assert_allclose(z0, [math.cos(theta) * float(mp_radial(u, l, r)) for r in rho], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(z1, [math.sin(theta) * float(mp_radial(v, l, r)) for r in rho], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("u", [30, 100, 200])
+    @pytest.mark.parametrize("l", [0, 2, 6])
+    def test_sample_matches_mpmath(self, u, l, tmp_path):
+        theta, v = 0.3, 2
+        rho = mp_grid(u, l)
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({"kind": "radial", "u": u, "v": v, "l": l, "theta": theta}) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["sample", "--states", str(path), "--grid", f"0.25:{float(rho[-1])!r}:23"])
+        assert code == 0
+        rows = np.array(json.loads(out.getvalue())["results"]["rows"])
+        np.testing.assert_allclose(rows[:, 0], rho, rtol=1e-15)
+        np.testing.assert_allclose(rows[:, 1], [math.cos(theta) * float(mp_radial(u, l, r)) for r in rho], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(rows[:, 3], [math.sin(theta) * float(mp_radial(v, l, r)) for r in rho], rtol=1e-10, atol=0)
+        assert not rows[:, 2].any() and not rows[:, 4].any()
+
+    @pytest.mark.parametrize("l", [0, 2, 6, 150])
+    def test_gram_is_identity_through_the_cap(self, l):
+        states = [radial_state(u, u, l, 0.0) for u in range(DEGREE_CAP + 1)]
+        np.testing.assert_allclose(radial_gram(states).entries, np.eye(DEGREE_CAP + 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("v, l, theta", [(200, 3, 0.0), (150, 0, 0.6), (199, 6, 1.1)])
+    def test_energy_expectation_at_the_cap(self, v, l, theta):
+        s = radial_state(200, v, l, theta)
+        assert abs(radial_energy_expectation(s) - full_spherical_energy(200, v, l, theta)) <= 1e-10
+
+    @pytest.mark.parametrize("field", ["u", "v", "l"])
+    def test_labels_above_cap_rejected(self, field):
+        labels = {"u": 0, "v": 0, "l": 0, field: DEGREE_CAP + 1}
+        with pytest.raises(ValueError, match="degree cap"):
+            radial_state(labels["u"], labels["v"], labels["l"])
 
 
 class TestRadialEnergy:

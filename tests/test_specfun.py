@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import binom, eval_genlaguerre, eval_hermite, sph_harm_y
+from scipy.special import binom, eval_genlaguerre, eval_hermite, roots_genlaguerre, sph_harm_y
 
 from quatosc.specfun import (
     DEGREE_CAP,
@@ -104,11 +105,11 @@ class TestLaguerre:
     def test_orthogonality_half_line(self, l):
         # weight x^(l+1/2) e^{-x} via the half-line rule with x = r^2
         alpha = l + 0.5
-        rule = make_rule("half_line_gaussian", 40)
+        rule = make_rule("half_line", 40)
         for u in range(11):
             for up in range(11):
                 f = 2.0 * laguerre(u, alpha, rule.nodes**2) * laguerre(up, alpha, rule.nodes**2) \
-                    * rule.nodes ** (2 * l)
+                    * rule.nodes ** (2 * l) * np.exp(-rule.nodes**2)
                 val = float(np.dot(rule.weights, f))
                 want = math.gamma(u + alpha + 1.0) / math.factorial(u) if u == up else 0.0
                 scale = math.gamma(u + alpha + 1.0) / math.factorial(u)
@@ -188,10 +189,10 @@ class TestNormConstants:
 
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_radial_normalization_by_quadrature(self, l):
-        rule = make_rule("half_line_gaussian", 40)
+        rule = make_rule("half_line", 40)
         for u in range(5):
             nu = laguerre_norm_const(u, l)
-            f = (nu * laguerre(u, l + 0.5, rule.nodes**2)) ** 2 * rule.nodes ** (2 * l)
+            f = (nu * laguerre(u, l + 0.5, rule.nodes**2)) ** 2 * rule.nodes ** (2 * l) * np.exp(-rule.nodes**2)
             assert float(np.dot(rule.weights, f)) == pytest.approx(1.0, abs=1e-11)
 
 
@@ -248,9 +249,51 @@ class TestMakeRule:
         assert abs(val) <= 1e-13
 
     def test_half_line_moment(self):
-        rule = make_rule("half_line_gaussian", 24)
-        got = float(np.dot(rule.weights, rule.nodes**4))
+        rule = make_rule("half_line", 24)
+        got = float(np.dot(rule.weights, rule.nodes**4 * np.exp(-rule.nodes**2)))
         assert got == pytest.approx(radial_moment(2), rel=1e-13)
+
+    @pytest.mark.parametrize("order", [5, 40, 150])
+    def test_half_line_against_scipy(self, order):
+        # the rule lives in r = sqrt(s) and its weights leave exp(-s) with the
+        # integrand: w_r = exp(s) w_s / 2 for scipy's weights w_s.  At order 150
+        # scipy's weight at s = 531 is itself off by 1.1e-12 against the
+        # 60-digit Christoffel sum (test below), hence 2e-12 for the weights
+        s, w = roots_genlaguerre(order, 0.5)
+        rule = make_rule("half_line", order)
+        np.testing.assert_allclose(rule.nodes**2, s, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(rule.weights, 0.5 * w * np.exp(s), rtol=2e-12, atol=0)
+
+    def test_half_line_weights_against_mpmath_at_order_150(self):
+        # exp(s) / (2 sum_k psi_k(s)^2) at this rule's nodes, psi_k orthonormal
+        # for s^(1/2) exp(-s), from the recurrence at 60 digits
+        order = 150
+        rule = make_rule("half_line", order)
+        with mpmath.workdps(60):
+            want = []
+            for r in rule.nodes:
+                s = mpmath.mpf(float(r)) ** 2
+                prev, cur = mpmath.mpf(0), 1 / mpmath.sqrt(mpmath.gamma(1.5))
+                total = cur * cur
+                for k in range(order - 1):
+                    prev, cur = cur, ((s - 2 * k - 1.5) * cur - mpmath.sqrt(k * (k + 0.5)) * prev) \
+                        / mpmath.sqrt((k + 1) * (k + 1.5))
+                    total += cur * cur
+                want.append(float(mpmath.exp(s) / (2 * total)))
+        np.testing.assert_allclose(rule.weights, want, rtol=1e-12, atol=0)
+
+    def test_half_line_exact_moments_at_order_205(self):
+        # integral of s^k exp(-s) s^(1/2) ds / 2 = Gamma(k + 3/2) / 2 for every k the
+        # rule integrates exactly, k <= 2 * 205 - 1; summed in mpmath, where
+        # s^409 exp(-s) stays representable
+        order = 205
+        rule = make_rule("half_line", order)
+        with mpmath.workdps(50):
+            s = [mpmath.mpf(float(r)) ** 2 for r in rule.nodes]
+            w = [mpmath.mpf(float(x)) * mpmath.exp(-si) for x, si in zip(rule.weights, s)]
+            worst = max(abs(mpmath.fsum(wi * si**k for wi, si in zip(w, s)) / (mpmath.gamma(k + 1.5) / 2) - 1)
+                        for k in range(2 * order))
+        assert worst <= 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -258,7 +301,7 @@ class TestMakeRule:
         with pytest.raises(ValueError):
             make_rule("chebyshev", 8)
 
-    @pytest.mark.parametrize("kind", ["gauss_hermite", "gauss_legendre", "half_line_gaussian"])
+    @pytest.mark.parametrize("kind", ["gauss_hermite", "gauss_legendre", "half_line"])
     def test_gaussian_rules_have_positive_weights(self, kind):
         rule = make_rule(kind, 20)
         assert len(rule.nodes) == len(rule.weights) == 20
