@@ -18,13 +18,11 @@ from .quaternion import (
 )
 from .specfun import (
     QuadratureRule,
-    gaussian_moment,
     hermite,
     hermite_norm_const,
     laguerre,
     laguerre_norm_const,
     make_rule,
-    radial_moment,
     sph_harm,
 )
 from .wavestate import (

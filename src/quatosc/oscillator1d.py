@@ -227,7 +227,12 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     """
     params = params or PhysicalParams()
     pairs = tuple(pairs)
-    states = [psi_nm(q, params) for q in pairs]
+    return _gram_of(pairs, [psi_nm(q, params) for q in pairs], t, params, parallel_tol)
+
+
+def _gram_of(pairs: tuple[QPair, ...], states: list[WaveState], t: float,
+             params: PhysicalParams, parallel_tol: float = 1e-10) -> GramMatrix:
+    """gram() of pairs whose states psi_nm(q, params) are already built."""
     xs, = _sample_points((-3.0, 3.0))
     values = evaluate_points(states, xs / params.alpha, t)
     return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs],

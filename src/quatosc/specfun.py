@@ -1,12 +1,11 @@
-"""Special functions, normalization constants, exact Gaussian moments, quadrature.
+"""Special functions, normalization constants and quadrature rules.
 
 Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences (stable, no factorial ratios), spherical harmonics
 by a normalized associated Legendre recurrence with the Condon-Shortley
-phase.  The moment helpers give closed-form values of the Gaussian
-integrals, the references the tests hold inner products to.  The
-quadrature rules cross-check the Cartesian coefficient inner products and
-are the radial sector's one numeric route, exact for its polynomial degrees.
+phase.  The quadrature rules cross-check the Cartesian coefficient inner
+products and are the radial sector's one numeric route, exact for its
+polynomial degrees.
 """
 
 from __future__ import annotations
@@ -21,14 +20,10 @@ __all__ = [
     "DEGREE_CAP",
     "QuadratureRule",
     "hermite",
-    "hermite_coeffs",
     "laguerre",
-    "laguerre_coeffs",
     "sph_harm",
     "hermite_norm_const",
     "laguerre_norm_const",
-    "gaussian_moment",
-    "radial_moment",
     "make_rule",
 ]
 
@@ -59,22 +54,6 @@ def hermite(n: int, x):
     return h
 
 
-@lru_cache(maxsize=None)
-def hermite_coeffs(n: int) -> tuple[float, ...]:
-    """Coefficients of H_n in ascending powers."""
-    _check_degree(n, "n")
-    if n == 0:
-        return (1.0,)
-    prev = np.array([1.0])
-    cur = np.array([0.0, 2.0])
-    for k in range(1, n):
-        nxt = np.zeros(k + 2)
-        nxt[1:] = 2.0 * cur
-        nxt[: k] -= 2.0 * k * prev
-        prev, cur = cur, nxt
-    return tuple(cur)
-
-
 def laguerre(u: int, alpha: float, x):
     """Generalized Laguerre polynomial L_u^{(alpha)}(x), alpha > -1.
 
@@ -91,26 +70,6 @@ def laguerre(u: int, alpha: float, x):
     for k in range(1, u):
         l_cur, l_prev = ((2.0 * k + 1.0 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1.0), l_cur
     return l_cur
-
-
-@lru_cache(maxsize=None)
-def laguerre_coeffs(u: int, alpha: float) -> tuple[float, ...]:
-    """Coefficients of L_u^{(alpha)} in ascending powers."""
-    _check_degree(u, "u")
-    if alpha <= -1:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    if u == 0:
-        return (1.0,)
-    prev = np.array([1.0])
-    cur = np.array([1.0 + alpha, -1.0])
-    for k in range(1, u):
-        nxt = np.zeros(k + 2)
-        nxt[: k + 1] = (2.0 * k + 1.0 + alpha) * cur
-        nxt[1:] -= cur
-        nxt[: k] -= (k + alpha) * prev
-        nxt /= k + 1.0
-        prev, cur = cur, nxt
-    return tuple(cur)
 
 
 def _legendre_normalized(l: int, m: int, x):
@@ -174,31 +133,6 @@ def laguerre_norm_const(u: int, l: int) -> float:
         raise ValueError("u and l must be non-negative")
     log_n = 0.5 * (math.log(2.0) + math.lgamma(u + 1.0) - math.lgamma(u + l + 1.5))
     return math.exp(log_n)
-
-
-@lru_cache(maxsize=None)
-def gaussian_moment(k: int) -> float:
-    """Exact moment of the full-line Gaussian weight:
-    integral of x^k exp(-x^2) over the real line.
-
-    Zero for odd k; for even k follows the double-factorial recursion
-    M_k = (k-1)/2 * M_{k-2} with M_0 = sqrt(pi).
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k % 2 == 1:
-        return 0.0
-    if k == 0:
-        return math.sqrt(math.pi)
-    return 0.5 * (k - 1) * gaussian_moment(k - 2)
-
-
-def radial_moment(k: int) -> float:
-    """Exact half-line radial moment:
-    integral of rho^(2k) exp(-rho^2) rho^2 drho over [0, inf) = M_(2k+2) / 2."""
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    return 0.5 * gaussian_moment(2 * k + 2)
 
 
 @dataclass(frozen=True, eq=False)

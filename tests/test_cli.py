@@ -449,6 +449,89 @@ class TestDeterminism:
         assert (json.dumps(report, indent=2) + "\n").encode() == body_of(proc.stdout)
 
 
+# --- report emission --------------------------------------------------------
+
+_EDGE_TEXT = st.sampled_from(['"', '", "', '"[', "[", "]", "{}", "[]", "], [", "},\n  {",
+                              ",\n    ", ": ", "\\", "\n", "", "\u03c8\u2248\u00fc"])
+_TEXT = st.one_of(st.text(max_size=6), _EDGE_TEXT)
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20),
+                    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+                    _TEXT)
+_ROWS = st.one_of(
+    st.lists(st.lists(_SCALAR, max_size=4), max_size=4),   # ragged, with empty rows
+    st.lists(st.lists(st.floats(allow_nan=True), min_size=3, max_size=3), max_size=4),
+    st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=3), max_size=4),
+    st.lists(st.tuples(_SCALAR, _SCALAR), max_size=3),
+    st.lists(st.one_of(st.lists(_SCALAR, min_size=1, max_size=3),
+                       st.dictionaries(_TEXT, _SCALAR, min_size=1, max_size=3)), max_size=4),
+    st.lists(st.lists(st.lists(st.lists(_SCALAR, max_size=2), max_size=2), max_size=2), max_size=2),
+)
+_TREE = st.recursive(st.one_of(_SCALAR, _ROWS),
+                     lambda kids: st.one_of(st.lists(kids, max_size=4),
+                                            st.dictionaries(_TEXT, kids, max_size=4)),
+                     max_leaves=16)
+
+
+def _emitted(monkeypatch, argv):
+    """(stdout, exit code, the report dict _finish was given) of one in-process run."""
+    reports = []
+    finish = cli._finish
+
+    def spy(args, t0, report, header, rows):
+        reports.append(report)
+        return finish(args, t0, report, header, rows)
+
+    monkeypatch.setattr(cli, "_finish", spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return out.getvalue(), code, reports[0]
+
+
+class TestEmitter:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tree=_TREE)
+    def test_generated_trees_match_indent_2(self, tree):
+        assert cli._emit(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("tree", [
+        [[1, [2]], 3], [[1], {"a": 1}], [[1], (2, 3)], [[], [1]], [[1], []], [{}, {"a": 1}],
+        [{"a": []}], [["x, y", "]"], ["[", "{"]], {"k": [[1.5, -0.0], [math.nan, -math.inf]]},
+        [[True, False], [None, 2]], {1: [1], 2.5: {"a": None}, True: [], None: {}},
+    ], ids=repr)
+    def test_mixed_and_empty_rows_match_indent_2(self, tree):
+        assert cli._emit(tree) == json.dumps(tree, indent=2)
+
+    @pytest.mark.parametrize("command, kind, flags", [
+        *(("gram", kind, flags) for kind in ("ho1d", "radial", "spherical")
+          for flags in ([], ["--conjugate-angular"])),
+        ("gram", "ho1d", ["--quad-order", "3"]),  # a failed check, with warning strings
+        ("spectrum", "ho1d", []),
+        ("sample", "ho1d", ["--grid", "-2:2:5"]),
+        ("sample", "radial", ["--grid", "0.5:4:6"]),
+    ])
+    def test_command_reports_are_indent_2_bytes(self, command, kind, flags, tmp_path, monkeypatch):
+        states = {
+            "ho1d": HO1D + [{"kind": "ho1d", "n": 8, "m": 3, "theta": 0.5}],
+            "radial": [{"kind": "radial", "u": 0, "v": 1, "l": 1, "theta": 0.4},
+                       {"kind": "radial", "u": 2, "v": 0, "l": 1, "theta": 1.1}],
+            "spherical": [{"kind": "spherical", "l": 2, "m1": 1, "m2": -2, "theta": 0.4},
+                          {"kind": "spherical", "l": 1, "m1": 0, "m2": 1, "theta": 0.4}],
+        }[kind]
+        path = write_states(tmp_path / "s.jsonl", states[:1] if command == "sample" else states)
+        text, _, report = _emitted(monkeypatch, [command, "--states", path, *flags])
+        wall = json.loads(text)["wall_time_s"]
+        assert text == json.dumps({**report, "wall_time_s": wall}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("suite", ["algebra", "ladder", "residual", "radial", "angular", "all"])
+    def test_verify_reports_are_indent_2_bytes(self, suite, monkeypatch):
+        text, code, report = _emitted(monkeypatch, ["verify", suite])
+        assert code == 0
+        wall = json.loads(text)["wall_time_s"]
+        assert text == json.dumps({**report, "wall_time_s": wall}, indent=2) + "\n"
+
+
 class TestUnitsAndFlags:
     def test_energy_unit_follows_params(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl", [{"kind": "ho1d", "n": 1, "m": 1, "theta": 0.2}])

@@ -5,17 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import binom, eval_genlaguerre, eval_hermite, roots_genlaguerre, sph_harm_y
 
+from monomial_refs import gaussian_moment, hermite_coeffs, laguerre_coeffs, radial_moment
 from quatosc.specfun import (
     DEGREE_CAP,
-    gaussian_moment,
     hermite,
-    hermite_coeffs,
     hermite_norm_const,
     laguerre,
-    laguerre_coeffs,
     laguerre_norm_const,
     make_rule,
-    radial_moment,
     sph_harm,
 )
 

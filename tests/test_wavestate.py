@@ -239,6 +239,16 @@ class TestHighDegree:
                 want = float(norm * mpmath.hermite(n, big_x) * mpmath.exp(-big_x * big_x / 2))
                 assert evaluate(psi_n(n), x).x0 == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 120, 200])
+    def test_position_square_matches_mpmath(self, n):
+        # <X^2> = |X phi_n|^2, from the bands X phi_n = sqrt(n/2) phi_(n-1) + sqrt((n+1)/2) phi_(n+1)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            want = float(mpmath.sqrt(mpmath.mpf(n) / 2) ** 2 + mpmath.sqrt(mpmath.mpf(n + 1) / 2) ** 2)
+        got = expectation(mul_x(0) * mul_x(0), psi_n(n), 0.0)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert want == n + 0.5
+
 
 class TestExpectation:
     def test_position_odd(self):
