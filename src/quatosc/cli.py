@@ -418,7 +418,7 @@ def cmd_gram(args) -> int:
         "checks": checks,
     }
     header = [f"g{j}" for j in range(len(labels))]
-    return _finish(args, t0, report, header, [[float(x) for x in row] for row in g.entries])
+    return _finish(args, t0, report, header, results["entries"])
 
 
 # --- verify suites ---------------------------------------------------------

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import GramMatrix, QPair, _family_gram, _level, _pair_modes, _sample_points, hamiltonian
-from .specfun import _check_degree, laguerre, laguerre_norm_const, make_rule, sph_harm
+from .specfun import _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
 from .wavestate import Mode, PhysicalParams, WaveState, expectation
 
 __all__ = [
@@ -291,8 +290,7 @@ class QSphericalHarmonic:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError(f"l must be non-negative, got {self.l}")
+        _check_degree(self.l, "l")
         if abs(self.m1) > self.l or abs(self.m2) > self.l:
             raise ValueError(f"azimuthal indices out of range for l={self.l}")
 
@@ -332,24 +330,34 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
     by Gauss-Legendre x uniform-azimuth quadrature.  Y_l^m(polar, azimuth) =
     Y_l^m(polar, 0) exp(i m azimuth) on a tensor-product rule, so each slot's
     node sum factors: Re sum_s (F_s W F_s^T) o (E_s V E_s^H), with F_s the real
-    polar profiles and E_s the azimuth phases exp(+-i m azimuth) on the nodes."""
+    polar profiles and E_s the azimuth phases exp(+-i m azimuth) on the nodes.
+    The Legendre rows of every state come from one pass per distinct |m| over
+    the polar nodes and the parallelism test's sample angles together."""
     specs = tuple(specs)
     n = len(specs)
     gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
-    polar = np.arccos(gl.nodes)
-    profile = cache(lambda l, m: sph_harm(l, m, polar, 0.0).real)
-    entries = np.zeros((n, n))
-    for mix, m, sign in ((math.cos, "m1", 1), (math.sin, "m2", -1 if conjugate_slot1 else 1)):
-        f = np.reshape([mix(s.theta) * profile(s.l, getattr(s, m)) for s in specs], (n, n_polar))
-        polar_sum = (f * gl.weights) @ f.T
-        # one azimuth row per distinct frequency k, spread back to the states
-        k, row = np.unique([sign * getattr(s, m) for s in specs], return_inverse=True)
-        e = np.exp(1j * np.outer(k, az.nodes))
-        entries += (polar_sum * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
     thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
-    values = np.array([qsph_harm(spec, conjugate_slot1).components(thetas, phis) for spec in specs])
-    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs],
-                        values.reshape(n, 2, len(thetas)).swapaxes(0, 1), 0.0, parallel_tol)
+    x = np.cos(np.concatenate([np.arccos(gl.nodes), thetas]))
+    ms = np.array([[s.m1 for s in specs], [s.m2 for s in specs]], dtype=int)
+    ls = np.broadcast_to([s.l for s in specs], (2, n))
+    leg = np.empty((2, n, len(x)))
+    for order in set(np.abs(ms).flat):
+        at = np.abs(ms) == order
+        degrees = sorted(set(ls[at].tolist()))
+        leg[at] = _legendre_rows(int(order), degrees, x)[np.searchsorted(degrees, ls[at])]
+    leg *= ((-1.0) ** np.minimum(ms, 0))[..., None]  # Y_l^-m = (-1)^m conj(Y_l^m)
+    mix = np.array([[math.cos(s.theta) for s in specs], [math.sin(s.theta) for s in specs]]).reshape(2, n, 1)
+    # azimuth frequencies: Y_l^m carries exp(i m azimuth), conjugate_slot1 negates slot 1's
+    freqs = ms * np.array([[1], [-1 if conjugate_slot1 else 1]])
+    f = mix * leg[..., :n_polar]
+    entries = np.zeros((n, n))
+    for fs, ks in zip(f, freqs):
+        # one azimuth row per distinct frequency k, spread back to the states
+        k, row = np.unique(ks, return_inverse=True)
+        e = np.exp(1j * np.outer(k, az.nodes))
+        entries += (((fs * gl.weights) @ fs.T) * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
+    values = mix * (leg[..., n_polar:] * np.exp(1j * freqs[..., None] * phis))
+    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values, 0.0, parallel_tol)
 
 
 def full_spherical_energy(u: int, v: int, l: int, theta: float = 0.0,

@@ -182,11 +182,16 @@ def _hamiltonian(params: PhysicalParams, dims: int) -> Operator:
     return terms[0] if dims == 1 else op_add(*terms)
 
 
-def _sample_points(*ranges) -> list[np.ndarray]:
+@cache
+def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
     """The fixed pseudo-random sample coordinates of the parallelism test,
-    one array per (low, high) range, drawn in order from one seeded stream."""
+    one read-only array per (low, high) range, drawn in order from one seeded
+    stream once per process."""
     rng = np.random.default_rng(_SAMPLE_SEED)
-    return [rng.uniform(low, high, size=_SAMPLE_COUNT) for low, high in ranges]
+    points = tuple(rng.uniform(low, high, size=_SAMPLE_COUNT) for low, high in ranges)
+    for p in points:
+        p.setflags(write=False)
+    return points
 
 
 def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,

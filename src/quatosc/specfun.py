@@ -1,11 +1,12 @@
 """Special functions, normalization constants and quadrature rules.
 
 Hermite and generalized Laguerre polynomials are evaluated by their
-three-term recurrences (stable, no factorial ratios), spherical harmonics
-by a normalized associated Legendre recurrence with the Condon-Shortley
-phase.  The quadrature rules cross-check the Cartesian coefficient inner
-products and are the radial sector's one numeric route, exact for its
-polynomial degrees.
+three-term recurrences (stable, no factorial ratios).  Spherical harmonics
+take their normalized associated Legendre factor, Condon-Shortley phase,
+from one upward pass over the degree per order m, which yields every
+degree a family asks for at that order at once.  The quadrature rules
+cross-check the Cartesian coefficient inner products and are the radial
+sector's one numeric route, exact for its polynomial degrees.
 """
 
 from __future__ import annotations
@@ -72,42 +73,57 @@ def laguerre(u: int, alpha: float, x):
     return l_cur
 
 
-def _legendre_normalized(l: int, m: int, x):
-    """sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(x) for m >= 0, Condon-Shortley.
+def _degree_step(k: int, m: int) -> tuple[float, float]:
+    """Coefficients (a, b) of the normalized degree recurrence
+    P_k^m = a (x P_(k-1)^m - b P_(k-2)^m), k >= m + 2."""
+    a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+    b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+    return a, b
 
-    Normalized recurrence: seeds the diagonal, then raises the degree.
+
+def _legendre_rows(m: int, degrees, x) -> np.ndarray:
+    """sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(x) for m >= 0, Condon-Shortley,
+    one row per degree l of the sorted, distinct degrees (each >= m).
+
+    One pass: seeds the diagonal P_m^m, then raises the degree up to the last
+    one asked for, keeping only the two previous rows (Holmes & Featherstone,
+    J. Geodesy 76, 2002).
     """
-    p_mm = np.full_like(np.asarray(x, dtype=float), 1.0 / math.sqrt(4.0 * math.pi))
+    x = np.asarray(x, dtype=float)
+    rows = np.empty((len(degrees), *x.shape))
+    cur = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
     if m > 0:
-        s = np.sqrt(np.maximum(1.0 - np.asarray(x, dtype=float) ** 2, 0.0))
+        s = np.sqrt(np.maximum(1.0 - x ** 2, 0.0))
         for k in range(1, m + 1):
-            p_mm = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * p_mm
-    if l == m:
-        return p_mm
-    p_next = math.sqrt(2.0 * m + 3.0) * np.asarray(x, dtype=float) * p_mm
-    if l == m + 1:
-        return p_next
-    for k in range(m + 2, l + 1):
-        a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-        b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-        p_next, p_mm = a * (np.asarray(x, dtype=float) * p_next - b * p_mm), p_next
-    return p_next
+            cur = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * cur
+    j = 0
+    for k in range(m, degrees[-1] + 1):
+        if k == m + 1:
+            prev, cur = cur, math.sqrt(2.0 * m + 3.0) * x * cur
+        elif k > m + 1:
+            a, b = _degree_step(k, m)
+            prev, cur = cur, a * (x * cur - b * prev)
+        if degrees[j] == k:
+            rows[j] = cur
+            j += 1
+    return rows
 
 
 def sph_harm(l: int, m: int, theta, phi):
-    """Orthonormal complex spherical harmonic Y_l^m(theta, phi).
+    """Orthonormal complex spherical harmonic Y_l^m(theta, phi), 0 <= l <= DEGREE_CAP.
 
     theta is the polar angle, phi the azimuth; Condon-Shortley phase.
-    Accepts scalars or broadcastable numpy arrays.
+    Accepts scalars or broadcastable numpy arrays.  The Legendre factor is
+    the one-degree case of _legendre_rows, the pass angular_gram runs once
+    per |m| for a whole family.
     """
-    if l < 0:
-        raise ValueError(f"l must be non-negative, got {l}")
+    _check_degree(l, "l")
     if abs(m) > l:
         raise ValueError(f"m={m} out of range for l={l}")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ma = abs(m)
-    leg = _legendre_normalized(l, ma, np.cos(theta))
+    leg = _legendre_rows(ma, [l], np.cos(theta))[0]
     y = leg * np.exp(1j * ma * phi)
     if m < 0:
         y = (-1.0) ** ma * np.conj(y)

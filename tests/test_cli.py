@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatosc import cli, multidim, wavestate
+from quatosc import cli, multidim, oscillator1d, specfun, wavestate
 
 def run_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
@@ -90,6 +91,33 @@ class TestSpectrum:
         lines = proc.stdout.decode().splitlines()
         assert lines[0].startswith("n,m,theta,energy")
         assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + len(HO1D)
+
+    @pytest.mark.parametrize("kind", ["ho1d", "radial", "spherical"])
+    def test_gram_csv_rows_are_the_entries(self, kind, tmp_path):
+        # the rows written as [[float(x) for x in row] for row in g.entries], bytes pinned
+        descriptors = {
+            "ho1d": HO1D + [{"kind": "ho1d", "n": 8, "m": 3, "theta": 0.5}],
+            "radial": [{"kind": "radial", "u": 0, "v": 1, "l": 1, "theta": 0.4},
+                       {"kind": "radial", "u": 2, "v": 0, "l": 1, "theta": 1.1}],
+            "spherical": [{"kind": "spherical", "l": 2, "m1": 1, "m2": -2, "theta": 0.4},
+                          {"kind": "spherical", "l": 1, "m1": 0, "m2": 1, "theta": 0.4}],
+        }[kind]
+        if kind == "ho1d":
+            g = oscillator1d.gram([oscillator1d.QPair(d["n"], d["m"], d["theta"]) for d in descriptors])
+        elif kind == "radial":
+            g = multidim.radial_gram([multidim.radial_state(d["u"], d["v"], d["l"], d["theta"])
+                                      for d in descriptors])
+        else:
+            g = multidim.angular_gram([multidim.QSphericalHarmonic(d["l"], d["m1"], d["m2"], d["theta"])
+                                       for d in descriptors])
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow([f"g{j}" for j in range(len(descriptors))])
+        writer.writerows([repr(v) for v in row] for row in [[float(x) for x in r] for r in g.entries])
+        path = write_states(tmp_path / "s.jsonl", descriptors)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["gram", "--states", path, "--format", "csv"]) == 0
+        assert body_of(out.getvalue().encode()) == want.getvalue().encode()
 
     def test_low_quadrature_order_warns_in_report(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl",
@@ -257,6 +285,31 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and len(err.getvalue().splitlines()) == 1
 
+    @pytest.mark.parametrize("l", [201, 10**6])
+    def test_spherical_label_above_cap_rejected(self, l, tmp_path):
+        # l = 10**6 must be rejected at once, not run a million-step Legendre pass
+        states = write_states(tmp_path / "s.jsonl",
+                              [{"kind": "spherical", "l": l, "m1": 0, "m2": 0, "theta": 0.3}])
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["gram", "--states", states])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and len(err.getvalue().splitlines()) == 1
+        proc = run_cli("gram", "--states", states)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert len(proc.stderr.decode().splitlines()) == 1
+
+    def test_spherical_gram_at_the_cap(self, tmp_path):
+        states = write_states(tmp_path / "s.jsonl", [
+            {"kind": "spherical", "l": l, "m1": m1, "m2": m2, "theta": 0.7}
+            for l, m1, m2 in [(200, 0, 1), (200, 200, -200), (199, 5, -7), (150, 150, 149),
+                              (0, 0, 0), (1, -1, 1), (200, -3, 3)]])
+        proc = run_cli("gram", "--states", states, "--quad-order", "201")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["checks"]["max_closed_form_deviation"] <= 1e-12
+
     def test_radial_gram_at_the_cap(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl", [
             {"kind": "radial", "u": 200, "v": 199, "l": 2, "theta": 0.7},
@@ -309,6 +362,33 @@ class TestRadialNegativeControls:
         code, report = self._verify_radial()
         assert code == 3
         assert "radial_gram_matches_closed_form" in report["checks"]["failed"]
+
+
+class TestAngularNegativeControls:
+    # a wrong coefficient in the Legendre degree recurrence makes the angular checks exit 3
+
+    @pytest.fixture(autouse=True)
+    def wrong_degree_step(self, monkeypatch):
+        def step(k, m):  # b with (k - 1)^2 + m^2 in place of (k - 1)^2 - m^2
+            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
+            return a, math.sqrt(((k - 1.0) ** 2 + m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
+        monkeypatch.setattr(specfun, "_degree_step", step)
+
+    def test_verify_angular_fails(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "angular"])
+        assert code == 3
+        assert "angular_gram_matches_closed_form" in json.loads(out.getvalue())["checks"]["failed"]
+
+    def test_spherical_gram_fails(self, tmp_path):
+        states = write_states(tmp_path / "s.jsonl", [
+            {"kind": "spherical", "l": 3, "m1": 1, "m2": -2, "theta": 0.4},
+            {"kind": "spherical", "l": 5, "m1": 1, "m2": 0, "theta": 0.4}])
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["gram", "--states", states])
+        assert code == 3
+        assert json.loads(out.getvalue())["checks"]["within_tolerance"] is False
 
 
 class TestNegativeControls:

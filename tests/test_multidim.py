@@ -363,6 +363,22 @@ class TestQSphericalHarmonic:
         with pytest.raises(ValueError):
             QSphericalHarmonic(1, 0, -2, 0.0)
 
+    def test_degree_cap(self):
+        QSphericalHarmonic(DEGREE_CAP, -DEGREE_CAP, DEGREE_CAP, 0.3)
+        for l in (DEGREE_CAP + 1, 10**6):
+            with pytest.raises(ValueError, match="degree cap"):
+                QSphericalHarmonic(l, 0, 0, 0.3)
+
+
+def _sum_over_every_sphere_node(specs, n_polar, n_azimuth, conjugate):
+    """Reference Gram: the slot-diagonal product summed over the full tensor-product grid."""
+    gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
+    polar, azimuth = np.meshgrid(np.arccos(gl.nodes), az.nodes, indexing="ij")
+    w = np.outer(gl.weights, az.weights)
+    z = [qsph_harm(s, conjugate).components(polar, azimuth) for s in specs]
+    return np.array([[sum(np.sum(w * a * np.conj(b)).real for a, b in zip(za, zb)) for zb in z]
+                     for za in z])
+
 
 class TestAngularGram:
     def test_different_l_orthogonal(self):
@@ -401,14 +417,23 @@ class TestAngularGram:
             m1, m2 = (int(m) for m in rng.integers(-l, l + 1, size=2))
             specs.append(QSphericalHarmonic(l, m1, m2, float(rng.uniform(0.0, math.pi))))
         specs.append(QSphericalHarmonic(8, -8, -7, 0.4))
-        gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
-        polar, azimuth = np.meshgrid(np.arccos(gl.nodes), az.nodes, indexing="ij")
-        w = np.outer(gl.weights, az.weights)
-        z = [qsph_harm(s, conjugate).components(polar, azimuth) for s in specs]
-        want = np.array([[sum(np.sum(w * a * np.conj(b)).real for a, b in zip(za, zb)) for zb in z]
-                         for za in z])
+        want = _sum_over_every_sphere_node(specs, n_polar, n_azimuth, conjugate)
         g = angular_gram(specs, n_polar, n_azimuth, conjugate_slot1=conjugate)
         np.testing.assert_allclose(g.entries, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_mixed_family_matches_sum_over_every_sphere_node(self, conjugate):
+        # l = 0..30: orders shared across degrees and slots, negative m, |m| = l
+        rng = np.random.default_rng(30)
+        specs = [QSphericalHarmonic(l, -min(l, 2), min(l, 3), 0.6) for l in range(31)]
+        for l in range(31):
+            m1, m2 = (int(m) for m in rng.integers(-l, l + 1, size=2))
+            specs.append(QSphericalHarmonic(l, m1, m2, float(rng.uniform(0.0, math.pi))))
+        specs += [QSphericalHarmonic(30, -30, 30, 0.2), QSphericalHarmonic(29, 29, -29, 0.2)]
+        want = _sum_over_every_sphere_node(specs, 64, 128, conjugate)
+        g = angular_gram(specs, 64, 128, conjugate_slot1=conjugate)
+        np.testing.assert_allclose(g.entries, want, rtol=0, atol=1e-14)
+        assert g.max_closed_form_deviation() <= 1e-12
 
     def test_coarse_azimuth_rule_aliases(self):
         # on 2 azimuth nodes exp(-2i phi) sums to 2 pi, not 0: Y_1^-1 and Y_1^1 overlap

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from quatosc import oscillator1d
 from quatosc.oscillator1d import (
     QPair,
     build_via_ladder,
@@ -110,6 +111,16 @@ class TestEnergy:
 
 
 class TestGram:
+    def test_sample_points_drawn_once(self):
+        # one read-only draw per process, the same values as a fresh seeded stream
+        ranges = ((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
+        points = oscillator1d._sample_points(*ranges)
+        assert isinstance(points, tuple) and oscillator1d._sample_points(*ranges) is points
+        rng = np.random.default_rng(oscillator1d._SAMPLE_SEED)
+        for p, (low, high) in zip(points, ranges):
+            assert not p.flags.writeable
+            np.testing.assert_array_equal(p, rng.uniform(low, high, size=oscillator1d._SAMPLE_COUNT))
+
     def test_disjoint_pairs_identity(self):
         pairs = [QPair(0, 1, 0.6), QPair(2, 3, 0.6)]
         g = gram(pairs, 0.0)

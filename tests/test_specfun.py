@@ -8,6 +8,7 @@ from scipy.special import binom, eval_genlaguerre, eval_hermite, roots_genlaguer
 from monomial_refs import gaussian_moment, hermite_coeffs, laguerre_coeffs, radial_moment
 from quatosc.specfun import (
     DEGREE_CAP,
+    _legendre_rows,
     hermite,
     hermite_norm_const,
     laguerre,
@@ -138,11 +139,37 @@ class TestSphHarm:
                 ref = sph_harm_y(l, m, th[:, None], ph[None, :])
                 np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("l", [40, 100, 150, 200])
+    def test_against_scipy_at_high_degree(self, l):
+        # both poles and interior polar angles, each order the degree pass treats apart
+        th = np.concatenate([[0.0, math.pi], np.linspace(0.05, math.pi - 0.05, 19)])
+        ph = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+        for m in sorted({0, 1, l // 2, l - 1, l} | {-1, -(l // 2), -(l - 1), -l}):
+            ours = sph_harm(l, m, th[:, None], ph[None, :])
+            ref = sph_harm_y(l, m, th[:, None], ph[None, :])
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
     def test_out_of_range_m(self):
         with pytest.raises(ValueError):
             sph_harm(2, 3, 0.1, 0.1)
         with pytest.raises(ValueError):
             sph_harm(-1, 0, 0.1, 0.1)
+
+    def test_degree_above_cap_rejected(self):
+        with pytest.raises(ValueError, match="degree cap"):
+            sph_harm(DEGREE_CAP + 1, 0, 0.1, 0.1)
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 150])
+    def test_legendre_rows_equal_one_degree_passes(self, m):
+        # one pass over several degrees gives each row bit for bit as a pass to that degree alone
+        polar = np.concatenate([[0.0, math.pi], np.linspace(0.1, 3.0, 11)])
+        x = np.cos(polar)
+        degrees = sorted({m, m + 1, m + 2, m + 5, 160, 199, DEGREE_CAP})
+        rows = _legendre_rows(m, degrees, x)
+        assert rows.shape == (len(degrees), len(x))
+        for l, row in zip(degrees, rows):
+            np.testing.assert_array_equal(row, _legendre_rows(m, [l], x)[0])
+            np.testing.assert_array_equal(row, sph_harm(l, m, polar, 0.0).real)
 
     def test_orthonormality_by_quadrature(self):
         gl = make_rule("gauss_legendre", 64)
