@@ -4,6 +4,10 @@ State descriptors are line-delimited JSON read from a file or stdin, e.g.
 
     {"kind": "ho1d", "n": 1, "m": 2, "theta": 0.7853981633974483}
 
+The kinds are ho1d, radial and spherical, one _KINDS record each.  An unknown
+kind, such as the library-only product and split, or one the command does not
+accept exits 2 before any state is built.
+
 Reports are emitted as JSON (default) or CSV with deterministic formatting:
 fixed key order and shortest round-trip decimals, so identical invocations
 produce byte-identical bodies.  The wall-time footer field is the only
@@ -31,10 +35,8 @@ from functools import cache
 import numpy as np
 
 from . import quaternion as qt
-# gram is unused here; the benchmark's tracer test checks this binding.
-from .oscillator1d import (  # noqa: F401
+from .oscillator1d import (
     QPair,
-    _gram_of,
     build_via_ladder,
     energy_nm,
     energy_nm_correction_form,
@@ -47,14 +49,11 @@ from .oscillator1d import (  # noqa: F401
 )
 from .multidim import (
     QSphericalHarmonic,
-    SplitSpec,
     angular_gram,
-    product_state,
     radial_energy,
     radial_gram,
     radial_ode_residual,
     radial_state,
-    split_state,
 )
 from .specfun import DEGREE_CAP, make_rule
 from .wavestate import (
@@ -131,7 +130,7 @@ def _get_signed_int(desc: dict, name: str) -> int:
     return v
 
 
-def _get_num(desc: dict, name: str, default=None) -> float:
+def _get_num(desc: dict, name: str, default: float = 0.0) -> float:
     v = desc.get(name, default)
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
         raise ValidationError(f"field {name!r} must be a finite number, got {v!r}")
@@ -153,87 +152,70 @@ def _params_for(desc: dict, args) -> PhysicalParams:
     return PhysicalParams(mu, omega, hbar)
 
 
-def _qpair(desc: dict) -> QPair:
-    return QPair(_get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
+# Each builder maps the read field values and params to (spec, state), the spec
+# bearing the labels; it looks psi_nm, radial_state or QSphericalHarmonic up in
+# this module per call, so a rebound name is the one that runs.
+
+def _ho1d(values: list, params: PhysicalParams):
+    q = QPair(*values)
+    return q, psi_nm(q, params)
 
 
-# Each builder returns (label_dict, state_object); a library ValueError on
-# the descriptor's values is a validation error, which main() reports.
-
-def _ho1d(desc: dict, args, params: PhysicalParams):
-    q = _qpair(desc)
-    return {"n": q.n, "m": q.m, "theta": q.theta}, psi_nm(q, params)
+def _radial(values: list, params: PhysicalParams):
+    state = radial_state(*values, params)
+    return state, state
 
 
-def _product(desc: dict, args, params: PhysicalParams):
-    factors = desc.get("factors")
-    if not isinstance(factors, list) or not factors:
-        raise ValidationError("'factors' must be a non-empty list")
-    qs = []
-    for f in factors:
-        if not isinstance(f, dict) or set(f) - {"n", "m", "theta"}:
-            raise ValidationError(f"invalid product factor: {f!r}")
-        qs.append(_qpair(f))
-    return ({"factors": [{"n": q.n, "m": q.m, "theta": q.theta} for q in qs]},
-            product_state(qs, params))
+def _spherical(values: list, params: PhysicalParams):
+    spec = QSphericalHarmonic(*values)
+    return spec, spec
 
 
-def _split(desc: dict, args, params: PhysicalParams):
-    dims = _get_int(desc, "dims", minimum=1)
-    for name in ("slot0_dims", "slot1_dims"):
-        v = desc.get(name)
-        if not isinstance(v, list) or not all(isinstance(k, int) and not isinstance(k, bool) for k in v):
-            raise ValidationError(f"field {name!r} must be a list of integers")
-    spec = SplitSpec(dims, frozenset(desc["slot0_dims"]), frozenset(desc["slot1_dims"]),
-                     _get_int(desc, "n"), _get_int(desc, "m"), _get_num(desc, "theta", 0.0))
-    label = {"dims": dims, "slot0_dims": sorted(spec.slot0_dims),
-             "slot1_dims": sorted(spec.slot1_dims), "n": spec.n, "m": spec.m,
-             "theta": spec.theta}
-    return label, split_state(spec, params)
-
-
-def _radial(desc: dict, args, params: PhysicalParams):
-    state = radial_state(_get_int(desc, "u"), _get_int(desc, "v"), _get_int(desc, "l"),
-                         _get_num(desc, "theta", 0.0), params)
-    return {"u": state.u, "v": state.v, "l": state.l, "theta": state.theta}, state
-
-
-def _spherical(desc: dict, args, params: PhysicalParams):
-    spec = QSphericalHarmonic(_get_int(desc, "l"), _get_signed_int(desc, "m1"),
-                              _get_signed_int(desc, "m2"), _get_num(desc, "theta", 0.0))
-    return {"l": spec.l, "m1": spec.m1, "m2": spec.m2, "theta": spec.theta}, spec
-
-
-# state kind -> (descriptor fields besides "kind" and "params", builder)
+# state kind -> (field readers in label order, commands accepting it, builder)
 _KINDS = {
-    "ho1d": ({"n", "m", "theta"}, _ho1d),
-    "product": ({"factors"}, _product),
-    "split": ({"dims", "slot0_dims", "slot1_dims", "n", "m", "theta"}, _split),
-    "radial": ({"u", "v", "l", "theta"}, _radial),
-    "spherical": ({"l", "m1", "m2", "theta"}, _spherical),
+    "ho1d": ({"n": _get_int, "m": _get_int, "theta": _get_num}, ("spectrum", "gram", "sample"), _ho1d),
+    "radial": ({"u": _get_int, "v": _get_int, "l": _get_int, "theta": _get_num}, ("gram", "sample"), _radial),
+    "spherical": ({"l": _get_int, "m1": _get_signed_int, "m2": _get_signed_int, "theta": _get_num},
+                  ("gram",), _spherical),
 }
 
 
-def _check_kinds(descriptors: list[dict], command: str, accepted: tuple[str, ...]) -> None:
-    """Rejects an unknown kind, or one the command does not accept, before
-    any state is built."""
+class _NoStates(Exception):
+    """An empty descriptor file (exit code 1)."""
+
+
+def _descriptors(args, command: str, single: bool = False) -> list[dict]:
+    """The --states descriptors, checked for all that needs no state: an
+    empty file, more than one descriptor where single, an unknown kind, one
+    the command does not accept, and a mix of kinds."""
+    descriptors = _load_descriptors(args.states)
+    if not descriptors:
+        raise _NoStates("no state descriptors provided")
+    if single and len(descriptors) != 1:
+        raise ValidationError(f"{command} expects exactly one state descriptor")
+    accepted = [kind for kind, (_, commands, _) in _KINDS.items() if command in commands]
     for kind in (d.get("kind") for d in descriptors):
         if not isinstance(kind, str) or kind not in _KINDS:
             raise ValidationError(f"unknown state kind: {kind!r}")
         if kind not in accepted:
             raise ValidationError(f"{command} accepts {'/'.join(accepted)} only, got {kind!r}")
+    kinds = {d["kind"] for d in descriptors}
+    if len(kinds) > 1:
+        raise ValidationError(f"{command} requires homogeneous state kinds, got {sorted(kinds)}")
+    return descriptors
 
 
-def _build_state(desc: dict, args):
-    """Returns (kind, label_dict, state_object, params) for a checked kind."""
-    kind = desc["kind"]
-    fields, build = _KINDS[kind]
-    extra = set(desc) - fields - {"kind", "params"}
+def _build(desc: dict, args) -> tuple:
+    """(spec, label, state, params) of a checked descriptor; a library
+    ValueError on the descriptor's values is a validation error, which
+    main() reports."""
+    readers, _, build = _KINDS[desc["kind"]]
+    extra = set(desc) - readers.keys() - {"kind", "params"}
     if extra:
-        raise ValidationError(f"unknown fields for kind {kind!r}: {sorted(extra)}")
+        raise ValidationError(f"unknown fields for kind {desc['kind']!r}: {sorted(extra)}")
     params = _params_for(desc, args)
-    label, state = build(desc, args, params)
-    return kind, label, state, params
+    spec, state = build([read(desc, name) for name, read in readers.items()], params)
+    return spec, {name: getattr(spec, name) for name in readers}, state, params
 
 
 def _quad_order(args, default: int) -> int:
@@ -313,19 +295,14 @@ def _finish(args, t0: float, report: dict, header: list[str], rows: list[list]) 
 
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
-    descriptors = _load_descriptors(args.states)
-    if not descriptors:
-        sys.stderr.write("spectrum: no state descriptors provided\n")
-        return EXIT_USAGE
-    _check_kinds(descriptors, "spectrum", ("ho1d",))
-    built = [_build_state(desc, args) for desc in descriptors]
+    descriptors = _descriptors(args, "spectrum")
+    built = [_build(desc, args) for desc in descriptors]
     # apply(H) raises the degree by two, so order top + 2 is exact for the family
-    quad_order = _quad_order(args, max(max(b[1]["n"], b[1]["m"]) for b in built) + 2)
+    quad_order = _quad_order(args, max(max(q.n, q.m) for q, *_ in built) + 2)
     rows = []
     rules = [make_rule("gauss_hermite", quad_order)]
     caught: list[str] = []
-    for _kind, label, state, params in built:
-        q = QPair(label["n"], label["m"], label["theta"])
+    for q, _label, state, params in built:
         unit = params.energy_quantum
         e_closed = energy_nm(q, params) / unit
         e_forms = energy_nm_correction_form(q, params) / unit
@@ -363,28 +340,18 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gram(args) -> int:
     t0 = time.perf_counter()
-    descriptors = _load_descriptors(args.states)
-    if not descriptors:
-        sys.stderr.write("gram: no state descriptors provided\n")
-        return EXIT_USAGE
-    _check_kinds(descriptors, "gram", ("ho1d", "radial", "spherical"))
-    kinds = {d["kind"] for d in descriptors}
-    if len(kinds) > 1:
-        raise ValidationError(f"gram requires homogeneous state kinds, got {sorted(kinds)}")
-    built = [_build_state(d, args) for d in descriptors]
-    kind = built[0][0]
-    if len({b[3] for b in built}) > 1:
+    descriptors = _descriptors(args, "gram")
+    specs, labels, states, family_params = zip(*[_build(desc, args) for desc in descriptors])
+    if len(set(family_params)) > 1:
         raise ValidationError("gram requires all states to share physical parameters")
-    params = built[0][3]
-    labels = [b[1] for b in built]
-    states = [b[2] for b in built]
-    results: dict = {"kind": kind, "labels": labels}
+    params = family_params[0]
+    kind = descriptors[0]["kind"]
+    results: dict = {"kind": kind, "labels": list(labels)}
     checks: dict = {}
     quad_order = args.quad_order  # unused by radial families, whose rule order is exact
     if kind == "ho1d":
-        g = _gram_of(tuple(QPair(l["n"], l["m"], l["theta"]) for l in labels),
-                     states, args.time, params)
-        quad_order = _quad_order(args, max(max(l["n"], l["m"]) for l in labels) + 1)
+        g = gram(specs, args.time, params, states=states)
+        quad_order = _quad_order(args, max(max(q.n, q.m) for q in specs) + 1)
         with warnings.catch_warnings(record=True) as grabbed:
             warnings.simplefilter("always")
             quad = quad_gram(states, states, args.time, [make_rule("gauss_hermite", quad_order)])
@@ -591,16 +558,10 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def cmd_sample(args) -> int:
     t0 = time.perf_counter()
-    descriptors = _load_descriptors(args.states)
-    if not descriptors:
-        sys.stderr.write("sample: no state descriptors provided\n")
-        return EXIT_USAGE
-    if len(descriptors) != 1:
-        raise ValidationError("sample expects exactly one state descriptor")
-    _check_kinds(descriptors, "sample", ("ho1d", "radial"))
+    descriptors = _descriptors(args, "sample", single=True)
     grid = _parse_grid(args.grid)
-    kind, label, state, _params = _build_state(descriptors[0], args)
-    if kind == "ho1d":
+    _spec, _label, state, _params = _build(descriptors[0], args)
+    if descriptors[0]["kind"] == "ho1d":
         z0, z1 = (z[0] for z in evaluate_points([state], grid, args.time))
     else:
         if np.any(grid <= 0):
@@ -673,6 +634,9 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return commands[args.command](args)
+    except _NoStates as exc:
+        sys.stderr.write(f"{args.command}: {exc}\n")
+        return EXIT_USAGE
     except ValueError as exc:
         # ValidationError, or a library ValueError on the given inputs
         sys.stderr.write(f"quatosc {args.command}: {exc}\n")

@@ -79,9 +79,8 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
 class SplitSpec:
     """Two-slot state whose slots oscillate along chosen dimension sets.
 
-    slot0_dims and slot1_dims must jointly cover every dimension; by
-    default they must also be disjoint (pass allow_overlap to split_state
-    to lift that).
+    slot0_dims and slot1_dims must jointly cover every dimension; they may
+    overlap (dims = 1 with both sets {0} is the one-dimensional psi_nm).
     """
 
     dims: int
@@ -103,20 +102,19 @@ class SplitSpec:
             raise ValueError("slot0_dims and slot1_dims must jointly cover all dimensions")
 
 
-def split_state(spec: SplitSpec, params: PhysicalParams | None = None,
-                allow_overlap: bool = False) -> WaveState:
+def split_state(spec: SplitSpec, params: PhysicalParams | None = None) -> WaveState:
     """Build the split state: slot 0 oscillates at level n along slot0_dims,
     slot 1 at level m along slot1_dims; every other dimension carries the
-    normalized ground Gaussian so the state stays unit norm."""
+    normalized ground Gaussian so the state stays unit norm.  A slot's energy,
+    and so its time phase, is (len(dims_set) level + dims/2) hbar omega: each
+    padded axis adds its zero-point hbar omega/2."""
     params = params or PhysicalParams()
-    if not allow_overlap and spec.slot0_dims & spec.slot1_dims:
-        raise ValueError("slot dimension sets overlap; pass allow_overlap=True to permit this")
     omega = params.omega
     norm = params.alpha ** (0.5 * spec.dims)
 
     def slot_mode(slot, mix, level, dims_set, freq_sign):
         coefs = tuple(_level(level) if k in dims_set else _level(0) for k in range(spec.dims))
-        freq = freq_sign * len(dims_set) * (level + 0.5) * omega
+        freq = freq_sign * (len(dims_set) * level + 0.5 * spec.dims) * omega
         return Mode(slot, mix * norm, coefs, freq)
 
     mode0 = slot_mode(0, math.cos(spec.theta), spec.n, spec.slot0_dims, -1.0)

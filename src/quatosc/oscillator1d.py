@@ -221,7 +221,7 @@ def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
 
 
 def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = None,
-         parallel_tol: float = 1e-10) -> GramMatrix:
+         parallel_tol: float = 1e-10, states: list[WaveState] | None = None) -> GramMatrix:
     """Gram matrix of the states for the given quantum-number pairs.
 
     Alongside the inner products it reports the closed form and, per pair
@@ -229,15 +229,11 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     parallelism test at 5 fixed sample points and whether the angles match.
     The entries come from the Hermite-function coefficients, so they equal
     the closed form by construction; quad_gram is the route that tests them.
+    A caller already holding the states psi_nm(q, params) passes them in.
     """
     params = params or PhysicalParams()
     pairs = tuple(pairs)
-    return _gram_of(pairs, [psi_nm(q, params) for q in pairs], t, params, parallel_tol)
-
-
-def _gram_of(pairs: tuple[QPair, ...], states: list[WaveState], t: float,
-             params: PhysicalParams, parallel_tol: float = 1e-10) -> GramMatrix:
-    """gram() of pairs whose states psi_nm(q, params) are already built."""
+    states = states or [psi_nm(q, params) for q in pairs]
     xs, = _sample_points((-3.0, 3.0))
     values = evaluate_points(states, xs / params.alpha, t)
     return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs],

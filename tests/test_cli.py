@@ -241,18 +241,28 @@ class TestExitCodes:
         assert b"Traceback" not in proc.stderr
         assert len(proc.stderr.decode().splitlines()) == 1
 
-    # a command rejects a kind it does not accept before building any state:
-    # a product of k factors multiplies 2^k mode combinations
+    # a kind the command does not accept, or one the CLI does not know (the
+    # library-only product and split), exits 2 before any state is built
     @pytest.mark.parametrize("argv", [["spectrum"], ["gram"], ["sample", "--grid", "-3:3:7"]])
     def test_unsupported_kind_is_rejected_unbuilt(self, argv, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "product_state", _refuse_to_build)
-        factors = [{"n": k % 3, "m": 1, "theta": 0.4} for k in range(40)]
-        path = write_states(tmp_path / "s.jsonl", [{"kind": "product", "factors": factors}])
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main([*argv, "--states", path])
-        assert code == 2
-        assert len(err.getvalue().splitlines()) == 1
+        for name in ("psi_nm", "radial_state", "QSphericalHarmonic"):
+            monkeypatch.setattr(cli, name, _refuse_to_build)
+        radial = {"kind": "radial", "u": 0, "v": 0, "l": 0}
+        spherical = {"kind": "spherical", "l": 1, "m1": 0, "m2": 1}
+        not_accepted = {"spectrum": [radial, spherical], "gram": [], "sample": [spherical]}[argv[0]]
+        unknown = [
+            {"kind": "product", "factors": [{"n": k % 3, "m": 1, "theta": 0.4} for k in range(40)]},
+            {"kind": "split", "dims": 2, "slot0_dims": [0, 1], "slot1_dims": [1],
+             "n": 0, "m": 0, "theta": 0.4},
+        ]
+        for desc in not_accepted + unknown:
+            path = write_states(tmp_path / "s.jsonl", [desc])
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([*argv, "--states", path])
+            assert code == 2
+            assert len(err.getvalue().splitlines()) == 1
+            assert ("unknown state kind" in err.getvalue()) is (desc in unknown)
 
     def test_mixed_gram_kinds_are_rejected_unbuilt(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "psi_nm", _refuse_to_build)
@@ -638,13 +648,6 @@ class TestUnitsAndFlags:
         proc = run_cli("gram", "--states", states)
         assert proc.returncode == 2
 
-    def test_split_overlap_flag(self, tmp_path):
-        desc = {"kind": "split", "dims": 2, "slot0_dims": [0, 1], "slot1_dims": [1],
-                "n": 0, "m": 0, "theta": 0.4}
-        states = write_states(tmp_path / "s.jsonl", [desc, desc])
-        rejected = run_cli("gram", "--states", states)
-        assert rejected.returncode == 2
-
 
 def test_reused_parser_keeps_no_option_between_calls(tmp_path):
     path = write_states(tmp_path / "s.jsonl", HO1D)
@@ -694,31 +697,39 @@ _LEVEL = st.integers(0, 30)
 _THETA = st.floats(-4.0, 4.0)
 _PAIR = st.fixed_dictionaries({"n": _LEVEL, "m": _LEVEL, "theta": _THETA})
 _DIMS = st.lists(st.integers(0, 2), max_size=3)
+# values for each field reader of the CLI's kind registry
+_READ = {cli._get_int: _LEVEL, cli._get_signed_int: st.integers(-30, 30), cli._get_num: _THETA}
 _KINDS = {
-    "ho1d": _PAIR,
+    **{kind: st.fixed_dictionaries({name: _READ[read] for name, read in readers.items()})
+       for kind, (readers, _, _) in cli._KINDS.items()},
+    # library-only kinds, unknown to the CLI
     "product": st.fixed_dictionaries({"factors": st.lists(_PAIR, min_size=1, max_size=3)}),
     "split": st.fixed_dictionaries({"dims": st.integers(1, 3), "slot0_dims": _DIMS,
                                     "slot1_dims": _DIMS, "n": _LEVEL, "m": _LEVEL,
                                     "theta": _THETA}),
-    "radial": st.fixed_dictionaries({"u": _LEVEL, "v": _LEVEL, "l": _LEVEL, "theta": _THETA}),
-    "spherical": st.fixed_dictionaries({"l": _LEVEL, "m1": st.integers(-30, 30),
-                                        "m2": st.integers(-30, 30), "theta": _THETA}),
 }
 _PARAMS = st.dictionaries(st.sampled_from(["mu", "omega", "hbar"]),
                           st.one_of(st.floats(0.1, 10.0), _WRONG), max_size=2)
 
 
+def test_kind_registry_matches_the_documented_commands():
+    accepts = {command: [kind for kind, (_, commands, _) in cli._KINDS.items() if command in commands]
+               for command in ("spectrum", "gram", "sample")}
+    assert accepts == {"spectrum": ["ho1d"], "gram": ["ho1d", "radial", "spherical"],
+                       "sample": ["ho1d", "radial"]}
+
+
 @st.composite
 def _requests(draw):
-    """A command with one to three descriptors of a kind it accepts; now and
-    then a params override, and one field with a wrong type, value or kind."""
-    argv, kinds, count = draw(st.sampled_from([
-        (["spectrum"], ["ho1d"], 3),
-        (["gram"], sorted(_KINDS), 3),
-        (["sample", "--grid", "-3:3:7"], ["ho1d"], 1),
-        (["sample", "--grid", "0.5:4:6"], ["radial"], 1),
-    ]))
-    kind = draw(st.sampled_from(kinds))
+    """A command with one to three descriptors (one for sample) of any kind,
+    registered with the CLI or not; now and then a params override, and one
+    field with a wrong type, value or kind."""
+    command = draw(st.sampled_from(["spectrum", "gram", "sample"]))
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    argv = [command]
+    if command == "sample":
+        argv += ["--grid", "0.5:4:6" if kind == "radial" else "-3:3:7"]
+    count = 1 if command == "sample" else 3
     descriptors = [{"kind": kind, **draw(_KINDS[kind])} for _ in range(draw(st.integers(1, count)))]
     if draw(st.booleans()):
         draw(st.sampled_from(descriptors))["params"] = draw(_PARAMS)
@@ -739,6 +750,10 @@ def test_generated_descriptors_keep_the_exit_code_contract(request, tmp_path_fac
         code = cli.main([*argv, "--states", path])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
+    accepted = [kind for kind, (_, commands, _) in cli._KINDS.items() if argv[0] in commands]
+    if any(d["kind"] not in accepted for d in descriptors):
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1
     if code == 0:
         checks = json.loads(out.getvalue())["checks"]
         assert checks.get("within_tolerance") is not False

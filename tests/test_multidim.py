@@ -25,9 +25,19 @@ from quatosc.multidim import (
     radial_state,
     split_state,
 )
-from quatosc.oscillator1d import QPair, energy_nm, psi_n, psi_nm
+from quatosc.oscillator1d import QPair, energy_nm, hamiltonian, psi_n, psi_nm
 from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
-from quatosc.wavestate import PhysicalParams, evaluate, inner, inner_quad
+from quatosc.wavestate import (
+    PhysicalParams,
+    _magnitude,
+    apply,
+    evaluate,
+    evaluate_points,
+    inner,
+    inner_quad,
+    right_i,
+    time_derivative,
+)
 
 PI4 = math.pi ** -0.25
 
@@ -83,7 +93,7 @@ class TestProductState:
 class TestSplitState:
     def test_one_dimensional_case_reduces(self):
         spec = SplitSpec(1, frozenset({0}), frozenset({0}), 1, 2, 0.8)
-        s = split_state(spec, allow_overlap=True)
+        s = split_state(spec)
         ref = psi_nm(QPair(1, 2, 0.8))
         for x in np.linspace(-3, 3, 11):
             assert abs(evaluate(s, x, 0.5) - evaluate(ref, x, 0.5)) <= 1e-14
@@ -99,8 +109,7 @@ class TestSplitState:
 
     def test_theta_zero_ignores_second_set(self):
         a = split_state(SplitSpec(3, frozenset({0, 1}), frozenset({2}), 2, 1, 0.0))
-        b = split_state(SplitSpec(3, frozenset({0, 1}), frozenset({0, 2}), 2, 3, 0.0),
-                        allow_overlap=True)
+        b = split_state(SplitSpec(3, frozenset({0, 1}), frozenset({0, 2}), 2, 3, 0.0))
         for pt in ([0.3, -0.7, 1.1], [0.0, 0.5, -2.0]):
             assert abs(evaluate(a, pt, 0.4) - evaluate(b, pt, 0.4)) <= 1e-14
 
@@ -108,11 +117,28 @@ class TestSplitState:
         with pytest.raises(ValueError):
             SplitSpec(3, frozenset({0}), frozenset({1}), 0, 0, 0.1)
 
-    def test_overlap_needs_flag(self):
-        spec = SplitSpec(2, frozenset({0, 1}), frozenset({1}), 0, 0, 0.1)
-        with pytest.raises(ValueError):
-            split_state(spec)
-        split_state(spec, allow_overlap=True)
+    @pytest.mark.parametrize("spec, params", [
+        (SplitSpec(2, {0}, {1}, 2, 1, 0.6), PhysicalParams()),
+        (SplitSpec(2, {0, 1}, {1}, 0, 3, 0.4), PhysicalParams()),
+        (SplitSpec(3, {0, 2}, {1}, 1, 2, 1.1), PhysicalParams(2.0, 3.0, 0.5)),
+        (SplitSpec(3, {0, 1}, {0, 2}, 2, 3, 0.7), PhysicalParams()),
+        (SplitSpec(4, {0, 1, 2, 3}, {3}, 1, 4, 0.9), PhysicalParams(0.5, 2.0, 1.5)),
+    ])
+    def test_solves_the_schrodinger_equation(self, spec, params):
+        # the time phases carry the zero-point energy of the ground-padded axes
+        s = split_state(spec, params)
+        lhs = params.hbar * apply(right_i(), time_derivative(s))
+        residual = lhs - apply(hamiltonian(params, spec.dims), s)
+        points = np.random.default_rng(5).uniform(-2.5, 2.5, size=(20, spec.dims)) / params.alpha
+        for t in (0.0, 0.3, 1.7):
+            assert np.max(_magnitude(*evaluate_points([residual], points, t))) <= 1e-12
+
+    def test_same_slot_function_keeps_one_phase(self):
+        # both slot-0 functions are phi_0 x phi_0, so the overlap is 1 at every time
+        a = split_state(SplitSpec(2, {0}, {1}, 0, 0, 0.0))
+        b = split_state(SplitSpec(2, {0, 1}, set(), 0, 0, 0.0))
+        for t in (0.0, 0.3, 1.7, 4.0):
+            assert inner(a, b, t) == pytest.approx(1.0, abs=1e-14)
 
     def test_energy_counts_ground_padding(self):
         # slot-0 squeezes level n into its own dims, all others sit at 1/2
