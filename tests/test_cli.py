@@ -648,6 +648,17 @@ class TestUnitsAndFlags:
         proc = run_cli("gram", "--states", states)
         assert proc.returncode == 2
 
+    # overlapping split descriptors are still refused by gram: the CLI knows
+    # no split kind, so they exit 2 with one stderr line and no traceback
+    def test_split_overlap_flag(self, tmp_path):
+        desc = {"kind": "split", "dims": 2, "slot0_dims": [0, 1], "slot1_dims": [1],
+                "n": 0, "m": 0, "theta": 0.4}
+        states = write_states(tmp_path / "s.jsonl", [desc, desc])
+        rejected = run_cli("gram", "--states", states)
+        assert rejected.returncode == 2
+        assert b"Traceback" not in rejected.stderr
+        assert len(rejected.stderr.decode().splitlines()) == 1
+
 
 def test_reused_parser_keeps_no_option_between_calls(tmp_path):
     path = write_states(tmp_path / "s.jsonl", HO1D)
