@@ -22,9 +22,9 @@ import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
-from .oscillator1d import GramMatrix, QPair, _family_gram, _level, _pair_modes, _sample_points, hamiltonian
+from .oscillator1d import GramMatrix, QPair, _family_gram, _pair_state, _sample_points, hamiltonian
 from .specfun import _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
-from .wavestate import Mode, PhysicalParams, WaveState, expectation
+from .wavestate import PhysicalParams, WaveState, _from_columns, _joined, _merged, expectation
 
 __all__ = [
     "SplitSpec",
@@ -50,29 +50,27 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Cartesian sector
 
-def _mode_product(ma: Mode, mb: Mode) -> Mode:
-    """Symplectic product of a mode (ma, taken first) and a one-dimensional
-    factor mode mb, which supplies the next dimension's coefficients."""
-    conj_b = ma.slot == 1
-    sign = -1.0 if (ma.slot == 1 and mb.slot == 1) else 1.0
-    cb = mb.coeff.conjugate() if conj_b else mb.coeff
-    fb = -mb.freq if conj_b else mb.freq
-    coefs_b = mb.coefs[0].conj() if conj_b else mb.coefs[0]
-    return Mode(ma.slot ^ mb.slot, sign * ma.coeff * cb, ma.coefs + (coefs_b,), ma.freq + fb)
-
-
 def product_state(factors: list[QPair], params: PhysicalParams | None = None) -> WaveState:
     """Left-to-right quaternion product of per-direction two-slot states;
-    factor k oscillates along dimension k."""
+    factor k oscillates along dimension k.  Each step multiplies every row a
+    so far by both rows b of the next factor: slots add mod 2, and a slot-1 a
+    conjugates b (z1 conj(w)), with a sign flip for a slot-1 b."""
     params = params or PhysicalParams()
     factors = tuple(factors)
     if not factors:
         raise ValueError("product_state needs at least one factor")
-    modes = _pair_modes(factors[0], params)
+    s = _pair_state(factors[0], params)
+    slots, amps, freqs, coefs = s.slots, s.amps, s.freqs, [s.coefs[0]]
     for q in factors[1:]:
-        fk = _pair_modes(q, params)
-        modes = tuple(_mode_product(ma, mb) for ma in modes for mb in fk)
-    return WaveState(len(factors), modes, params).merged()
+        f = _pair_state(q, params)
+        conj = (slots == 1)[:, None]
+        sign = np.where(conj & (f.slots == 1), -1.0, 1.0)
+        amps = (sign * amps[:, None] * np.where(conj, f.amps.conj(), f.amps)).ravel()
+        freqs = (freqs[:, None] + np.where(conj, -f.freqs, f.freqs)).ravel()
+        coefs = [c.repeat(2, axis=0) for c in coefs]
+        coefs.append(np.where(conj[..., None], f.coefs[0].conj(), f.coefs[0]).reshape(-1, f.coefs.shape[2]))
+        slots = (slots[:, None] ^ f.slots).ravel()
+    return _merged(len(factors), slots, amps, freqs, _joined([c[None] for c in coefs], 0), params)
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,8 @@ class SplitSpec:
         object.__setattr__(self, "slot1_dims", frozenset(self.slot1_dims))
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
-        if self.n < 0 or self.m < 0:
-            raise ValueError("quantum numbers must be non-negative")
+        _check_degree(self.n, "n")
+        _check_degree(self.m, "m")
         full = frozenset(range(self.dims))
         if self.slot0_dims | self.slot1_dims != full:
             raise ValueError("slot0_dims and slot1_dims must jointly cover all dimensions")
@@ -109,17 +107,15 @@ def split_state(spec: SplitSpec, params: PhysicalParams | None = None) -> WaveSt
     and so its time phase, is (len(dims_set) level + dims/2) hbar omega: each
     padded axis adds its zero-point hbar omega/2."""
     params = params or PhysicalParams()
-    omega = params.omega
     norm = params.alpha ** (0.5 * spec.dims)
-
-    def slot_mode(slot, mix, level, dims_set, freq_sign):
-        coefs = tuple(_level(level) if k in dims_set else _level(0) for k in range(spec.dims))
-        freq = freq_sign * (len(dims_set) * level + 0.5 * spec.dims) * omega
-        return Mode(slot, mix * norm, coefs, freq)
-
-    mode0 = slot_mode(0, math.cos(spec.theta), spec.n, spec.slot0_dims, -1.0)
-    mode1 = slot_mode(1, math.sin(spec.theta), spec.m, spec.slot1_dims, +1.0)
-    return WaveState(spec.dims, (mode0, mode1), params)
+    levels = [[level if k in dims_set else 0 for k in range(spec.dims)]
+              for level, dims_set in ((spec.n, spec.slot0_dims), (spec.m, spec.slot1_dims))]
+    coefs = np.zeros((spec.dims, 2, max(max(levels[0]), max(levels[1])) + 1), dtype=complex)
+    coefs[np.arange(spec.dims), 0, levels[0]] = coefs[np.arange(spec.dims), 1, levels[1]] = 1.0
+    amps = np.array([math.cos(spec.theta) * norm, math.sin(spec.theta) * norm], dtype=complex)
+    freqs = np.array([-(len(spec.slot0_dims) * spec.n + 0.5 * spec.dims) * params.omega,
+                      +(len(spec.slot1_dims) * spec.m + 0.5 * spec.dims) * params.omega])
+    return _from_columns(spec.dims, np.array([0, 1]), amps, freqs, coefs, params)
 
 
 def cartesian_energy(state: WaveState, t: float = 0.0, check_norm: bool = True) -> float:
@@ -335,14 +331,15 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
     n = len(specs)
     gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
     thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
-    x = np.cos(np.concatenate([np.arccos(gl.nodes), thetas]))
+    polar = np.concatenate([np.arccos(gl.nodes), thetas])
+    x, sin = np.cos(polar), np.sin(polar)
     ms = np.array([[s.m1 for s in specs], [s.m2 for s in specs]], dtype=int)
     ls = np.broadcast_to([s.l for s in specs], (2, n))
     leg = np.empty((2, n, len(x)))
     for order in set(np.abs(ms).flat):
         at = np.abs(ms) == order
         degrees = sorted(set(ls[at].tolist()))
-        leg[at] = _legendre_rows(int(order), degrees, x)[np.searchsorted(degrees, ls[at])]
+        leg[at] = _legendre_rows(int(order), degrees, x, sin)[np.searchsorted(degrees, ls[at])]
     leg *= ((-1.0) ** np.minimum(ms, 0))[..., None]  # Y_l^-m = (-1)^m conj(Y_l^m)
     mix = np.array([[math.cos(s.theta) for s in specs], [math.sin(s.theta) for s in specs]]).reshape(2, n, 1)
     # azimuth frequencies: Y_l^m carries exp(i m azimuth), conjugate_slot1 negates slot 1's

@@ -26,10 +26,10 @@ import numpy as np
 from .quaternion import _parallel, is_parallel  # noqa: F401
 from .specfun import _check_degree
 from .wavestate import (
-    Mode,
     Operator,
     PhysicalParams,
     WaveState,
+    _from_columns,
     _magnitude,
     apply,
     d_dx,
@@ -108,39 +108,29 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - np.eye(self.size)))) if self.size else 0.0
 
 
-@cache
-def _level(n: int) -> np.ndarray:
-    """Hermite-function coefficients of phi_n, the n-th unit vector; read-only,
-    since every state at level n shares it."""
-    _check_degree(n, "n")
-    c = np.zeros(n + 1, dtype=complex)
-    c[n] = 1.0
-    c.setflags(write=False)
-    return c
-
-
-def _pair_modes(q: QPair, params: PhysicalParams) -> tuple[Mode, Mode]:
-    """Slot-0 and slot-1 modes of the one-dimensional two-slot state q; the
-    factor sqrt(alpha) normalizes phi_n(alpha x) in x."""
+def _pair_state(q: QPair, params: PhysicalParams, rows: slice = slice(None)) -> WaveState:
+    """The one-dimensional two-slot state q, or the given rows of its columns
+    (slot 0 at level n, slot 1 at level m); the factor sqrt(alpha) normalizes
+    phi_n(alpha x) in x."""
+    _check_degree(q.n, "n")
+    _check_degree(q.m, "m")
+    coefs = np.zeros((1, 2, max(q.n, q.m) + 1), dtype=complex)
+    coefs[0, 0, q.n] = coefs[0, 1, q.m] = 1.0
     root_alpha = math.sqrt(params.alpha)
-    omega = params.omega
-    return (
-        Mode(0, math.cos(q.theta) * root_alpha, (_level(q.n),), -(q.n + 0.5) * omega),
-        Mode(1, math.sin(q.theta) * root_alpha, (_level(q.m),), +(q.m + 0.5) * omega),
-    )
+    amps = np.array([math.cos(q.theta) * root_alpha, math.sin(q.theta) * root_alpha], dtype=complex)
+    freqs = np.array([-(q.n + 0.5) * params.omega, +(q.m + 0.5) * params.omega])
+    return _from_columns(1, np.array([0, 1])[rows], amps[rows], freqs[rows], coefs[:, rows], params)
 
 
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
     """The n-th complex oscillator eigenfunction as a slot-0 state."""
-    params = params or PhysicalParams()
-    return WaveState(1, _pair_modes(QPair(n, 0), params)[:1], params)
+    return _pair_state(QPair(n, 0), params or PhysicalParams(), slice(1))
 
 
 def psi_nm(q: QPair, params: PhysicalParams | None = None) -> WaveState:
     """Two-slot oscillator state: cos(theta) in slot 0 at level n, sin(theta)
     times the conjugated level-m eigenfunction in slot 1 (positive frequency)."""
-    params = params or PhysicalParams()
-    return WaveState(1, _pair_modes(q, params), params)
+    return _pair_state(q, params or PhysicalParams())
 
 
 def energy_nm(q: QPair, params: PhysicalParams | None = None) -> float:
@@ -268,41 +258,50 @@ def build_via_ladder(q: QPair, params: PhysicalParams | None = None) -> WaveStat
 
     n applications of the raising operator turn phi_0 into sqrt(n!) phi_n,
     so the slot seed is the normalized ground state divided by sqrt(n!) and
-    the result coincides with psi_nm(q) pointwise.
+    the result coincides with psi_nm(q) pointwise.  The slot with the higher
+    level is raised alone until the other's seed joins it at the same level;
+    from there one apply raises both slots.
     """
     params = params or PhysicalParams()
-    omega = params.omega
     root_alpha = math.sqrt(params.alpha)
     raise_op = ladder("raise")
 
-    def slot_build(slot, mix, level, freq):
-        seed = Mode(slot, mix * root_alpha * math.exp(-0.5 * math.lgamma(level + 1.0)), (_level(0),), freq)
-        s = WaveState(1, (seed,), params)
-        for _ in range(level):
-            s = apply(raise_op, s)
-        return s
+    def seed(slot, mix, level, sign):
+        amp = mix * root_alpha * math.exp(-0.5 * math.lgamma(level + 1.0))
+        return _from_columns(1, np.array([slot]), np.array([amp], dtype=complex),
+                             np.array([sign * (level + 0.5) * params.omega]),
+                             np.ones((1, 1, 1), dtype=complex), params)
 
-    s0 = slot_build(0, math.cos(q.theta), q.n, -(q.n + 0.5) * omega)
-    s1 = slot_build(1, math.sin(q.theta), q.m, +(q.m + 0.5) * omega)
-    return s0 + s1
+    (low, s_low), (high, s) = sorted([(q.n, seed(0, math.cos(q.theta), q.n, -1.0)),
+                                      (q.m, seed(1, math.sin(q.theta), q.m, +1.0))], key=lambda p: p[0])
+    for level in range(high):
+        if level == high - low:
+            s = s + s_low
+        s = apply(raise_op, s)
+    return s if low else s + s_low
 
 
-def default_grid(params: PhysicalParams | None = None, span: float = 6.0, count: int = 41):
-    """Uniform residual grid covering X in [-span, span], returned in x units."""
+def default_grid(params: PhysicalParams | None = None, span: float = 6.0, count: int = 41,
+                 dims: int = 1):
+    """Uniform residual grid covering X_k in [-span, span], returned in x units:
+    (count,) points in one dimension, the (count**dims, dims) tensor grid in more."""
     params = params or PhysicalParams()
-    return np.linspace(-span, span, count) / params.alpha
+    axis = np.linspace(-span, span, count) / params.alpha
+    return axis if dims == 1 else np.stack(np.meshgrid(*[axis] * dims, indexing="ij"), -1).reshape(-1, dims)
 
 
 def schrodinger_residual(s: WaveState, grid=None, t: float = 0.0) -> float:
     """Sup-norm over the grid of the time-dependent equation residual
-    hbar (d/dt s) i - H s, as a quaternion magnitude."""
-    if s.dims != 1:
-        raise ValueError("residual check expects a one-dimensional state")
+    hbar (d/dt s) i - H s, H = hamiltonian(s.params, s.dims), as a quaternion
+    magnitude.  grid holds (points,) positions in one dimension and
+    (points, dims) in more.  The default grid is 41 points over X in [-6, 6]
+    in one dimension and, in more, the 7^dims tensor grid over X_k in
+    [-3, 3], where a state of low level keeps most of its weight."""
     if grid is None:
-        grid = default_grid(s.params)
+        grid = default_grid(s.params) if s.dims == 1 else default_grid(s.params, 3.0, 7, s.dims)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
     lhs = s.params.hbar * apply(right_i(), time_derivative(s))
-    residual_state = lhs - apply(hamiltonian(s.params), s)
+    residual_state = lhs - apply(hamiltonian(s.params, s.dims), s)
     return float(np.max(_magnitude(*evaluate_points([residual_state], grid, t))))

@@ -81,9 +81,11 @@ def _degree_step(k: int, m: int) -> tuple[float, float]:
     return a, b
 
 
-def _legendre_rows(m: int, degrees, x) -> np.ndarray:
+def _legendre_rows(m: int, degrees, x, s) -> np.ndarray:
     """sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(x) for m >= 0, Condon-Shortley,
-    one row per degree l of the sorted, distinct degrees (each >= m).
+    one row per degree l of the sorted, distinct degrees (each >= m), at
+    x = cos(theta) with s = sin(theta) >= 0 given beside it: sqrt(1 - x^2)
+    would lose s near the poles, where x rounds to +-1.
 
     One pass: seeds the diagonal P_m^m, then raises the degree up to the last
     one asked for, keeping only the two previous rows (Holmes & Featherstone,
@@ -93,7 +95,6 @@ def _legendre_rows(m: int, degrees, x) -> np.ndarray:
     rows = np.empty((len(degrees), *x.shape))
     cur = np.full_like(x, 1.0 / math.sqrt(4.0 * math.pi))
     if m > 0:
-        s = np.sqrt(np.maximum(1.0 - x ** 2, 0.0))
         for k in range(1, m + 1):
             cur = -math.sqrt((2.0 * k + 1.0) / (2.0 * k)) * s * cur
     j = 0
@@ -123,7 +124,7 @@ def sph_harm(l: int, m: int, theta, phi):
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     ma = abs(m)
-    leg = _legendre_rows(ma, [l], np.cos(theta))[0]
+    leg = _legendre_rows(ma, [l], np.cos(theta), np.sin(theta))[0]
     y = leg * np.exp(1j * ma * phi)
     if m < 0:
         y = (-1.0) ** ma * np.conj(y)

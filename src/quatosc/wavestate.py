@@ -15,13 +15,18 @@ Gauss-Hermite quadrature of the values, which the normalized three-term
 recurrence gives pointwise, is the independent evaluation of the same
 integrals.
 
+A state stores its modes as columns, one row per mode, which every
+operation reads and writes; WaveState.modes derives Mode objects from them
+on request.  Like modes merge on normalized rows (see _merged), so scaled
+copies of one function become one mode.
+
 Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
 both slots, every tree has a normal form, cached on the Operator: a sum of
 terms c (right_i)^r W_0 W_1 ..., with one word W_k of X and d/dX per
 dimension the term touches.  apply expands that form once per operator and
-runs each word as band shifts on all of a state's modes at once, stacked in
-one coefficient matrix per dimension.
+runs each word as band shifts of a state's coefficient matrix, all modes
+at once.
 
 The real inner product used throughout is the scalar part
 
@@ -34,10 +39,11 @@ which is slot-diagonal and real by construction.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -110,8 +116,9 @@ class Mode:
     per dimension, the coefficients of its factor in the orthonormal Hermite
     functions phi_n(X) = pi^(-1/4) (2^n n!)^(-1/2) H_n(X) exp(-X^2/2).
 
-    coefs[k][n] weighs phi_n(X_k).  The arrays are shared between modes and
-    states, so they must not be modified in place.
+    coefs[k][n] weighs phi_n(X_k).  WaveState(dims, modes, params) takes
+    modes and WaveState.modes gives them back; the arrays may be shared with
+    a state, so they must not be modified in place.
     """
 
     slot: int
@@ -128,29 +135,46 @@ class Mode:
         object.__setattr__(self, "coefs", tuple(np.asarray(c, dtype=complex) for c in self.coefs))
 
 
-@dataclass(frozen=True)
 class WaveState:
-    """Immutable quaternionic wavefunction in p dimensions."""
+    """Immutable quaternionic wavefunction in p dimensions, stored as columns.
 
-    dims: int
-    modes: tuple[Mode, ...]
-    params: PhysicalParams = field(default_factory=PhysicalParams)
+    Row r is one mode: slot slots[r], amplitude amps[r], time frequency
+    freqs[r] and, in dimension k, the coefficient row coefs[k, r], zero-padded
+    to the common width of the (dims, modes, width) array coefs.  The arrays
+    are read-only, since states share them.
+    """
 
-    def __post_init__(self):
-        if self.dims < 1:
-            raise ValueError(f"dims must be >= 1, got {self.dims}")
-        object.__setattr__(self, "modes", tuple(self.modes))
-        for m in self.modes:
-            if len(m.coefs) != self.dims:
-                raise ValueError(f"mode has {len(m.coefs)} factors, state has {self.dims} dimensions")
+    __slots__ = ("dims", "slots", "amps", "freqs", "coefs", "params", "_modes")
 
-    @cached_property
-    def _columns(self):
-        """_mode_arrays of the state's modes, read-only, since they are shared."""
-        slot, coeff, freq, coefs = _mode_arrays(self.modes, self.dims)
-        for a in (slot, coeff, freq, *coefs):
-            a.setflags(write=False)
-        return slot, coeff, freq, coefs
+    def __init__(self, dims: int, modes=(), params: PhysicalParams | None = None):
+        if dims < 1:
+            raise ValueError(f"dims must be >= 1, got {dims}")
+        modes = tuple(modes)
+        for m in modes:
+            if len(m.coefs) != dims:
+                raise ValueError(f"mode has {len(m.coefs)} factors, state has {dims} dimensions")
+        rows = [[np.trim_zeros(c, "b") for c in m.coefs] for m in modes]
+        coefs = np.zeros((dims, len(modes), max([1] + [len(c) for row in rows for c in row])), dtype=complex)
+        for r, row in enumerate(rows):
+            for k, c in enumerate(row):
+                coefs[k, r, :len(c)] = c
+        _fill(self, dims, np.array([m.slot for m in modes], dtype=int),
+              np.array([m.coeff for m in modes], dtype=complex),
+              np.array([m.freq for m in modes], dtype=float), coefs, params or PhysicalParams())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WaveState is immutable; cannot set {name!r}")
+
+    @property
+    def modes(self) -> tuple[Mode, ...]:
+        """The rows as Mode objects, each cut after its last nonzero coefficient; built once."""
+        if self._modes is None:
+            rows = zip(self.slots.tolist(), self.amps.tolist(), self.freqs.tolist(),
+                       zip(*(_row_lengths(c).tolist() for c in self.coefs)))
+            modes = tuple(Mode(slot, amp, tuple(c[r, :n] for c, n in zip(self.coefs, ns)), freq)
+                          for r, (slot, amp, freq, ns) in enumerate(rows))
+            object.__setattr__(self, "_modes", modes)
+        return self._modes
 
     def evaluate(self, x, t: float = 0.0) -> Quaternion:
         return evaluate(self, x, t)
@@ -159,26 +183,47 @@ class WaveState:
         return math.sqrt(max(inner(self, self, t), 0.0))
 
     def merged(self) -> "WaveState":
-        return WaveState(self.dims, _merge_modes(_raw(self.modes)), self.params)
+        return _merged(self.dims, self.slots, self.amps, self.freqs, self.coefs, self.params)
 
     def __add__(self, other: "WaveState") -> "WaveState":
-        _check_compatible(self, other)
-        return WaveState(self.dims, _merge_modes(_raw(self.modes + other.modes)), self.params)
+        return _merged(self.dims, *_stacked([self, other])[1:], self.params)
 
     def __sub__(self, other: "WaveState") -> "WaveState":
         return self + (-1.0) * other
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return WaveState(self.dims,
-                             tuple(Mode(m.slot, m.coeff * c, m.coefs, m.freq) for m in self.modes),
-                             self.params)
+            amps = _scaled(self.amps, c)
+            return _from_columns(self.dims, self.slots, amps, self.freqs, self.coefs, self.params)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return (-1.0) * self
+
+
+def _fill(s: WaveState, dims, slots, amps, freqs, coefs, params) -> None:
+    for a in (slots, amps, freqs, coefs):
+        a.setflags(write=False)
+    for name, value in zip(WaveState.__slots__, (dims, slots, amps, freqs, coefs, params, None)):
+        object.__setattr__(s, name, value)
+
+
+def _scaled(amps: np.ndarray, factor) -> np.ndarray:
+    """amps * factor; an amplitude that overflows is an error, as in Mode."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = amps * factor
+    if not np.isfinite(amps).all():
+        raise ValueError("mode amplitude and frequency must be finite")
+    return amps
+
+
+def _from_columns(dims: int, slots, amps, freqs, coefs, params) -> WaveState:
+    """The state holding these columns as they are: no merge, no trim."""
+    s = object.__new__(WaveState)
+    _fill(s, dims, slots, amps, freqs, coefs, params)
+    return s
 
 
 def zero_state(dims: int = 1, params: PhysicalParams | None = None) -> WaveState:
@@ -192,63 +237,84 @@ def _check_compatible(a: WaveState, b: WaveState) -> None:
         raise ValueError("states carry different physical parameters")
 
 
-def _raw(modes):
-    """Each mode as a (slot, coeff, coefs, freq) tuple, the input of _merge_modes."""
-    return ((m.slot, m.coeff, m.coefs, m.freq) for m in modes)
+def _row_lengths(c: np.ndarray) -> np.ndarray:
+    """Each row's length (last axis) up to its last nonzero coefficient; 0 for a row of zeros."""
+    nonzero = c != 0
+    return np.where(nonzero.any(axis=-1), c.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
 
 
-def _merge_modes(terms) -> tuple[Mode, ...]:
-    """Modes from (slot, coeff, coefs, freq) terms, like terms combined: exact
-    key match on slot, frequency and the coefficients of every dimension past
-    the first.  Amplitudes fold into the first dimension's coefficients, so
-    evaluations are unchanged up to rounding; trailing zero coefficients are
-    cut and a term that cancels to zero is dropped."""
-    groups: dict = {}
-    for slot, coeff, coefs, freq in terms:
-        key = (slot, freq, tuple(tuple(c.tolist()) for c in coefs[1:]))
-        groups.setdefault(key, (coefs[1:], []))[1].append(coeff * coefs[0])
-    out = []
-    for (slot, freq, _), (rest, terms) in groups.items():
-        first = terms[0] if len(terms) == 1 else _padded(terms).sum(axis=0)
-        n = len(first)
-        while n and first[n - 1] == 0:
-            n -= 1
-        if n:
-            out.append(Mode(slot, 1.0, (first[:n],) + rest, freq))
-    return tuple(out)
-
-
-def _padded(rows) -> np.ndarray:
-    """Coefficient rows, zero-padded to the longest: a (rows, width) complex matrix."""
-    out = np.zeros((len(rows), max(map(len, rows), default=1)), dtype=complex)
-    for r, c in enumerate(rows):
-        out[r, :len(c)] = c
+def _joined(arrays, axis: int) -> np.ndarray:
+    """(dims, modes, width) coefficient arrays joined along axis 0 or 1, each
+    zero-padded to the widest."""
+    shape = list(arrays[0].shape)
+    shape[axis], shape[2] = sum(a.shape[axis] for a in arrays), max(a.shape[2] for a in arrays)
+    out, index = np.zeros(shape, dtype=complex), [slice(None)] * 3
+    start = 0
+    for a in arrays:
+        index[axis], index[2] = slice(start, start + a.shape[axis]), slice(a.shape[2])
+        out[tuple(index)] = a
+        start += a.shape[axis]
     return out
 
 
-def _mode_arrays(modes, dims: int):
-    """Slot, amplitude and frequency arrays of the modes and, per dimension,
-    their zero-padded (modes, width) coefficient matrix."""
-    return (np.array([m.slot for m in modes], dtype=int),
-            np.array([m.coeff for m in modes], dtype=complex),
-            np.array([m.freq for m in modes], dtype=float),
-            tuple(_padded([m.coefs[k] for m in modes]) for k in range(dims)))
+def _merged(dims: int, slots, amps, freqs, coefs, params) -> WaveState:
+    """The state of these rows with like modes combined, amplitudes folded into
+    dimension 0.  Each row past dimension 0 is divided by its pivot (its first
+    entry of largest magnitude), which multiplies the row of dimension 0, so
+    scaled copies of one function share one normalized row.  Rows equal in
+    slot, frequency and every normalized row (-0.0 read as 0.0) are summed in
+    dimension 0, in row order; a row that vanishes in some dimension is dropped.
+    """
+    first, rest = amps[:, None] * coefs[0], coefs[1:]
+    keys = [slots.tolist(), freqs.tolist()]  # Python floats: -0.0 == 0.0
+    if dims > 1:
+        pivot = np.take_along_axis(rest, np.abs(rest).argmax(axis=2)[..., None], axis=2)
+        pivot[pivot == 0] = 1.0  # a row of zeros, dropped below
+        rest = rest / pivot
+        first = first * pivot.prod(axis=0)
+        rows = rest.transpose(1, 0, 2).reshape(len(slots), (dims - 1) * rest.shape[2]).view(float) + 0.0
+        keys.append(rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist())
+    index: dict = {}
+    group, firsts = [], []
+    for r, key in enumerate(zip(*keys)):
+        g = index.setdefault(key, len(index))
+        if g == len(firsts):
+            firsts.append(r)
+        group.append(g)
+    if len(firsts) < len(group):
+        summed = np.zeros((len(firsts), first.shape[1]), dtype=complex)
+        np.add.at(summed, group, first)
+        slots, freqs, first, rest = slots[firsts], freqs[firsts], summed, rest[:, firsts]
+    return _nonzero(dims, slots, freqs, np.concatenate([first[None], rest]), params)
 
 
-def _stacked(states, t: float):
+def _nonzero(dims: int, slots, freqs, coefs, params) -> WaveState:
+    """The state of these rows at amplitude 1, without the rows that vanish in
+    some dimension and without trailing zero columns."""
+    alive = coefs.any(axis=2).all(axis=0)
+    if not alive.all():
+        slots, freqs, coefs = slots[alive], freqs[alive], coefs[:, alive]
+    width = coefs.shape[2]
+    while width > 1 and not coefs[..., width - 1].any():
+        width -= 1
+    return _from_columns(dims, slots, np.ones(len(slots), dtype=complex), freqs, coefs[..., :width], params)
+
+
+def _stacked(states, t: float = 0.0):
     """Every mode of the states, which must share dims and params, in order:
-    owner state index, slot and amplitude at time t, and per dimension the
-    padded coefficient matrix.  A single state's arrays are cached on it; a
-    family is stacked in one pass over its modes, since its states are
-    usually built for that one call."""
-    for s in states:
+    owner state index, slot, amplitude at time t, frequency, and the
+    (dims, modes, width) coefficients zero-padded to the widest state."""
+    for s in states[1:]:
         _check_compatible(states[0], s)
     if len(states) == 1:
-        slot, coeff, freq, coefs = states[0]._columns
+        s = states[0]
+        slots, amps, freqs, coefs = s.slots, s.amps, s.freqs, s.coefs
+        owner = np.zeros(len(slots), dtype=int)
     else:
-        slot, coeff, freq, coefs = _mode_arrays([m for s in states for m in s.modes], states[0].dims)
-    owner = np.repeat(np.arange(len(states)), [len(s.modes) for s in states])
-    return owner, slot, coeff * np.exp(1j * freq * t), coefs
+        owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
+        slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
+        coefs = _joined([s.coefs for s in states], 1)
+    return owner, slots, amps * np.exp(1j * freqs * t) if t else amps, freqs, coefs
 
 
 def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
@@ -257,40 +323,53 @@ def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     Normalized three-term recurrence (Bunck, BIT 49 (2009)):
     h_0 = pi^(-1/4), h_1 = sqrt(2) x h_0 and
     h_(n+1) = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_(n-1); no factorials,
-    no cancellation of large monomial terms.
+    no cancellation of large monomial terms.  One point steps a Python float
+    (same operations, same values) to spare numpy's per-call cost.
     """
-    h = np.empty((count, x.size))
+    if x.size == 1:
+        x, h = x.item(), [0.0] * count
+    else:
+        h = np.empty((count, x.size))
     h[0] = math.pi ** -0.25
     if count > 1:
         h[1] = math.sqrt(2.0) * x * h[0]
     for n in range(1, count - 1):
         h[n + 1] = math.sqrt(2.0 / (n + 1)) * x * h[n] - math.sqrt(n / (n + 1)) * h[n - 1]
-    return h
+    return np.asarray(h).reshape(count, -1)
+
+
+_CONTRACT_ELEMENTS = 1 << 20  # bounds evaluate_points' products of coefficients and values
 
 
 def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     """Symplectic components (z0, z1) of each state at each point and time t,
     as (states, points) complex arrays; x holds one position per row, (points,)
-    or (points, dims)."""
+    or (points, dims).  Each point's sums run alone and in one order, so its
+    values do not depend on the other points evaluated with it."""
     if not states:
         return tuple(np.zeros((2, 0, len(x)), dtype=complex))
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     if x.shape[1] != states[0].dims:
         raise ValueError(f"expected points of {states[0].dims} coordinates, got {x.shape[1]}")
     coords = states[0].params.alpha * x.T
-    owner, slot, amp, coefs = _stacked(states, t)
+    owner, slot, amp, _, coefs = _stacked(states, t)
     terms = amp[:, None]
+    step = max(1, _CONTRACT_ELEMENTS // max(1, coefs[0].size))  # points per block of the product below
     for c, xk in zip(coefs, coords):
-        terms = terms * (c @ _hermite_functions(c.shape[1], xk))
+        h = _hermite_functions(c.shape[1], xk).T.astype(complex)
+        # (modes, points, width) in C order: each point's sum over the width is one contiguous run
+        parts = [np.multiply(c[:, None, :], h[i:i + step], order="C").sum(axis=2) for i in range(0, len(h), step)]
+        terms = terms * (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
     z = np.zeros((2, len(states), len(x)), dtype=complex)
     np.add.at(z, (slot, owner), terms)
-    return tuple(z * np.exp(-0.5 * np.sum(coords * coords, axis=0)))
+    r2 = functools.reduce(np.add, (xk * xk for xk in coords))  # in dimension order, whatever the points
+    return tuple(z * np.exp(-0.5 * r2))
 
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     """Quaternion value of the state at position x (scalar or p-vector) and
     time t; the one-point case of evaluate_points."""
-    z0, z1 = evaluate_points([state], [np.atleast_1d(x)], t)
+    z0, z1 = evaluate_points([state], np.reshape(np.asarray(x, dtype=float), (1, -1)), t)
     return Quaternion.from_symplectic(z0[0, 0], z1[0, 0])
 
 
@@ -441,66 +520,81 @@ def op_compose(*ops: Operator) -> Operator:
 def apply(op: Operator, state: WaveState) -> WaveState:
     """Exact action of an operator on a state, from the operator's normal form.
 
-    Each term c (right_i)^r W_0 W_1 ... of op._terms acts on every mode at
-    once: the words W_k are band shifts of the state's stacked coefficient
-    matrix in dimension k, and r = 1 turns the amplitude by i in slot 0 and
-    -i in slot 1.  Terms that touch the same single dimension with the same
-    r are summed as coefficient matrices before any mode is built, and the
-    modes are merged once.  The shifted matrices are computed afresh on every
-    call; only the symbolic terms are cached.
+    In each term c (right_i)^r W_0 W_1 ... of op._terms, a word W is a run of
+    band shifts of all the state's coefficients, and r = 1 turns amplitudes
+    by i in slot 0 and -i in slot 1.  The terms that touch one dimension k (or
+    none: dimension 0) are summed, amplitudes folded in, into one new row of
+    dimension k per mode, so a one-dimensional state keeps at most its number
+    of modes, without a merge.  In more dimensions the blocks of rows are
+    merged once (_merged): H_k turns phi_n into a scaled copy, which merges
+    back into its mode.  Shifts are computed afresh on every call; only the
+    symbolic terms are cached.
     """
     for d in op._dims:
         if not 0 <= d < state.dims:
             raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
-    if not state.modes:
+    if not len(state.slots):
         return state
-    slot, coeff, _freq, coefs = state._columns
-    shifted = {(k, ()): c for k, c in enumerate(coefs)}
-    single: dict = {}
-    blocks = []
+    shifted = {(): state.coefs}
+    weights: dict = {}  # (r, word) -> {dimension: coefficient} of the one-dimension terms
+    blocks = []  # per block of output rows, the new coefficient matrix of each dimension it replaces
     for c, r, words in op._terms:
         if len(words) <= 1:
             # a scalar term (no word) scales the factor of dimension 0
             k, w = words[0] if words else (0, ())
-            single.setdefault((r, k), []).append(c * _word(shifted, k, w))
+            weights.setdefault((r, w), {})[k] = c
         else:
             (k0, w0), *rest = words
-            blocks.append((r, {k0: c * _word(shifted, k0, w0), **{k: _word(shifted, k, w) for k, w in rest}}))
-    for (r, k), parts in single.items():
-        total = np.zeros((len(slot), max(p.shape[1] for p in parts)), dtype=complex)
-        for p in parts:
-            total[:, :p.shape[1]] += p
-        blocks.append((r, {k: total}))
-
-    amps = (coeff, coeff * np.where(slot == 0, 1j, -1j))
-    terms = []
-    for r, replaced in blocks:
-        rows = {k: _trimmed_rows(a) for k, a in replaced.items()}
-        for i, m in enumerate(state.modes):
-            new = list(m.coefs)
-            for k, rk in rows.items():
-                new[k] = rk[i]
-            if all(len(c) for c in new):
-                terms.append((m.slot, amps[r][i], tuple(new), m.freq))
-    return WaveState(state.dims, _merge_modes(terms), state.params)
+            blocks.append({k0: _turned(state, r) * (c * _word(shifted, w0)[k0]),
+                           **{k: _word(shifted, w)[k] for k, w in rest}})
+    if weights:
+        parts: dict = {}
+        for (r, w), by_dim in weights.items():
+            c = np.array([by_dim.get(k, 0.0) for k in range(state.dims)])[:, None, None]
+            parts.setdefault(r, []).append(c * _word(shifted, w))
+        total = _summed([_turned(state, r) * _summed(p) for r, p in parts.items()])
+        blocks[:0] = [{k: total[k]} for k in sorted({k for by_dim in weights.values() for k in by_dim})]
+    if not blocks:
+        return zero_state(state.dims, state.params)
+    if state.dims == 1:
+        return _nonzero(1, state.slots, state.freqs, blocks[0][0][None], state.params)
+    coefs = _joined([_joined([b.get(k, c)[None] for k, c in enumerate(state.coefs)], 0) for b in blocks], 1)
+    return _merged(state.dims, np.tile(state.slots, len(blocks)), np.ones(coefs.shape[1], dtype=complex),
+                   np.tile(state.freqs, len(blocks)), coefs, state.params)
 
 
-def _word(shifted: dict, k: int, w: tuple) -> np.ndarray:
-    """Dimension k's coefficient matrix after the band shifts of word w, in
-    application order.  shifted maps (k, word) to matrices already built in
+def _turned(state: WaveState, r: int) -> np.ndarray:
+    """The state's amplitudes as a column, times (right_i)^r: i in slot 0, -i in slot 1."""
+    amps = state.amps * np.where(state.slots == 0, 1j, -1j) if r else state.amps
+    return amps[:, None]
+
+
+def _word(shifted: dict, w: tuple) -> np.ndarray:
+    """The coefficients of every dimension after the band shifts of word w,
+    in application order.  shifted maps words to arrays already built in
     this call, so a prefix shared by several words is shifted once."""
-    if (k, w) not in shifted:
-        shifted[k, w] = _band_shift(_word(shifted, k, w[:-1]), w[-1])
-    return shifted[k, w]
+    if w not in shifted:
+        shifted[w] = _band_shift(_word(shifted, w[:-1]), w[-1])
+    return shifted[w]
 
 
-def _trimmed_rows(a: np.ndarray) -> list[np.ndarray]:
-    """Rows of a coefficient matrix with their trailing zeros cut; a row of
-    zeros comes back empty."""
-    nonzero = a != 0
-    lengths = a.shape[1] - np.argmax(nonzero[:, ::-1], axis=1)
-    lengths[~nonzero.any(axis=1)] = 0
-    return [row[:n] for row, n in zip(a, lengths.tolist())]
+def _summed(parts: list[np.ndarray]) -> np.ndarray:
+    """Sum of coefficient arrays that differ only in width, each zero-padded to the widest."""
+    if len(parts) == 1:
+        return parts[0]
+    total = np.zeros(parts[0].shape[:-1] + (max(p.shape[-1] for p in parts),), dtype=complex)
+    for p in parts:
+        total[..., :p.shape[-1]] += p
+    return total
+
+
+@cache
+def _band_weights(n: int, upper_sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper and lower band of _band_shift on n coefficients, read-only."""
+    root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
+    (upper := upper_sign * root).setflags(write=False)
+    root.setflags(write=False)
+    return upper, root[:n - 1]
 
 
 def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
@@ -509,10 +603,10 @@ def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
     X phi_n = sqrt(n/2) phi_(n-1) + sqrt((n+1)/2) phi_(n+1), and d/dX is the
     same with the upper band negated."""
     n = c.shape[-1]
-    root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
+    upper, lower = _band_weights(n, upper_sign)
     out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
-    out[..., 1:] = upper_sign * root * c
-    out[..., :n - 1] += root[:n - 1] * c[..., 1:]
+    np.multiply(upper, c, out=out[..., 1:])
+    out[..., :n - 1] += lower * c[..., 1:]
     return out
 
 
@@ -522,17 +616,18 @@ def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
 def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
     """Matrix of real inner products <a_i, b_j>, one factor per dimension.
 
-    contract(k, A, B) gives, for the coefficient rows A of the a modes and B
-    of the b modes in dimension k, the (a modes, b modes) matrix of integrals
+    contract(A, B, slot_a, slot_b) yields, for the (dims, modes, width)
+    coefficients A of the a modes and B of the b modes, in the slots slot_a
+    and slot_b, per dimension k the (a modes, b modes) matrix of integrals
     over X_k of each a factor times the conjugated b factor.  Their product
     over dimensions, weighted by amplitude, time phase and slot match, is
     summed over each state's modes.  A family compared with itself
-    (b_states is a_states) is stacked once and contracted with itself.
+    (b_states is a_states) is stacked once and passed as both A and B.
     """
     states = list(a_states) if b_states is a_states else [*a_states, *b_states]
     if not states:
         return np.zeros((0, 0))
-    owner, slot, amp, coefs = _stacked(states, t)
+    owner, slot, amp, _, coefs = _stacked(states, t)
     if b_states is a_states:
         rows = cols = slice(None)
         col_owner = owner
@@ -541,8 +636,9 @@ def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
         rows, cols = slice(None, na), slice(na, None)
         col_owner = owner[cols] - len(a_states)
     prod = np.multiply.outer(amp[rows], amp[cols].conj()) * np.equal.outer(slot[rows], slot[cols])
-    for k, c in enumerate(coefs):
-        prod *= contract(k, c[rows], c[cols])
+    a = coefs[:, rows]
+    for factor in contract(a, a if cols is rows else coefs[:, cols], slot[rows], slot[cols]):
+        prod *= factor
     out = np.zeros((len(a_states), len(b_states)))
     np.add.at(out, (owner[rows, None], col_owner[None, :]), prod.real)
     return out * (1.0 / states[0].params.alpha) ** len(coefs)
@@ -555,7 +651,7 @@ def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float =
     one mode factor against another is the dot product of their coefficients:
     one complex matmul A B^H per dimension for the whole family.
     """
-    return _mode_gram(a_states, b_states, t, lambda k, a, b: a @ b.conj().T)
+    return _mode_gram(a_states, b_states, t, lambda a, b, *_: (ak @ bk.conj().T for ak, bk in zip(a, b)))
 
 
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
@@ -596,25 +692,29 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     for r in rules:
         if r.kind != "gauss_hermite":
             raise ValueError(f"inner_quad requires gauss_hermite rules, got {r.kind!r}")
-    for k in range(dims):
-        deg = 0
-        for slot in (0, 1):
-            la = [len(m.coefs[k]) for s in a_states for m in s.modes if m.slot == slot]
-            lb = [len(m.coefs[k]) for s in b_states for m in s.modes if m.slot == slot]
-            if la and lb:
-                deg = max(deg, max(la) + max(lb) - 2)
-        if deg > 2 * rules[k].order - 1:
-            warnings.warn(
-                f"quadrature order {rules[k].order} in dimension {k} is below the "
-                f"product degree {deg}; result may be inexact",
-                QuadratureOrderWarning, stacklevel=2)
-
-    def contract(k, a, b):
-        # the rule's Gram matrix of the Hermite functions: the identity when exact
-        h = _hermite_functions(a.shape[1], rules[k].nodes)
-        return a @ ((h * rules[k].weights) @ h.T) @ b.conj().T
+    def contract(a, b, slot_a, slot_b):
+        # rows in different slots never meet, so the degree is taken per slot
+        wa = _slot_widths(a, slot_a)
+        wb = wa if b is a else _slot_widths(b, slot_b)
+        for k, rule in enumerate(rules):
+            deg = max((wa[s][k] + wb[s][k] - 2 for s in (0, 1) if wa[s][k] and wb[s][k]), default=0)
+            if deg > 2 * rule.order - 1:
+                warnings.warn(
+                    f"quadrature order {rule.order} in dimension {k} is below the "
+                    f"product degree {deg}; result may be inexact",
+                    QuadratureOrderWarning, stacklevel=4)
+            # the rule's Gram matrix of the Hermite functions: the identity when exact
+            width = max(1, wa[0][k], wa[1][k], wb[0][k], wb[1][k])
+            h = _hermite_functions(width, rule.nodes)
+            yield a[k, :, :width] @ ((h * rule.weights) @ h.T) @ b[k, :, :width].conj().T
 
     return _mode_gram(a_states, b_states, t, contract)
+
+
+def _slot_widths(coefs: np.ndarray, slots: np.ndarray) -> list[list[int]]:
+    """Per slot, per dimension: the longest coefficient row, 0 in an empty slot."""
+    lengths = _row_lengths(coefs)
+    return [np.where(slots == s, lengths, 0).max(axis=-1, initial=0).tolist() for s in (0, 1)]
 
 
 def _require_normalized(s: WaveState, t: float, check_norm: bool) -> None:
@@ -649,5 +749,4 @@ def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
 
 def time_derivative(s: WaveState) -> WaveState:
     """Exact time derivative: each mode amplitude picks up a factor i*nu."""
-    modes = tuple(Mode(m.slot, m.coeff * 1j * m.freq, m.coefs, m.freq) for m in s.modes)
-    return WaveState(s.dims, modes, s.params)
+    return _from_columns(s.dims, s.slots, _scaled(s.amps * 1j, s.freqs), s.freqs, s.coefs, s.params)

@@ -25,10 +25,13 @@ from quatosc.multidim import (
     radial_state,
     split_state,
 )
-from quatosc.oscillator1d import QPair, energy_nm, hamiltonian, psi_n, psi_nm
+from quatosc.oscillator1d import (QPair, default_grid, energy_nm, hamiltonian, psi_n, psi_nm,
+                                  schrodinger_residual)
 from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
 from quatosc.wavestate import (
+    Mode,
     PhysicalParams,
+    WaveState,
     _magnitude,
     apply,
     evaluate,
@@ -147,6 +150,44 @@ class TestSplitState:
         c2, s2 = math.cos(math.pi / 3) ** 2, math.sin(math.pi / 3) ** 2
         want = c2 * (2 + 1.0) + s2 * (1 + 1.0)
         assert cartesian_energy(s) == pytest.approx(want, abs=1e-10)
+
+
+class TestMultiDimResidual:
+    # schrodinger_residual in more dimensions: H = hamiltonian(params, dims), on the default tensor grid
+
+    @pytest.mark.parametrize("spec, params", [
+        (SplitSpec(2, {0}, {1}, 2, 1, 0.6), PhysicalParams()),
+        (SplitSpec(2, {0, 1}, {1}, 0, 3, 0.4), PhysicalParams()),
+        (SplitSpec(3, {0, 2}, {1}, 1, 2, 1.1), PhysicalParams(2.0, 3.0, 0.5)),
+        (SplitSpec(3, {0, 1}, {0, 2}, 2, 3, 0.7), PhysicalParams()),
+        (SplitSpec(4, {0, 1, 2, 3}, {3}, 1, 4, 0.9), PhysicalParams(0.5, 2.0, 1.5)),
+    ])
+    def test_split_states_solve_the_equation(self, spec, params):
+        s = split_state(spec, params)
+        for t in (0.0, 0.3, 1.7):
+            assert schrodinger_residual(s, t=t) <= 1e-12
+
+    @pytest.mark.parametrize("factors", [
+        [(1, 2, 0.4), (0, 3, 0.0)],
+        [(2, 1, 1.1), (1, 1, 0.0), (3, 0, 0.0)],
+        [(0, 0, 0.3), (1, 2, 0.0), (2, 2, 0.0), (0, 5, 0.0)],
+    ])
+    def test_products_with_complex_later_factors_solve_the_equation(self, factors):
+        # every factor after the first is complex (theta = 0), so it commutes with right_i
+        s = product_state([QPair(*f) for f in factors])
+        for t in (0.0, 0.9):
+            assert schrodinger_residual(s, t=t) <= 1e-12
+
+    def test_wrong_frequency_detected(self):
+        s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
+        bad = WaveState(2, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
+        assert schrodinger_residual(bad, t=0.4) >= 0.01
+
+    def test_default_grid_is_the_tensor_grid(self):
+        g = default_grid(span=3.0, count=7, dims=3)
+        assert g.shape == (343, 3)
+        assert sorted(set(g[:, 2].tolist())) == pytest.approx(np.linspace(-3.0, 3.0, 7).tolist())
+        assert schrodinger_residual(split_state(SplitSpec(3, {0}, {1, 2}, 1, 1, 0.2)), grid=g) <= 1e-12
 
 
 class TestRadialState:

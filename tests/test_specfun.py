@@ -163,13 +163,21 @@ class TestSphHarm:
     def test_legendre_rows_equal_one_degree_passes(self, m):
         # one pass over several degrees gives each row bit for bit as a pass to that degree alone
         polar = np.concatenate([[0.0, math.pi], np.linspace(0.1, 3.0, 11)])
-        x = np.cos(polar)
+        x, s = np.cos(polar), np.sin(polar)
         degrees = sorted({m, m + 1, m + 2, m + 5, 160, 199, DEGREE_CAP})
-        rows = _legendre_rows(m, degrees, x)
+        rows = _legendre_rows(m, degrees, x, s)
         assert rows.shape == (len(degrees), len(x))
         for l, row in zip(degrees, rows):
-            np.testing.assert_array_equal(row, _legendre_rows(m, [l], x)[0])
+            np.testing.assert_array_equal(row, _legendre_rows(m, [l], x, s)[0])
             np.testing.assert_array_equal(row, sph_harm(l, m, polar, 0.0).real)
+
+    @pytest.mark.parametrize("polar", [1e-8, math.pi - 1e-8, 1e-4])
+    def test_accurate_next_to_the_poles(self, polar):
+        # sin(polar) is passed in, not formed as sqrt(1 - cos^2), which rounds to 0 at pi - 1e-8
+        ours = sph_harm(200, 1, polar, 0.3)
+        ref = complex(sph_harm_y(200, 1, polar, 0.3))
+        assert ref != 0
+        assert abs(ours - ref) <= 1e-12 * abs(ref)
 
     def test_orthonormality_by_quadrature(self):
         gl = make_rule("gauss_legendre", 64)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatosc import wavestate
-from quatosc.multidim import product_state
+from quatosc.multidim import SplitSpec, product_state, split_state
 from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
 from quatosc.specfun import make_rule
 from quatosc.wavestate import (
@@ -482,6 +483,76 @@ class TestNormalForm:
     def test_memoized_operators_are_shared(self):
         assert hamiltonian(PhysicalParams(), 3) is hamiltonian(PhysicalParams(), 3)
         assert ladder("raise") is ladder("raise", 0)
+
+
+def algebra_products(seed):
+    """The 4-D product states of the state-algebra benchmark for one seed:
+    levels 0..6 and 6 over four factors in a seeded order, random angles."""
+    rng = random.Random(f"state-algebra:{seed}")
+    states = []
+    for _ in range(16):
+        levels = rng.sample((0, 1, 2, 3, 4, 5, 6, 6), 8)
+        states.append(product_state([QPair(levels[2 * k], levels[2 * k + 1], rng.uniform(0.0, 0.5 * math.pi))
+                                     for k in range(4)]))
+        rng.randint(0, 9), rng.uniform(0.0, 0.5 * math.pi), rng.uniform(0.0, 2.0)  # the rest of an op
+    return states
+
+
+class TestColumnStorage:
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_one_point_evaluates_like_many(self, dims):
+        rng = np.random.default_rng(30 + dims)
+        for _ in range(5):
+            s = random_state(rng, dims, 6)
+            xs = rng.uniform(-2.5, 2.5, size=(9, dims))
+            z0, z1 = evaluate_points([s], xs, 0.4)
+            for p, x in enumerate(xs):
+                q = evaluate(s, x, 0.4)
+                assert (q.x0, q.x1) == (z0[0, p].real, z0[0, p].imag)
+                assert (q.x2, q.x3) == (z1[0, p].real, z1[0, p].imag)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hamiltonian_keeps_product_modes(self, seed):
+        # H_k maps phi_n to (n + 1/2) phi_n: a scaled copy, merged into the mode it came from
+        for s in algebra_products(seed):
+            assert len(s.modes) == 16
+            assert len(apply(hamiltonian(s.params, 4), s).modes) == 16
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_cases())
+    def test_one_dimensional_apply_adds_no_modes(self, case):
+        op, s, _probe = case
+        if s.dims == 1:
+            assert len(apply(op, s).modes) <= len(s.modes)
+
+    def test_modes_rebuild_the_same_state(self):
+        rng = np.random.default_rng(33)
+        points = rng.uniform(-2.5, 2.5, size=(7, 3))
+        for dims in (1, 2, 3):
+            s = random_state(rng, dims, 5)
+            for state in (s, apply(ladder("raise", dims - 1) * mul_x(0), s), s + s, time_derivative(s)):
+                again = WaveState(state.dims, state.modes, state.params)
+                for a, b in zip(evaluate_points([state], points[:, :dims], 0.6),
+                                evaluate_points([again], points[:, :dims], 0.6)):
+                    np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", [SplitSpec(2, {0}, {1}, 2, 1, 0.6),
+                                      SplitSpec(3, {0, 1}, {0, 2}, 2, 3, 0.7),
+                                      SplitSpec(4, {0, 1, 2, 3}, {3}, 1, 4, 0.9)])
+    def test_cancelling_difference_has_zero_norm(self, spec):
+        # time_derivative keeps phi_n where H makes (n + 1/2) phi_n; merged on normalized
+        # rows the two cancel, so the norm is not the root of a cancelling sum (~1e-8)
+        s = split_state(spec)
+        residual = apply(right_i(), time_derivative(s)) - apply(hamiltonian(s.params, spec.dims), s)
+        assert residual.norm(0.3) <= 1e-14
+
+    def test_columns_are_read_only(self):
+        s = psi_nm(QPair(2, 3, 0.4))
+        for a in (s.slots, s.amps, s.freqs, s.coefs):
+            with pytest.raises(ValueError):
+                a[0] = 0
+        with pytest.raises(AttributeError):
+            s.dims = 2
 
 
 class TestSelfGram:
