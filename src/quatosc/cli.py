@@ -30,7 +30,7 @@ import re
 import sys
 import time
 import warnings
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .multidim import (
 from .specfun import DEGREE_CAP, make_rule
 from .wavestate import (
     PhysicalParams,
+    _Family,
     _magnitude,
     apply,
     evaluate_points,
@@ -108,7 +109,7 @@ def _load_descriptors(path: str) -> list[dict]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise ValidationError(f"line {ln}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValidationError(f"line {ln}: descriptor must be a JSON object")
@@ -132,9 +133,12 @@ def _get_signed_int(desc: dict, name: str) -> int:
 
 def _get_num(desc: dict, name: str, default: float = 0.0) -> float:
     v = desc.get(name, default)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
-        raise ValidationError(f"field {name!r} must be a finite number, got {v!r}")
-    return float(v)
+    try:  # float() of an int past the double range raises OverflowError
+        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(float(v)):
+            return float(v)
+    except OverflowError:
+        pass
+    raise ValidationError(f"field {name!r} must be a finite number, got {v!r}")
 
 
 def _params_for(desc: dict, args) -> PhysicalParams:
@@ -149,7 +153,10 @@ def _params_for(desc: dict, args) -> PhysicalParams:
         mu = _get_num(override, "mu", mu)
         omega = _get_num(override, "omega", omega)
         hbar = _get_num(override, "hbar", hbar)
-    return PhysicalParams(mu, omega, hbar)
+    return _physical_params(mu, omega, hbar)
+
+
+_physical_params = lru_cache(maxsize=16)(PhysicalParams)  # one object per distinct set, shared by a family
 
 
 # Each builder maps the read field values and params to (spec, state), the spec
@@ -350,6 +357,7 @@ def cmd_gram(args) -> int:
     checks: dict = {}
     quad_order = args.quad_order  # unused by radial families, whose rule order is exact
     if kind == "ho1d":
+        states = _Family(states)  # stacked once for the values and both Gram routes
         g = gram(specs, args.time, params, states=states)
         quad_order = _quad_order(args, max(max(q.n, q.m) for q in specs) + 1)
         with warnings.catch_warnings(record=True) as grabbed:
@@ -364,10 +372,8 @@ def cmd_gram(args) -> int:
         g = angular_gram(states, n_polar=quad_order,
                          n_azimuth=2 * quad_order, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
-    results["parallel"] = g.parallel.tolist()
-    results["theta_equal"] = g.theta_equal.tolist()
-    results["entries"] = g.entries.tolist()
-    results["closed_form"] = g.closed_form.tolist()
+    results.update(parallel=g.parallel.tolist(), theta_equal=g.theta_equal.tolist(),
+                   entries=g.entries.tolist(), closed_form=g.closed_form.tolist())
     off = g.closed_form - np.diag(np.diag(g.closed_form))
     tol = args.tol if args.tol is not None else 1e-10
     checks["max_closed_form_deviation"] = g.max_closed_form_deviation()
@@ -423,8 +429,7 @@ def _suite_algebra(tol, quad_order) -> list[dict]:
 def _suite_ladder(tol, quad_order) -> list[dict]:
     params = PhysicalParams()
     lower, raise_op = ladder("lower"), ladder("raise")
-    ground_killed = psi_n(0, params)
-    ground_killed = apply(lower, ground_killed).norm()
+    ground_killed = apply(lower, psi_n(0, params)).norm()
     comm_dev = 0.0
     for n in range(21):
         s = psi_n(n, params)
@@ -445,11 +450,8 @@ def _suite_ladder(tol, quad_order) -> list[dict]:
 
 
 def _residual_samples() -> list[QPair]:
-    samples = []
     thetas = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
-    for k in range(20):
-        samples.append(QPair(k % 5, (k * 3) % 4, thetas[k % 5]))
-    return samples
+    return [QPair(k % 5, (k * 3) % 4, thetas[k % 5]) for k in range(20)]
 
 
 def _suite_residual(tol, quad_order) -> list[dict]:
@@ -494,15 +496,11 @@ def _suite_radial(tol, quad_order) -> list[dict]:
 
 
 def _angular_specs(l_max: int) -> list[QSphericalHarmonic]:
-    specs = []
-    for l in range(min(l_max, 2) + 1):
-        for m1 in range(-l, l + 1):
-            for m2 in range(-l, l + 1):
-                specs.append(QSphericalHarmonic(l, m1, m2, 0.6))
-    for l in range(3, l_max + 1):
-        for m1, m2 in ((-l, l), (l, l - 1), (0, 1), (l, l)):
-            specs.append(QSphericalHarmonic(l, m1, m2, 0.6))
-    return specs
+    # every (m1, m2) up to l = 2, then four pairs per l
+    return ([QSphericalHarmonic(l, m1, m2, 0.6) for l in range(min(l_max, 2) + 1)
+             for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
+            + [QSphericalHarmonic(l, m1, m2, 0.6) for l in range(3, l_max + 1)
+               for m1, m2 in ((-l, l), (l, l - 1), (0, 1), (l, l))])
 
 
 def _suite_angular(tol, quad_order) -> list[dict]:

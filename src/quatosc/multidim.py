@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import GramMatrix, QPair, _family_gram, _pair_state, _sample_points, hamiltonian
-from .specfun import _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
+from .specfun import DEGREE_CAP, _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
 from .wavestate import PhysicalParams, WaveState, _from_columns, _joined, _merged, expectation
 
 __all__ = [
@@ -158,17 +159,18 @@ def radial_state(u: int, v: int, l: int, theta: float = 0.0,
     return RadialState(u, v, l, theta, params or PhysicalParams())
 
 
-def _envelope(u: int, l: int, rho: np.ndarray) -> np.ndarray:
-    """N_u rho^l exp(-rho^2/2), formed in log space so that l up to the cap stays finite."""
+def _envelope(levels, l: int, rho: np.ndarray) -> np.ndarray:
+    """N_u rho^l exp(-rho^2/2) for each level u, one row per level, formed in log
+    space so that l up to the cap stays finite; the levels share all but log N_u."""
     with np.errstate(divide="ignore"):
         log_power = l * np.log(np.abs(rho)) if l else 0.0
-    return np.sign(rho) ** l * np.exp(log_power - 0.5 * rho * rho + math.log(laguerre_norm_const(u, l)))
+    log_n = np.reshape([math.log(laguerre_norm_const(u, l)) for u in levels], (-1, *[1] * rho.ndim))
+    return np.sign(rho) ** l * np.exp(log_power - 0.5 * rho * rho + log_n)
 
 
 def _radial_values(levels, l: int, rho: np.ndarray) -> np.ndarray:
-    """R_u(rho) for each level u, one row per level."""
-    values = [_envelope(u, l, rho) * laguerre(u, l + 0.5, rho * rho) for u in levels]
-    return np.reshape(values, (len(values), *rho.shape))
+    """R_u(rho) for each level u, one row per level, from one Laguerre pass."""
+    return _envelope(levels, l, rho) * laguerre(levels, l + 0.5, rho * rho)
 
 
 def _family_levels(states) -> tuple[int, list[int]]:
@@ -192,28 +194,28 @@ def _exact_rule(top: int, l: int):
     return make_rule("half_line", top + l // 2 + 1)
 
 
-def _radial_entries(a_states, b_states) -> np.ndarray:
+def _radial_entries(a_states, b_states, radii=()) -> tuple[np.ndarray, np.ndarray]:
     """Real inner products <a_i, b_j> under rho^2 drho: T W T^T on the exact half-line
-    rule, the family's distinct radial functions spread to the states' slots."""
+    rule, the family's distinct radial functions spread to the states' slots; and the
+    a states' (2, states, radii) values at the given radii, from the same level pass."""
     l, levels = _family_levels((*a_states, *b_states))
     rule = _exact_rule(max(levels, default=0), l)
-    t = _radial_values(levels, l, rule.nodes)
-    a, b = _spread(a_states, levels, t), _spread(b_states, levels, t)
-    return (a[0] * rule.weights) @ b[0].T + (a[1] * rule.weights) @ b[1].T
+    t = _radial_values(levels, l, np.concatenate([rule.nodes, radii]))
+    a, b = (_spread(s, levels, t[:, :rule.order]) for s in (a_states, b_states))
+    entries = (a[0] * rule.weights) @ b[0].T + (a[1] * rule.weights) @ b[1].T
+    return entries, _spread(a_states, levels, t[:, rule.order:])
 
 
 def radial_inner(a: RadialState, b: RadialState) -> float:
     """Real inner product under the measure rho^2 drho, by exact quadrature."""
-    return float(_radial_entries([a], [b])[0, 0])
+    return float(_radial_entries([a], [b])[0][0, 0])
 
 
 def radial_gram(states: list[RadialState], parallel_tol: float = 1e-10) -> GramMatrix:
     """Gram matrix of radial states sharing one angular momentum l."""
     states = tuple(states)
-    l, levels = _family_levels(states)
-    radii, = _sample_points((0.3, 3.0))
-    return _family_gram(states, _radial_entries(states, states), [(s.u, s.v) for s in states],
-                        _spread(states, levels, _radial_values(levels, l, radii)), 0.0, parallel_tol)
+    entries, values = _radial_entries(states, states, *_sample_points((0.3, 3.0)))
+    return _family_gram(states, entries, [(s.u, s.v) for s in states], values, 0.0, parallel_tol)
 
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
@@ -234,7 +236,7 @@ def _radial_action(u: int, l: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndar
     H R = E ((l + 3/2) L - (2l + 3 - 2s) L' - 2s L''), L' = -L_(u-1)^(alpha+1), L'' = L_(u-2)^(alpha+2)."""
     s = rho * rho
     lg, minus_d1, d2 = (laguerre(u - k, l + 0.5 + k, s) if u >= k else 0.0 for k in range(3))
-    env = _envelope(u, l, rho)
+    env = _envelope([u], l, rho)[0]
     return env * lg, env * ((l + 1.5) * lg + (2.0 * l + 3.0 - 2.0 * s) * minus_d1 - 2.0 * s * d2)
 
 
@@ -304,10 +306,7 @@ class AngularState:
     def components(self, polar, azimuth):
         z0 = math.cos(self.spec.theta) * sph_harm(self.spec.l, self.spec.m1, polar, azimuth)
         y1 = sph_harm(self.spec.l, self.spec.m2, polar, azimuth)
-        if self.conjugate_slot1:
-            y1 = np.conj(y1)
-        z1 = math.sin(self.spec.theta) * y1
-        return z0, z1
+        return z0, math.sin(self.spec.theta) * (np.conj(y1) if self.conjugate_slot1 else y1)
 
     def evaluate(self, polar: float, azimuth: float) -> Quaternion:
         z0, z1 = self.components(polar, azimuth)
@@ -316,6 +315,13 @@ class AngularState:
 
 def qsph_harm(spec: QSphericalHarmonic, conjugate_slot1: bool = False) -> AngularState:
     return AngularState(spec, conjugate_slot1)
+
+
+@lru_cache(maxsize=16)
+def _azimuth_phases(az, top: int) -> np.ndarray:
+    """exp(i k azimuth) on the rule's nodes, row k + top for |k| <= top; read-only."""
+    (e := np.exp(1j * np.outer(np.arange(-top, top + 1), az.nodes))).setflags(write=False)
+    return e
 
 
 def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: int = 128,
@@ -334,22 +340,23 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
     polar = np.concatenate([np.arccos(gl.nodes), thetas])
     x, sin = np.cos(polar), np.sin(polar)
     ms = np.array([[s.m1 for s in specs], [s.m2 for s in specs]], dtype=int)
-    ls = np.broadcast_to([s.l for s in specs], (2, n))
-    leg = np.empty((2, n, len(x)))
-    for order in set(np.abs(ms).flat):
-        at = np.abs(ms) == order
-        degrees = sorted(set(ls[at].tolist()))
-        leg[at] = _legendre_rows(int(order), degrees, x, sin)[np.searchsorted(degrees, ls[at])]
+    # the distinct (|m|, l) in one sort; one Legendre pass per run of equal |m|
+    keys, slot_row = np.unique(np.abs(ms) * (DEGREE_CAP + 1) + [s.l for s in specs], return_inverse=True)
+    orders, degrees = np.divmod(keys, DEGREE_CAP + 1)
+    starts = np.flatnonzero(np.diff(orders, prepend=-1)).tolist() + [len(keys)]
+    leg = np.concatenate([np.empty((0, len(x)))] + [_legendre_rows(int(orders[a]), degrees[a:b].tolist(), x, sin)
+                                                    for a, b in zip(starts, starts[1:])])[slot_row.reshape(2, n)]
     leg *= ((-1.0) ** np.minimum(ms, 0))[..., None]  # Y_l^-m = (-1)^m conj(Y_l^m)
     mix = np.array([[math.cos(s.theta) for s in specs], [math.sin(s.theta) for s in specs]]).reshape(2, n, 1)
     # azimuth frequencies: Y_l^m carries exp(i m azimuth), conjugate_slot1 negates slot 1's
     freqs = ms * np.array([[1], [-1 if conjugate_slot1 else 1]])
     f = mix * leg[..., :n_polar]
     entries = np.zeros((n, n))
+    top = int(np.abs(ms).max(initial=0))
     for fs, ks in zip(f, freqs):
         # one azimuth row per distinct frequency k, spread back to the states
         k, row = np.unique(ks, return_inverse=True)
-        e = np.exp(1j * np.outer(k, az.nodes))
+        e = _azimuth_phases(az, top)[k + top]
         entries += (((fs * gl.weights) @ fs.T) * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
     values = mix * (leg[..., n_polar:] * np.exp(1j * freqs[..., None] * phis))
     return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values, 0.0, parallel_tol)

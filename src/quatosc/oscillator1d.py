@@ -29,6 +29,7 @@ from .wavestate import (
     Operator,
     PhysicalParams,
     WaveState,
+    _Family,
     _from_columns,
     _magnitude,
     apply,
@@ -164,21 +165,24 @@ def hamiltonian(params: PhysicalParams | None = None, dims: int = 1) -> Operator
 
 @lru_cache(maxsize=32)
 def _hamiltonian(params: PhysicalParams, dims: int) -> Operator:
-    terms = []
-    for k in range(dims):
-        p = momentum(k)
-        x = mul_x(k)
-        terms.append(0.5 * params.energy_quantum * (p * p + x * x))
+    terms = [0.5 * params.energy_quantum * (momentum(k) * momentum(k) + mul_x(k) * mul_x(k)) for k in range(dims)]
     return terms[0] if dims == 1 else op_add(*terms)
+
+
+_SAMPLE_STREAM = [float.fromhex(h) for h in (  # default_rng(_SAMPLE_SEED).random(10)
+    "0x1.40c0ed87903d8p-2", "0x1.6641738654834p-1", "0x1.4bd86dfdc2eaep-1", "0x1.dd533ac28b831p-1",
+    "0x1.7630cf58112acp-3", "0x1.8f271b3926472p-1", "0x1.b98166daebf68p-3", "0x1.18055dbbfab7cp-1",
+    "0x1.09d9de4f634fdp-1", "0x1.bde48aba73474p-1")]
 
 
 @cache
 def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
-    """The fixed pseudo-random sample coordinates of the parallelism test,
-    one read-only array per (low, high) range, drawn in order from one seeded
-    stream once per process."""
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    points = tuple(rng.uniform(low, high, size=_SAMPLE_COUNT) for low, high in ranges)
+    """The fixed pseudo-random sample coordinates of the parallelism test, one
+    read-only array per (low, high) range: low + (high - low) u, u taken in order
+    from _SAMPLE_STREAM, as default_rng(_SAMPLE_SEED).uniform draws them bit for
+    bit; the stream is kept as literals so that no command imports numpy.random."""
+    u = np.reshape(_SAMPLE_STREAM[:_SAMPLE_COUNT * len(ranges)], (-1, _SAMPLE_COUNT))
+    points = tuple(low + (high - low) * row for (low, high), row in zip(ranges, u, strict=True))
     for p in points:
         p.setflags(write=False)
     return points
@@ -200,14 +204,13 @@ def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
         return np.equal.outer(ids, ids)
 
     thetas = [label.theta for label in labels]
-    cos = np.array([math.cos(th) for th in thetas])
-    sin = np.array([math.sin(th) for th in thetas])
+    cos, sin = (np.array([f(th) for th in thetas]) for f in (math.cos, math.sin))
     closed = (np.multiply.outer(cos, cos) * same([k[0] for k in keys])
               + np.multiply.outer(sin, sin) * same([k[1] for k in keys]))
-    parts = [v for z in values for v in (z.real, z.imag)]  # quaternion components x0..x3
-    par = _parallel([v[:, None] for v in parts], [v[None, :] for v in parts], parallel_tol)
+    zt = [np.ascontiguousarray(z.T) for z in values]  # (points, states): products run along the states
+    par = _parallel([z[:, :, None] for z in zt], [z[:, None, :] for z in zt], parallel_tol).all(axis=0)
     th_eq = np.equal.outer(np.array(thetas), np.array(thetas))
-    return GramMatrix(tuple(labels), entries, t, closed, par.all(axis=-1), th_eq)
+    return GramMatrix(tuple(labels), entries, t, closed, par, th_eq)
 
 
 def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = None,
@@ -219,11 +222,12 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     parallelism test at 5 fixed sample points and whether the angles match.
     The entries come from the Hermite-function coefficients, so they equal
     the closed form by construction; quad_gram is the route that tests them.
-    A caller already holding the states psi_nm(q, params) passes them in.
+    A caller already holding the states psi_nm(q, params) passes them in,
+    as a wavestate._Family to share their stack with its own quad_gram.
     """
     params = params or PhysicalParams()
     pairs = tuple(pairs)
-    states = states or [psi_nm(q, params) for q in pairs]
+    states = _Family(states or [psi_nm(q, params) for q in pairs])
     xs, = _sample_points((-3.0, 3.0))
     values = evaluate_points(states, xs / params.alpha, t)
     return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs],
@@ -290,15 +294,24 @@ def default_grid(params: PhysicalParams | None = None, span: float = 6.0, count:
     return axis if dims == 1 else np.stack(np.meshgrid(*[axis] * dims, indexing="ij"), -1).reshape(-1, dims)
 
 
+def _lattice_grid(params: PhysicalParams, dims: int):
+    """The 2401 = 7^4 points (i z + 1/2) / 2401 mod 1, z = (1, 556, 556^2, ...) mod 2401, of a
+    shifted rank-1 (Korobov) lattice, over X_k in [-3, 3], in x units: (2401, dims)."""
+    z = np.array([pow(556, k, 2401) for k in range(dims)])
+    return 3.0 * (2.0 * ((np.arange(2401)[:, None] * z % 2401 + 0.5) / 2401) - 1.0) / params.alpha
+
+
 def schrodinger_residual(s: WaveState, grid=None, t: float = 0.0) -> float:
     """Sup-norm over the grid of the time-dependent equation residual
     hbar (d/dt s) i - H s, H = hamiltonian(s.params, s.dims), as a quaternion
     magnitude.  grid holds (points,) positions in one dimension and
     (points, dims) in more.  The default grid is 41 points over X in [-6, 6]
-    in one dimension and, in more, the 7^dims tensor grid over X_k in
-    [-3, 3], where a state of low level keeps most of its weight."""
+    in one dimension; over X_k in [-3, 3], where a state of low level keeps
+    most of its weight, it is the 7^dims tensor grid in 2-4 dimensions and
+    past 4 the 7^4 points of _lattice_grid."""
     if grid is None:
-        grid = default_grid(s.params) if s.dims == 1 else default_grid(s.params, 3.0, 7, s.dims)
+        grid = (default_grid(s.params) if s.dims == 1 else default_grid(s.params, 3.0, 7, s.dims)
+                if s.dims <= 4 else _lattice_grid(s.params, s.dims))
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("grid must be non-empty")

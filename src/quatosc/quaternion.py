@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "Quaternion",
     "SymplecticPair",
@@ -98,10 +100,7 @@ class Quaternion:
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.x0 * other, self.x1 * other,
-                              self.x2 * other, self.x3 * other)
-        return NotImplemented
+        return self * other if isinstance(other, (int, float)) else NotImplemented
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -135,22 +134,23 @@ def right_mul_i(q: Quaternion) -> Quaternion:
 
 
 def _parallel(p, q, tol: float):
-    """is_parallel on broadcastable (x0, x1, x2, x3) component arrays; p*conj(q)
-    is written out in the operation order of Quaternion.__mul__."""
+    """is_parallel on broadcastable quaternion arrays, each given as its symplectic
+    pair (z0, z1) or its components (x0, x1, x2, x3).  For p = z0 + z1 j, q = w0 + w1 j,
+    p*conj(q) = (z0 conj(w0) + z1 conj(w1)) + (z1 w0 - z0 w1) j: its imaginary parts
+    take four complex products, where the real components take twelve."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    a0, a1, a2, a3 = p
-    b0, b1, b2, b3 = q[0], -q[1], -q[2], -q[3]
-    r1 = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    r2 = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    r3 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return (abs(r1) <= tol) & (abs(r2) <= tol) & (abs(r3) <= tol)
+    (z0, z1), (w0, w1) = (v if len(v) == 2 else (v[0] + 1j * v[1], v[2] + 1j * v[3]) for v in (p, q))
+    i_part = (z0 * w0.conj() + z1 * w1.conj()).imag
+    jk = z1 * w0 - z0 * w1
+    return (abs(i_part) <= tol) & (abs(jk.real) <= tol) & (abs(jk.imag) <= tol)
 
 
 def is_parallel(p: Quaternion, q: Quaternion, tol: float = PARALLEL_TOL) -> bool:
     """True iff every imaginary component of p*conj(q) is within tol of zero.
 
     Componentwise absolute tolerance; states with near-zero norm are
-    excluded by the callers.  The one-pair case of the array rule.
+    excluded by the callers.  The one-pair case of the array rule, run on
+    one-element arrays so that it takes numpy's arithmetic, as tables do.
     """
-    return bool(_parallel((p.x0, p.x1, p.x2, p.x3), (q.x0, q.x1, q.x2, q.x3), tol))
+    return bool(_parallel(*(np.array([v.to_symplectic()]).T for v in (p, q)), tol)[0])

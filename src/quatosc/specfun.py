@@ -3,10 +3,11 @@
 Hermite and generalized Laguerre polynomials are evaluated by their
 three-term recurrences (stable, no factorial ratios).  Spherical harmonics
 take their normalized associated Legendre factor, Condon-Shortley phase,
-from one upward pass over the degree per order m, which yields every
-degree a family asks for at that order at once.  The quadrature rules
-cross-check the Cartesian coefficient inner products and are the radial
-sector's one numeric route, exact for its polynomial degrees.
+from one upward pass over the degree per order m, and laguerre a sequence
+of degrees from one pass, so each yields every degree a family asks for at
+once.  The quadrature rules cross-check the Cartesian coefficient inner
+products and are the radial sector's one numeric route, exact for its
+polynomial degrees.
 """
 
 from __future__ import annotations
@@ -55,22 +56,22 @@ def hermite(n: int, x):
     return h
 
 
-def laguerre(u: int, alpha: float, x):
+def laguerre(u, alpha: float, x):
     """Generalized Laguerre polynomial L_u^{(alpha)}(x), alpha > -1.
 
-    Uses (u+1) L_{u+1} = (2u+1+alpha-x) L_u - (u+alpha) L_{u-1}.
+    Uses (u+1) L_{u+1} = (2u+1+alpha-x) L_u - (u+alpha) L_{u-1}.  u is one
+    degree, or a sequence of degrees: one upward pass to the highest then
+    yields a row per degree, each bit for bit its own single-degree call.
     """
-    _check_degree(u, "u")
+    for d in (degrees := np.atleast_1d(u).tolist()):
+        _check_degree(d, "u")
     if alpha <= -1:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    l_prev = np.ones_like(x) if not np.isscalar(x) else 1.0
-    if u == 0:
-        return l_prev
-    l_cur = 1.0 + alpha - x
-    for k in range(1, u):
-        l_cur, l_prev = ((2.0 * k + 1.0 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1.0), l_cur
-    return l_cur
+    rows = [np.ones_like(x) if not np.isscalar(x) else 1.0, 1.0 + alpha - x]
+    for k in range(2, max(degrees, default=0) + 1):
+        rows.append(((2.0 * k - 1.0 + alpha - x) * rows[-1] - (k - 1.0 + alpha) * rows[-2]) / k)
+    return np.reshape([rows[d] for d in degrees], (len(degrees), *np.shape(x))) if np.ndim(u) else rows[u]
 
 
 def _degree_step(k: int, m: int) -> tuple[float, float]:

@@ -13,11 +13,12 @@ orthonormal, so an inner product is one coefficient dot product per
 dimension, and X and d/dX act as two-band shifts of the coefficients.
 Gauss-Hermite quadrature of the values, which the normalized three-term
 recurrence gives pointwise, is the independent evaluation of the same
-integrals.
+integrals, through the rule's Gram matrix of the phi_n (cached per width).
 
 A state stores its modes as columns, one row per mode, which every
 operation reads and writes; WaveState.modes derives Mode objects from them
-on request.  Like modes merge on normalized rows (see _merged), so scaled
+on request; a _Family stacks its states' rows once for all its Grams and
+values.  Like modes merge on normalized rows (see _merged), so scaled
 copies of one function become one mode.
 
 Operators are trees over X, d/dX, right multiplication by i and real
@@ -92,7 +93,7 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu", "omega", "hbar"):
+        for name in ("mu", "omega", "hbar", "alpha", "energy_quantum"):  # the last two can over- or underflow
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
@@ -300,20 +301,36 @@ def _nonzero(dims: int, slots, freqs, coefs, params) -> WaveState:
     return _from_columns(dims, slots, np.ones(len(slots), dtype=complex), freqs, coefs[..., :width], params)
 
 
-def _stacked(states, t: float = 0.0):
+def _stacked(states):
     """Every mode of the states, which must share dims and params, in order:
-    owner state index, slot, amplitude at time t, frequency, and the
+    owner state index, slot, amplitude at time 0, frequency, and the
     (dims, modes, width) coefficients zero-padded to the widest state."""
     for s in states[1:]:
         _check_compatible(states[0], s)
     if len(states) == 1:
         s = states[0]
-        slots, amps, freqs, coefs = s.slots, s.amps, s.freqs, s.coefs
-        owner = np.zeros(len(slots), dtype=int)
-    else:
-        owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
-        slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
-        coefs = _joined([s.coefs for s in states], 1)
+        return np.zeros(len(s.slots), dtype=int), s.slots, s.amps, s.freqs, s.coefs
+    owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
+    slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
+    return owner, slots, amps, freqs, _joined([s.coefs for s in states], 1)
+
+
+class _Family(tuple):
+    """States whose modes are stacked once, on first use, then shared by every
+    evaluation and Gram of the family (_Family(f) is f).  The stack is a pure
+    function of immutable states, so a family is as safe to share as they are."""
+
+    def __new__(cls, states=()):
+        return states if type(states) is cls else super().__new__(cls, states)
+
+    @cached_property
+    def stack(self) -> tuple:
+        return _stacked(self)
+
+
+def _stacked_at(states, t: float) -> tuple:
+    """_stacked(states), made once per _Family, with the amplitudes at time t."""
+    owner, slots, amps, freqs, coefs = states.stack if isinstance(states, _Family) else _stacked(states)
     return owner, slots, amps * np.exp(1j * freqs * t) if t else amps, freqs, coefs
 
 
@@ -352,7 +369,7 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     if x.shape[1] != states[0].dims:
         raise ValueError(f"expected points of {states[0].dims} coordinates, got {x.shape[1]}")
     coords = states[0].params.alpha * x.T
-    owner, slot, amp, _, coefs = _stacked(states, t)
+    owner, slot, amp, _, coefs = _stacked_at(states, t)
     terms = amp[:, None]
     step = max(1, _CONTRACT_ELEMENTS // max(1, coefs[0].size))  # points per block of the product below
     for c, xk in zip(coefs, coords):
@@ -624,10 +641,10 @@ def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
     summed over each state's modes.  A family compared with itself
     (b_states is a_states) is stacked once and passed as both A and B.
     """
-    states = list(a_states) if b_states is a_states else [*a_states, *b_states]
+    states = a_states if b_states is a_states else [*a_states, *b_states]
     if not states:
         return np.zeros((0, 0))
-    owner, slot, amp, _, coefs = _stacked(states, t)
+    owner, slot, amp, _, coefs = _stacked_at(states, t)
     if b_states is a_states:
         rows = cols = slice(None)
         col_owner = owner
@@ -678,8 +695,9 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     exactly the Hermite weight, so the rule integrates the polynomial part
     of Sc(a * conj(b)); on the tensor-product grid that sum factors into one
     node sum per dimension, A G B^H with G the rule's Gram matrix of the
-    Hermite functions.  Warns (without failing) when the rule order
-    cannot integrate the largest product degree exactly.
+    Hermite functions (_rule_gram, made once per rule and width).  Warns
+    (without failing) when the rule order cannot integrate the largest
+    product degree exactly.
     """
     states = [*a_states, *b_states]
     if not states:
@@ -703,12 +721,20 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
                     f"quadrature order {rule.order} in dimension {k} is below the "
                     f"product degree {deg}; result may be inexact",
                     QuadratureOrderWarning, stacklevel=4)
-            # the rule's Gram matrix of the Hermite functions: the identity when exact
             width = max(1, wa[0][k], wa[1][k], wb[0][k], wb[1][k])
-            h = _hermite_functions(width, rule.nodes)
-            yield a[k, :, :width] @ ((h * rule.weights) @ h.T) @ b[k, :, :width].conj().T
+            yield a[k, :, :width] @ _rule_gram(rule, width, _hermite_functions) @ b[k, :, :width].conj().T
 
     return _mode_gram(a_states, b_states, t, contract)
+
+
+@functools.lru_cache(maxsize=32)
+def _rule_gram(rule: QuadratureRule, width: int, hermite_functions) -> np.ndarray:
+    """The rule's Gram matrix of phi_n, n < width, on its nodes (the identity when
+    exact), read-only; per rule, width and recurrence, as quad_gram passes the
+    _hermite_functions it finds, so a replaced recurrence is the one that runs."""
+    h = hermite_functions(width, rule.nodes)
+    (g := (h * rule.weights) @ h.T).setflags(write=False)
+    return g
 
 
 def _slot_widths(coefs: np.ndarray, slots: np.ndarray) -> list[list[int]]:

@@ -227,6 +227,26 @@ class TestExitCodes:
         else:
             assert json.loads(proc.stdout)["checks"]["within_tolerance"] is (code == 0)
 
+    # inputs that once ended in a traceback: a number past the double range, params
+    # whose alpha underflows to 0 or overflows, and nesting past the recursion limit
+    @pytest.mark.parametrize("command", ["gram", "spectrum"])
+    @pytest.mark.parametrize("line, extra", [
+        pytest.param('{"kind": "ho1d", "n": 1, "m": 0, "theta": 1' + "0" * 400 + "}", [], id="theta-1e400"),
+        pytest.param('{"kind": "ho1d", "n": 1, "m": 0, "params": {"mu": 1e-308, "omega": 1e-308}}', [],
+                     id="params-1e-308"),
+        pytest.param('{"kind": "ho1d", "n": 1, "m": 0}', ["--mu", "1e-308", "--omega", "1e-308"], id="args-1e-308"),
+        pytest.param('{"kind": "ho1d", "n": 1, "m": 0, "params": {"mu": 1e308, "omega": 1e308}}', [],
+                     id="params-1e308"),
+        pytest.param("[" * 200000 + "]" * 200000, [], id="nested-200000"),
+    ])
+    def test_former_traceback_input_is_validation_error(self, command, line, extra, tmp_path):
+        path = tmp_path / "s.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        proc = run_cli(command, "--states", str(path), *extra)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert len(proc.stderr.decode().splitlines()) == 1
+
     # valid JSON whose field types are wrong: rejected with one line, not a
     # traceback, and never coerced
     @pytest.mark.parametrize("desc", [
@@ -345,6 +365,17 @@ class TestExitCodes:
         report = json.loads(proc.stdout)
         assert report["inputs"]["quad_order"] == order
         assert report["checks"]["within_tolerance"] is True
+
+
+def test_ho1d_gram_stacks_its_family_once(tmp_path, monkeypatch):
+    # the parallelism values and both Gram routes share one stack of the family
+    calls = []
+    stacked = wavestate._stacked
+    monkeypatch.setattr(wavestate, "_stacked", lambda states: calls.append(len(states)) or stacked(states))
+    path = write_states(tmp_path / "s.jsonl", [{"kind": "ho1d", "n": n, "m": 3, "theta": 0.5} for n in range(6)])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gram", "--states", path, "--time", "0.4"]) == 0
+    assert calls == [6]
 
 
 class TestRadialNegativeControls:
@@ -673,7 +704,8 @@ def test_reused_parser_keeps_no_option_between_calls(tmp_path):
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is a test-only dependency: importing the CLI leaves it out, and
-    # every command runs with any scipy import made to fail
+    # every command runs with any scipy import made to fail; every command but
+    # verify, whose algebra suite draws from a generator, leaves numpy.random out
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, quatosc.cli; sys.exit('scipy' in sys.modules)"],
                           capture_output=True, timeout=120)
@@ -695,14 +727,16 @@ def test_cli_import_leaves_scipy_out(tmp_path):
               "    with contextlib.redirect_stdout(io.StringIO()):\n"
               "        code = cli.main(argv)\n"
               "    if code:\n"
-              "        sys.exit(f'{argv[0]} exited {code}')\n")
+              "        sys.exit(f'{argv[0]} exited {code}')\n"
+              "    if ('numpy.random' in sys.modules) is (argv[0] != 'verify'):\n"
+              "        sys.exit(f'{argv[:2]}: numpy.random imported: {\"numpy.random\" in sys.modules}')\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
 
 
 # --- generated descriptors ------------------------------------------------
 
-_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, -1),
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(-3, -1), st.just(10**400),
                    st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(0, 2), max_size=2))
 _LEVEL = st.integers(0, 30)
 _THETA = st.floats(-4.0, 4.0)
@@ -720,7 +754,7 @@ _KINDS = {
                                     "theta": _THETA}),
 }
 _PARAMS = st.dictionaries(st.sampled_from(["mu", "omega", "hbar"]),
-                          st.one_of(st.floats(0.1, 10.0), _WRONG), max_size=2)
+                          st.one_of(st.floats(0.1, 10.0), st.sampled_from([1e-308, 1e308]), _WRONG), max_size=2)
 
 
 def test_kind_registry_matches_the_documented_commands():

@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
-from quatosc import cli
+from quatosc import cli, multidim, oscillator1d
 from quatosc.multidim import (
     QSphericalHarmonic,
     SplitSpec,
@@ -27,6 +28,7 @@ from quatosc.multidim import (
 )
 from quatosc.oscillator1d import (QPair, default_grid, energy_nm, hamiltonian, psi_n, psi_nm,
                                   schrodinger_residual)
+from quatosc.quaternion import is_parallel
 from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
 from quatosc.wavestate import (
     Mode,
@@ -178,6 +180,18 @@ class TestMultiDimResidual:
         for t in (0.0, 0.9):
             assert schrodinger_residual(s, t=t) <= 1e-12
 
+    def test_six_dimensional_split_state_on_the_lattice(self):
+        s = split_state(SplitSpec(6, {0, 2, 4}, {1, 3, 5}, 2, 1, 0.6))
+        for t in (0.0, 0.8):
+            assert schrodinger_residual(s, t=t) <= 1e-12
+
+    def test_wrong_frequency_detected_past_four_dimensions(self):
+        # past 4-D the default grid is the 2401-point lattice, not 7^dims points
+        s = split_state(SplitSpec(5, {0}, {1, 2, 3, 4}, 1, 0, 0.5))
+        bad = WaveState(5, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
+        assert schrodinger_residual(bad, t=0.4) >= 0.01
+        assert oscillator1d._lattice_grid(s.params, 5).shape == (7 ** 4, 5)
+
     def test_wrong_frequency_detected(self):
         s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
         bad = WaveState(2, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
@@ -322,6 +336,24 @@ class TestRadialThroughDegreeCap:
         states = [radial_state(u, u, l, 0.0) for u in range(DEGREE_CAP + 1)]
         np.testing.assert_allclose(radial_gram(states).entries, np.eye(DEGREE_CAP + 1), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("l", [0, 6, 150, 200])
+    def test_radial_values_are_the_single_level_products(self, l):
+        # the level pass changes no bit of R_u = N_u rho^l exp(-rho^2/2) L_u(rho^2)
+        levels = [0, 1, 7, 50, 149, 199, 200]
+        for rho in (make_rule("half_line", 200 + l // 2 + 1).nodes, np.array([0.3, 1.1, 2.9])):
+            rows = multidim._radial_values(levels, l, rho)
+            for u, row in zip(levels, rows):
+                want = multidim._envelope([u], l, rho)[0] * multidim.laguerre(u, l + 0.5, rho * rho)
+                assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("l", [0, 2, 150, 200])
+    def test_mixed_gram_at_the_cap_keeps_its_identity(self, l):
+        # distinct levels in each slot and one angle: the closed form is the identity
+        states = [radial_state(200 - k, 7 * k % 201, l, 0.8) for k in range(0, 200, 9)]
+        g = radial_gram(states)
+        assert np.array_equal(g.closed_form, np.eye(len(states)))
+        assert g.max_identity_deviation() <= 1e-12
+
     @pytest.mark.parametrize("v, l, theta", [(200, 3, 0.0), (150, 0, 0.6), (199, 6, 1.1)])
     def test_energy_expectation_at_the_cap(self, v, l, theta):
         s = radial_state(200, v, l, theta)
@@ -435,6 +467,37 @@ class TestQSphericalHarmonic:
         for l in (DEGREE_CAP + 1, 10**6):
             with pytest.raises(ValueError, match="degree cap"):
                 QSphericalHarmonic(l, 0, 0, 0.3)
+
+
+class TestParallelTable:
+    # on a family of each kind, sized as the benchmark's, the symplectic table is
+    # symmetric and is is_parallel pair by pair at each of the 5 sample points
+
+    @staticmethod
+    def _families():
+        rng = random.Random(11)
+        angles = [0.3, 0.3, 1.2]
+        ho1d = [QPair(rng.randint(0, 20), rng.randint(0, 20), rng.choice(angles)) for _ in range(20)]
+        ho1d += ho1d[:3]  # repeated states are parallel
+        radial = [radial_state(rng.randint(0, 5), rng.randint(0, 5), 2, rng.choice(angles)) for _ in range(24)]
+        specs = []
+        for k in range(30):
+            l = k % 7
+            specs.append(QSphericalHarmonic(l, rng.randint(-l, l), rng.randint(-l, l), rng.choice(angles)))
+        xs, = oscillator1d._sample_points((-3.0, 3.0))
+        radii, = oscillator1d._sample_points((0.3, 3.0))
+        polar, azimuth = oscillator1d._sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
+        return [(oscillator1d.gram(ho1d), [[evaluate(psi_nm(q), x) for x in xs] for q in ho1d]),
+                (radial_gram(radial), [[s.evaluate(r) for r in radii] for s in radial]),
+                (angular_gram(specs), [[qsph_harm(s).evaluate(th, ph) for th, ph in zip(polar, azimuth)]
+                                       for s in specs])]
+
+    def test_table_is_symmetric_and_pairwise(self):
+        for g, values in self._families():
+            assert np.array_equal(g.parallel, g.parallel.T)
+            want = [[all(is_parallel(p, q) for p, q in zip(a, b)) for b in values] for a in values]
+            assert g.parallel.tolist() == want
+            assert 0 < g.parallel.sum() < g.parallel.size
 
 
 def _sum_over_every_sphere_node(specs, n_polar, n_azimuth, conjugate):

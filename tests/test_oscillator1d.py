@@ -121,6 +121,15 @@ class TestGram:
             assert not p.flags.writeable
             np.testing.assert_array_equal(p, rng.uniform(low, high, size=oscillator1d._SAMPLE_COUNT))
 
+    def test_sample_stream_literals_are_the_seeded_stream(self):
+        # the literals spare every command the numpy.random import, not a bit of the draws
+        stream = np.random.default_rng(oscillator1d._SAMPLE_SEED).random(10)
+        assert np.array_equal(oscillator1d._SAMPLE_STREAM, stream)
+        for ranges in (((-3.0, 3.0),), ((0.3, 3.0),), ((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))):
+            rng = np.random.default_rng(oscillator1d._SAMPLE_SEED)
+            for p, (low, high) in zip(oscillator1d._sample_points(*ranges), ranges, strict=True):
+                assert np.array_equal(p, rng.uniform(low, high, size=oscillator1d._SAMPLE_COUNT))
+
     def test_disjoint_pairs_identity(self):
         pairs = [QPair(0, 1, 0.6), QPair(2, 3, 0.6)]
         g = gram(pairs, 0.0)

@@ -99,6 +99,19 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             laguerre(2, -1.0, 0.5)
 
+    @pytest.mark.parametrize("l", [0, 2, 6, 150])
+    def test_level_rows_equal_single_level_calls(self, l):
+        # one upward pass yields every asked-for degree, bit for bit its own call
+        rng = np.random.default_rng(l)
+        x = np.concatenate([make_rule("half_line", 120).nodes ** 2, rng.uniform(0.0, 400.0, 50)])
+        for _ in range(10):
+            levels = sorted(rng.choice(DEGREE_CAP + 1, size=rng.integers(1, 40), replace=False).tolist())
+            rows = laguerre(levels, l + 0.5, x)
+            assert rows.shape == (len(levels), len(x))
+            for u, row in zip(levels, rows):
+                assert np.array_equal(row, laguerre(u, l + 0.5, x))
+        assert laguerre([3, 0, 3], 0.5, 1.7).tolist() == [laguerre(3, 0.5, 1.7), 1.0, laguerre(3, 0.5, 1.7)]
+
     @pytest.mark.parametrize("l", [0, 1, 3])
     def test_orthogonality_half_line(self, l):
         # weight x^(l+1/2) e^{-x} via the half-line rule with x = r^2

@@ -221,6 +221,23 @@ class TestInnerQuad:
         with pytest.raises(ValueError):
             inner_quad(psi_n(0), psi_n(0), 0.0, [make_rule("gauss_hermite", 16)] * 2)
 
+    def test_rule_gram_cached_per_rule_and_width(self):
+        # rules of different order never share a cached Gram, nor does a narrower
+        # width take a slice of a wider one: each is its own read-only matmul
+        hf = wavestate._hermite_functions
+        grams = {}
+        for order in (10, 11):
+            rule = make_rule("gauss_hermite", order)
+            for width in (6, 11):
+                g = wavestate._rule_gram(rule, width, hf)
+                h = hf(width, rule.nodes)
+                assert np.array_equal(g, (h * rule.weights) @ h.T) and not g.flags.writeable
+                assert wavestate._rule_gram(rule, width, hf) is g
+                grams[order, width] = g
+        assert len({id(g) for g in grams.values()}) == 4
+        # phi_10^2 has degree 20: exact at order 11, not at order 10
+        assert np.abs(grams[11, 11] - np.eye(11)).max() <= 1e-12 < np.abs(grams[10, 11] - np.eye(11)).max()
+
 
 class TestHighDegree:
     # every level up to DEGREE_CAP is verified, not only accepted
