@@ -30,7 +30,7 @@ import re
 import sys
 import time
 import warnings
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -153,10 +153,7 @@ def _params_for(desc: dict, args) -> PhysicalParams:
         mu = _get_num(override, "mu", mu)
         omega = _get_num(override, "omega", omega)
         hbar = _get_num(override, "hbar", hbar)
-    return _physical_params(mu, omega, hbar)
-
-
-_physical_params = lru_cache(maxsize=16)(PhysicalParams)  # one object per distinct set, shared by a family
+    return PhysicalParams(mu, omega, hbar)
 
 
 # Each builder maps the read field values and params to (spec, state), the spec
@@ -372,8 +369,10 @@ def cmd_gram(args) -> int:
         g = angular_gram(states, n_polar=quad_order,
                          n_azimuth=2 * quad_order, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
-    results.update(parallel=g.parallel.tolist(), theta_equal=g.theta_equal.tolist(),
-                   entries=g.entries.tolist(), closed_form=g.closed_form.tolist())
+    results["parallel"] = g.parallel.tolist()
+    results["theta_equal"] = g.theta_equal.tolist()
+    results["entries"] = g.entries.tolist()
+    results["closed_form"] = g.closed_form.tolist()
     off = g.closed_form - np.diag(np.diag(g.closed_form))
     tol = args.tol if args.tol is not None else 1e-10
     checks["max_closed_form_deviation"] = g.max_closed_form_deviation()
@@ -429,7 +428,8 @@ def _suite_algebra(tol, quad_order) -> list[dict]:
 def _suite_ladder(tol, quad_order) -> list[dict]:
     params = PhysicalParams()
     lower, raise_op = ladder("lower"), ladder("raise")
-    ground_killed = apply(lower, psi_n(0, params)).norm()
+    ground_killed = psi_n(0, params)
+    ground_killed = apply(lower, ground_killed).norm()
     comm_dev = 0.0
     for n in range(21):
         s = psi_n(n, params)
@@ -450,8 +450,11 @@ def _suite_ladder(tol, quad_order) -> list[dict]:
 
 
 def _residual_samples() -> list[QPair]:
+    samples = []
     thetas = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
-    return [QPair(k % 5, (k * 3) % 4, thetas[k % 5]) for k in range(20)]
+    for k in range(20):
+        samples.append(QPair(k % 5, (k * 3) % 4, thetas[k % 5]))
+    return samples
 
 
 def _suite_residual(tol, quad_order) -> list[dict]:
@@ -496,11 +499,15 @@ def _suite_radial(tol, quad_order) -> list[dict]:
 
 
 def _angular_specs(l_max: int) -> list[QSphericalHarmonic]:
-    # every (m1, m2) up to l = 2, then four pairs per l
-    return ([QSphericalHarmonic(l, m1, m2, 0.6) for l in range(min(l_max, 2) + 1)
-             for m1 in range(-l, l + 1) for m2 in range(-l, l + 1)]
-            + [QSphericalHarmonic(l, m1, m2, 0.6) for l in range(3, l_max + 1)
-               for m1, m2 in ((-l, l), (l, l - 1), (0, 1), (l, l))])
+    specs = []
+    for l in range(min(l_max, 2) + 1):
+        for m1 in range(-l, l + 1):
+            for m2 in range(-l, l + 1):
+                specs.append(QSphericalHarmonic(l, m1, m2, 0.6))
+    for l in range(3, l_max + 1):
+        for m1, m2 in ((-l, l), (l, l - 1), (0, 1), (l, l)):
+            specs.append(QSphericalHarmonic(l, m1, m2, 0.6))
+    return specs
 
 
 def _suite_angular(tol, quad_order) -> list[dict]:

@@ -306,7 +306,10 @@ class AngularState:
     def components(self, polar, azimuth):
         z0 = math.cos(self.spec.theta) * sph_harm(self.spec.l, self.spec.m1, polar, azimuth)
         y1 = sph_harm(self.spec.l, self.spec.m2, polar, azimuth)
-        return z0, math.sin(self.spec.theta) * (np.conj(y1) if self.conjugate_slot1 else y1)
+        if self.conjugate_slot1:
+            y1 = np.conj(y1)
+        z1 = math.sin(self.spec.theta) * y1
+        return z0, z1
 
     def evaluate(self, polar: float, azimuth: float) -> Quaternion:
         z0, z1 = self.components(polar, azimuth)

@@ -165,7 +165,11 @@ def hamiltonian(params: PhysicalParams | None = None, dims: int = 1) -> Operator
 
 @lru_cache(maxsize=32)
 def _hamiltonian(params: PhysicalParams, dims: int) -> Operator:
-    terms = [0.5 * params.energy_quantum * (momentum(k) * momentum(k) + mul_x(k) * mul_x(k)) for k in range(dims)]
+    terms = []
+    for k in range(dims):
+        p = momentum(k)
+        x = mul_x(k)
+        terms.append(0.5 * params.energy_quantum * (p * p + x * x))
     return terms[0] if dims == 1 else op_add(*terms)
 
 
@@ -204,7 +208,8 @@ def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
         return np.equal.outer(ids, ids)
 
     thetas = [label.theta for label in labels]
-    cos, sin = (np.array([f(th) for th in thetas]) for f in (math.cos, math.sin))
+    cos = np.array([math.cos(th) for th in thetas])
+    sin = np.array([math.sin(th) for th in thetas])
     closed = (np.multiply.outer(cos, cos) * same([k[0] for k in keys])
               + np.multiply.outer(sin, sin) * same([k[1] for k in keys]))
     zt = [np.ascontiguousarray(z.T) for z in values]  # (points, states): products run along the states
@@ -294,24 +299,15 @@ def default_grid(params: PhysicalParams | None = None, span: float = 6.0, count:
     return axis if dims == 1 else np.stack(np.meshgrid(*[axis] * dims, indexing="ij"), -1).reshape(-1, dims)
 
 
-def _lattice_grid(params: PhysicalParams, dims: int):
-    """The 2401 = 7^4 points (i z + 1/2) / 2401 mod 1, z = (1, 556, 556^2, ...) mod 2401, of a
-    shifted rank-1 (Korobov) lattice, over X_k in [-3, 3], in x units: (2401, dims)."""
-    z = np.array([pow(556, k, 2401) for k in range(dims)])
-    return 3.0 * (2.0 * ((np.arange(2401)[:, None] * z % 2401 + 0.5) / 2401) - 1.0) / params.alpha
-
-
 def schrodinger_residual(s: WaveState, grid=None, t: float = 0.0) -> float:
     """Sup-norm over the grid of the time-dependent equation residual
     hbar (d/dt s) i - H s, H = hamiltonian(s.params, s.dims), as a quaternion
     magnitude.  grid holds (points,) positions in one dimension and
     (points, dims) in more.  The default grid is 41 points over X in [-6, 6]
-    in one dimension; over X_k in [-3, 3], where a state of low level keeps
-    most of its weight, it is the 7^dims tensor grid in 2-4 dimensions and
-    past 4 the 7^4 points of _lattice_grid."""
+    in one dimension and, in more, the 7^dims tensor grid over X_k in
+    [-3, 3], where a state of low level keeps most of its weight."""
     if grid is None:
-        grid = (default_grid(s.params) if s.dims == 1 else default_grid(s.params, 3.0, 7, s.dims)
-                if s.dims <= 4 else _lattice_grid(s.params, s.dims))
+        grid = default_grid(s.params) if s.dims == 1 else default_grid(s.params, 3.0, 7, s.dims)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("grid must be non-empty")

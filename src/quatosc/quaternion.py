@@ -100,7 +100,10 @@ class Quaternion:
         return NotImplemented
 
     def __rmul__(self, other):
-        return self * other if isinstance(other, (int, float)) else NotImplemented
+        if isinstance(other, (int, float)):
+            return Quaternion(self.x0 * other, self.x1 * other,
+                              self.x2 * other, self.x3 * other)
+        return NotImplemented
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)

@@ -62,15 +62,20 @@ def laguerre(u, alpha: float, x):
     Uses (u+1) L_{u+1} = (2u+1+alpha-x) L_u - (u+alpha) L_{u-1}.  u is one
     degree, or a sequence of degrees: one upward pass to the highest then
     yields a row per degree, each bit for bit its own single-degree call.
+    The pass keeps two running rows and holds on only to the requested ones.
     """
     for d in (degrees := np.atleast_1d(u).tolist()):
         _check_degree(d, "u")
     if alpha <= -1:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
     x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    rows = [np.ones_like(x) if not np.isscalar(x) else 1.0, 1.0 + alpha - x]
-    for k in range(2, max(degrees, default=0) + 1):
-        rows.append(((2.0 * k - 1.0 + alpha - x) * rows[-1] - (k - 1.0 + alpha) * rows[-2]) / k)
+    l_prev = np.ones_like(x) if not np.isscalar(x) else 1.0
+    l_cur = 1.0 + alpha - x
+    rows, wanted = {0: l_prev, 1: l_cur}, set(degrees)
+    for k in range(1, max(degrees, default=0)):
+        l_cur, l_prev = ((2.0 * k + 1.0 + alpha - x) * l_cur - (k + alpha) * l_prev) / (k + 1.0), l_cur
+        if k + 1 in wanted:
+            rows[k + 1] = l_cur
     return np.reshape([rows[d] for d in degrees], (len(degrees), *np.shape(x))) if np.ndim(u) else rows[u]
 
 

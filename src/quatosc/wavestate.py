@@ -317,15 +317,19 @@ def _stacked(states):
 
 class _Family(tuple):
     """States whose modes are stacked once, on first use, then shared by every
-    evaluation and Gram of the family (_Family(f) is f).  The stack is a pure
-    function of immutable states, so a family is as safe to share as they are."""
+    evaluation and Gram of the family (_Family(f) is f).  The stack is a pure,
+    read-only function of immutable states, so a family is as safe to share
+    as they are."""
 
     def __new__(cls, states=()):
         return states if type(states) is cls else super().__new__(cls, states)
 
     @cached_property
     def stack(self) -> tuple:
-        return _stacked(self)
+        stack = _stacked(self)
+        for a in stack:
+            a.setflags(write=False)
+        return stack
 
 
 def _stacked_at(states, t: float) -> tuple:

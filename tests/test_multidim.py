@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -180,17 +181,15 @@ class TestMultiDimResidual:
         for t in (0.0, 0.9):
             assert schrodinger_residual(s, t=t) <= 1e-12
 
-    def test_six_dimensional_split_state_on_the_lattice(self):
+    def test_six_dimensional_split_state_solves_the_equation(self):
         s = split_state(SplitSpec(6, {0, 2, 4}, {1, 3, 5}, 2, 1, 0.6))
         for t in (0.0, 0.8):
             assert schrodinger_residual(s, t=t) <= 1e-12
 
     def test_wrong_frequency_detected_past_four_dimensions(self):
-        # past 4-D the default grid is the 2401-point lattice, not 7^dims points
         s = split_state(SplitSpec(5, {0}, {1, 2, 3, 4}, 1, 0, 0.5))
         bad = WaveState(5, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
         assert schrodinger_residual(bad, t=0.4) >= 0.01
-        assert oscillator1d._lattice_grid(s.params, 5).shape == (7 ** 4, 5)
 
     def test_wrong_frequency_detected(self):
         s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
@@ -335,6 +334,18 @@ class TestRadialThroughDegreeCap:
     def test_gram_is_identity_through_the_cap(self, l):
         states = [radial_state(u, u, l, 0.0) for u in range(DEGREE_CAP + 1)]
         np.testing.assert_allclose(radial_gram(states).entries, np.eye(DEGREE_CAP + 1), rtol=0, atol=1e-12)
+
+    def test_components_on_a_large_grid_hold_no_intermediate_rows(self):
+        # the level pass keeps two running Laguerre rows, not one per degree up to u = 200
+        rho = np.linspace(0.0, 20.0, 20_000)
+        s = radial_state(DEGREE_CAP, 3, 2, 0.5)
+        tracemalloc.start()
+        try:
+            s.components(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * rho.nbytes
 
     @pytest.mark.parametrize("l", [0, 6, 150, 200])
     def test_radial_values_are_the_single_level_products(self, l):
