@@ -181,16 +181,6 @@ class TestMultiDimResidual:
         for t in (0.0, 0.9):
             assert schrodinger_residual(s, t=t) <= 1e-12
 
-    def test_six_dimensional_split_state_solves_the_equation(self):
-        s = split_state(SplitSpec(6, {0, 2, 4}, {1, 3, 5}, 2, 1, 0.6))
-        for t in (0.0, 0.8):
-            assert schrodinger_residual(s, t=t) <= 1e-12
-
-    def test_wrong_frequency_detected_past_four_dimensions(self):
-        s = split_state(SplitSpec(5, {0}, {1, 2, 3, 4}, 1, 0, 0.5))
-        bad = WaveState(5, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
-        assert schrodinger_residual(bad, t=0.4) >= 0.01
-
     def test_wrong_frequency_detected(self):
         s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
         bad = WaveState(2, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)

@@ -238,6 +238,13 @@ class TestInnerQuad:
         # phi_10^2 has degree 20: exact at order 11, not at order 10
         assert np.abs(grams[11, 11] - np.eye(11)).max() <= 1e-12 < np.abs(grams[10, 11] - np.eye(11)).max()
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_family_stack_is_read_only(self, count):
+        # every Gram of the family shares the stack, so none may write into it
+        family = wavestate._Family([psi_nm(QPair(n, 2, 0.4)) for n in range(count)])
+        assert family.stack is family.stack
+        assert not any(a.flags.writeable for a in family.stack)
+
 
 class TestHighDegree:
     # every level up to DEGREE_CAP is verified, not only accepted
