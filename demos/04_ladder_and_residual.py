@@ -22,7 +22,7 @@ from quatosc import (
     psi_nm,
     schrodinger_residual,
 )
-from quatosc.wavestate import Mode, PhysicalParams, WaveState
+from quatosc.wavestate import PhysicalParams, WaveState
 
 lower, raise_ = ladder("lower"), ladder("raise")
 
@@ -50,6 +50,7 @@ for n, m, theta in [(0, 0, 0.0), (1, 2, 0.7), (4, 3, math.pi / 2)]:
 
 print("\n=== and on a state with a deliberately wrong frequency ===")
 # coefficient 1 on phi_0 = pi^(-1/4) exp(-X^2/2), the normalized ground state
-bad = WaveState(1, (Mode(0, 1.0, ((1.0,),), -1.6),), PhysicalParams())
+# columns: dims, slots, amplitudes, frequencies, coefficients (dims, modes, width)
+bad = WaveState(1, [0], [1.0], [-1.6], [[[1.0]]], PhysicalParams())
 print("ground-state shape with frequency -1.6 instead of -0.5:")
 print("residual =", schrodinger_residual(bad, t=0.0), " (scales with the frequency error)")

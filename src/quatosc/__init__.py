@@ -26,7 +26,6 @@ from .specfun import (
     sph_harm,
 )
 from .wavestate import (
-    Mode,
     Operator,
     PhysicalParams,
     WaveState,

@@ -191,7 +191,8 @@ class _NoStates(Exception):
 def _descriptors(args, command: str, single: bool = False) -> list[dict]:
     """The --states descriptors, checked for all that needs no state: an
     empty file, more than one descriptor where single, an unknown kind, one
-    the command does not accept, and a mix of kinds."""
+    the command does not accept, a mix of kinds, and a non-zero --time on a
+    kind without a time phase (all but ho1d)."""
     descriptors = _load_descriptors(args.states)
     if not descriptors:
         raise _NoStates("no state descriptors provided")
@@ -206,6 +207,8 @@ def _descriptors(args, command: str, single: bool = False) -> list[dict]:
     kinds = {d["kind"] for d in descriptors}
     if len(kinds) > 1:
         raise ValidationError(f"{command} requires homogeneous state kinds, got {sorted(kinds)}")
+    if args.time and kinds != {"ho1d"}:
+        raise ValidationError(f"{kinds.pop()} states carry no time phase, so --time must be 0, got {args.time!r}")
     return descriptors
 
 
@@ -589,20 +592,25 @@ def cmd_sample(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, states: bool = True) -> None:
-    if states:
-        parser.add_argument("--states", required=True,
-                            help="path to line-delimited JSON descriptors, or '-' for stdin")
-    parser.add_argument("--time", type=float, default=0.0, help="evaluation time t")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--mu", type=float, default=1.0, help="oscillator mass")
-    parser.add_argument("--omega", type=float, default=1.0, help="angular frequency")
-    parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--quad-order", type=int, default=None, dest="quad_order",
-                        help="cross-check quadrature order (default: exact for the family; 64 for sphere and verify)")
-    parser.add_argument("--conjugate-angular", action="store_true", dest="conjugate_angular",
-                        help="conjugate the slot-1 spherical harmonic")
+# flag -> add_argument keywords; each command registers only the flags it reads
+_OPTIONS = {
+    "--states": dict(required=True, help="path to line-delimited JSON descriptors, or '-' for stdin"),
+    "--time": dict(type=float, default=0.0, help="evaluation time t (ho1d states only)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--mu": dict(type=float, default=1.0, help="oscillator mass"),
+    "--omega": dict(type=float, default=1.0, help="angular frequency"),
+    "--hbar": dict(type=float, default=1.0),
+    "--tol": dict(type=float, default=None, help="tolerance override"),
+    "--quad-order": dict(type=int, default=None,
+                         help="cross-check quadrature order (default: exact for the family; 64 for sphere and verify)"),
+    "--conjugate-angular": dict(action="store_true", help="conjugate the slot-1 spherical harmonic"),
+}
+_STATE_OPTIONS = ("--states", "--time", "--format", "--mu", "--omega", "--hbar")
+
+
+def _add_options(parser: argparse.ArgumentParser, flags) -> None:
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser() -> _Parser:
@@ -611,18 +619,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy table: closed forms vs expectation values")
-    _add_common(p)
+    _add_options(p, _STATE_OPTIONS + ("--tol", "--quad-order"))
 
     p = sub.add_parser("gram", help="Gram matrix of candidate basis states")
-    _add_common(p)
+    _add_options(p, _OPTIONS)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    _add_common(p, states=False)
+    _add_options(p, ("--format", "--tol", "--quad-order"))
 
     p = sub.add_parser("sample", help="tabulate a state on a grid")
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")
-    _add_common(p)
+    _add_options(p, _STATE_OPTIONS)
 
     return parser
 

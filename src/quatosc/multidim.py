@@ -23,9 +23,9 @@ import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
-from .oscillator1d import GramMatrix, QPair, _family_gram, _pair_state, _sample_points, hamiltonian
+from .oscillator1d import GramMatrix, QPair, _family_gram, _sample_points, _slot_state, hamiltonian
 from .specfun import DEGREE_CAP, _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
-from .wavestate import PhysicalParams, WaveState, _from_columns, _joined, _merged, expectation
+from .wavestate import PhysicalParams, WaveState, _joined, _merged, expectation
 
 __all__ = [
     "SplitSpec",
@@ -57,13 +57,12 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
     so far by both rows b of the next factor: slots add mod 2, and a slot-1 a
     conjugates b (z1 conj(w)), with a sign flip for a slot-1 b."""
     params = params or PhysicalParams()
-    factors = tuple(factors)
-    if not factors:
+    states = [_slot_state(((q.n,), (q.m,)), q.theta, params) for q in factors]
+    if not states:
         raise ValueError("product_state needs at least one factor")
-    s = _pair_state(factors[0], params)
-    slots, amps, freqs, coefs = s.slots, s.amps, s.freqs, [s.coefs[0]]
-    for q in factors[1:]:
-        f = _pair_state(q, params)
+    first, *rest = states
+    slots, amps, freqs, coefs = first.slots, first.amps, first.freqs, [first.coefs[0]]
+    for f in rest:
         conj = (slots == 1)[:, None]
         sign = np.where(conj & (f.slots == 1), -1.0, 1.0)
         amps = (sign * amps[:, None] * np.where(conj, f.amps.conj(), f.amps)).ravel()
@@ -71,7 +70,7 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
         coefs = [c.repeat(2, axis=0) for c in coefs]
         coefs.append(np.where(conj[..., None], f.coefs[0].conj(), f.coefs[0]).reshape(-1, f.coefs.shape[2]))
         slots = (slots[:, None] ^ f.slots).ravel()
-    return _merged(len(factors), slots, amps, freqs, _joined([c[None] for c in coefs], 0), params)
+    return _merged(len(states), slots, amps, freqs, _joined([c[None] for c in coefs], 0), params)
 
 
 @dataclass(frozen=True)
@@ -107,16 +106,9 @@ def split_state(spec: SplitSpec, params: PhysicalParams | None = None) -> WaveSt
     normalized ground Gaussian so the state stays unit norm.  A slot's energy,
     and so its time phase, is (len(dims_set) level + dims/2) hbar omega: each
     padded axis adds its zero-point hbar omega/2."""
-    params = params or PhysicalParams()
-    norm = params.alpha ** (0.5 * spec.dims)
-    levels = [[level if k in dims_set else 0 for k in range(spec.dims)]
-              for level, dims_set in ((spec.n, spec.slot0_dims), (spec.m, spec.slot1_dims))]
-    coefs = np.zeros((spec.dims, 2, max(max(levels[0]), max(levels[1])) + 1), dtype=complex)
-    coefs[np.arange(spec.dims), 0, levels[0]] = coefs[np.arange(spec.dims), 1, levels[1]] = 1.0
-    amps = np.array([math.cos(spec.theta) * norm, math.sin(spec.theta) * norm], dtype=complex)
-    freqs = np.array([-(len(spec.slot0_dims) * spec.n + 0.5 * spec.dims) * params.omega,
-                      +(len(spec.slot1_dims) * spec.m + 0.5 * spec.dims) * params.omega])
-    return _from_columns(spec.dims, np.array([0, 1]), amps, freqs, coefs, params)
+    levels = tuple(tuple(level if k in dims_set else 0 for k in range(spec.dims))
+                   for level, dims_set in ((spec.n, spec.slot0_dims), (spec.m, spec.slot1_dims)))
+    return _slot_state(levels, spec.theta, params or PhysicalParams())
 
 
 def cartesian_energy(state: WaveState, t: float = 0.0, check_norm: bool = True) -> float:
@@ -211,11 +203,11 @@ def radial_inner(a: RadialState, b: RadialState) -> float:
     return float(_radial_entries([a], [b])[0][0, 0])
 
 
-def radial_gram(states: list[RadialState], parallel_tol: float = 1e-10) -> GramMatrix:
+def radial_gram(states: list[RadialState]) -> GramMatrix:
     """Gram matrix of radial states sharing one angular momentum l."""
     states = tuple(states)
     entries, values = _radial_entries(states, states, *_sample_points((0.3, 3.0)))
-    return _family_gram(states, entries, [(s.u, s.v) for s in states], values, 0.0, parallel_tol)
+    return _family_gram(states, entries, [(s.u, s.v) for s in states], values)
 
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
@@ -328,7 +320,7 @@ def _azimuth_phases(az, top: int) -> np.ndarray:
 
 
 def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: int = 128,
-                 conjugate_slot1: bool = False, parallel_tol: float = 1e-10) -> GramMatrix:
+                 conjugate_slot1: bool = False) -> GramMatrix:
     """Gram matrix of quaternionic spherical harmonics over the full sphere,
     by Gauss-Legendre x uniform-azimuth quadrature.  Y_l^m(polar, azimuth) =
     Y_l^m(polar, 0) exp(i m azimuth) on a tensor-product rule, so each slot's
@@ -362,7 +354,7 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
         e = _azimuth_phases(az, top)[k + top]
         entries += (((fs * gl.weights) @ fs.T) * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
     values = mix * (leg[..., n_polar:] * np.exp(1j * freqs[..., None] * phis))
-    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values, 0.0, parallel_tol)
+    return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values)
 
 
 def full_spherical_energy(u: int, v: int, l: int, theta: float = 0.0,

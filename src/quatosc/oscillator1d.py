@@ -23,7 +23,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
-from .quaternion import _parallel, is_parallel  # noqa: F401
+from .quaternion import PARALLEL_TOL, _parallel, is_parallel  # noqa: F401
 from .specfun import _check_degree
 from .wavestate import (
     Operator,
@@ -109,29 +109,34 @@ class GramMatrix:
         return float(np.max(np.abs(self.entries - np.eye(self.size)))) if self.size else 0.0
 
 
-def _pair_state(q: QPair, params: PhysicalParams, rows: slice = slice(None)) -> WaveState:
-    """The one-dimensional two-slot state q, or the given rows of its columns
-    (slot 0 at level n, slot 1 at level m); the factor sqrt(alpha) normalizes
-    phi_n(alpha x) in x."""
-    _check_degree(q.n, "n")
-    _check_degree(q.m, "m")
-    coefs = np.zeros((1, 2, max(q.n, q.m) + 1), dtype=complex)
-    coefs[0, 0, q.n] = coefs[0, 1, q.m] = 1.0
-    root_alpha = math.sqrt(params.alpha)
-    amps = np.array([math.cos(q.theta) * root_alpha, math.sin(q.theta) * root_alpha], dtype=complex)
-    freqs = np.array([-(q.n + 0.5) * params.omega, +(q.m + 0.5) * params.omega])
-    return _from_columns(1, np.array([0, 1])[rows], amps[rows], freqs[rows], coefs[:, rows], params)
+def _slot_state(levels: tuple[tuple[int, ...], ...], theta: float, params: PhysicalParams) -> WaveState:
+    """One mode per slot: slot s at level levels[s][k] in dimension k, amplitude cos(theta)
+    in slot 0 at minus its energy, sin(theta) in slot 1 (the conjugated eigenfunction) at
+    plus; one level tuple gives slot 0 alone.  sqrt(alpha)^dims normalizes phi_n(alpha x)."""
+    dims, slots = len(levels[0]), len(levels)
+    for name, slot_levels in zip("nm", levels):
+        for level in slot_levels:
+            _check_degree(level, name)
+    coefs = np.zeros((dims, slots, max(map(max, levels)) + 1), dtype=complex)
+    norm = math.sqrt(params.alpha) ** dims
+    amps, freqs = np.empty(slots, dtype=complex), np.empty(slots)
+    for s, slot_levels in enumerate(levels):
+        for k, level in enumerate(slot_levels):
+            coefs[k, s, level] = 1.0
+        amps[s] = (math.cos, math.sin)[s](theta) * norm
+        freqs[s] = (2 * s - 1) * (sum(slot_levels) + 0.5 * dims) * params.omega
+    return _from_columns(dims, np.arange(slots), amps, freqs, coefs, params)
 
 
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
     """The n-th complex oscillator eigenfunction as a slot-0 state."""
-    return _pair_state(QPair(n, 0), params or PhysicalParams(), slice(1))
+    return _slot_state(((n,),), 0.0, params or PhysicalParams())
 
 
 def psi_nm(q: QPair, params: PhysicalParams | None = None) -> WaveState:
     """Two-slot oscillator state: cos(theta) in slot 0 at level n, sin(theta)
     times the conjugated level-m eigenfunction in slot 1 (positive frequency)."""
-    return _pair_state(q, params or PhysicalParams())
+    return _slot_state(((q.n,), (q.m,)), q.theta, params or PhysicalParams())
 
 
 def energy_nm(q: QPair, params: PhysicalParams | None = None) -> float:
@@ -192,15 +197,16 @@ def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
     return points
 
 
-def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
-                 parallel_tol: float = 1e-10) -> GramMatrix:
+def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0) -> GramMatrix:
     """GramMatrix of a two-slot family from its computed entries.
 
     keys[i] holds state i's slot-0 and slot-1 label keys, which give the
     closed form cos a cos b [keys0 equal] + sin a sin b [keys1 equal];
     values holds the (z0, z1) components of every state at the shared sample
     points as (states, points) arrays, which give the pointwise parallelism
-    table.
+    table.  The test is absolute, so each state's values are first divided by
+    their peak magnitude (kept where it is 0): small values, as a radial
+    rho^l N_u at large l, would otherwise read every pair parallel.
     """
     def same(ks):
         codes: dict = {}
@@ -212,14 +218,16 @@ def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0,
     sin = np.array([math.sin(th) for th in thetas])
     closed = (np.multiply.outer(cos, cos) * same([k[0] for k in keys])
               + np.multiply.outer(sin, sin) * same([k[1] for k in keys]))
-    zt = [np.ascontiguousarray(z.T) for z in values]  # (points, states): products run along the states
-    par = _parallel([z[:, :, None] for z in zt], [z[:, None, :] for z in zt], parallel_tol).all(axis=0)
+    peak = _magnitude(*values).max(axis=1, initial=0.0)
+    scale = 1.0 / np.where(peak > 0.0, peak, 1.0)
+    zt = [np.ascontiguousarray(z.T * scale) for z in values]  # (points, states): products run along the states
+    par = _parallel([z[:, :, None] for z in zt], [z[:, None, :] for z in zt], PARALLEL_TOL).all(axis=0)
     th_eq = np.equal.outer(np.array(thetas), np.array(thetas))
     return GramMatrix(tuple(labels), entries, t, closed, par, th_eq)
 
 
 def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = None,
-         parallel_tol: float = 1e-10, states: list[WaveState] | None = None) -> GramMatrix:
+         states: list[WaveState] | None = None) -> GramMatrix:
     """Gram matrix of the states for the given quantum-number pairs.
 
     Alongside the inner products it reports the closed form and, per pair
@@ -235,8 +243,7 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     states = _Family(states or [psi_nm(q, params) for q in pairs])
     xs, = _sample_points((-3.0, 3.0))
     values = evaluate_points(states, xs / params.alpha, t)
-    return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs],
-                        values, t, parallel_tol)
+    return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs], values, t)
 
 
 def ladder(which: str, dim: int = 0) -> Operator:

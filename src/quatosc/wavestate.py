@@ -15,11 +15,11 @@ Gauss-Hermite quadrature of the values, which the normalized three-term
 recurrence gives pointwise, is the independent evaluation of the same
 integrals, through the rule's Gram matrix of the phi_n (cached per width).
 
-A state stores its modes as columns, one row per mode, which every
-operation reads and writes; WaveState.modes derives Mode objects from them
-on request; a _Family stacks its states' rows once for all its Grams and
-values.  Like modes merge on normalized rows (see _merged), so scaled
-copies of one function become one mode.
+A state is its columns, one row per mode: every operation reads and writes
+them, and WaveState(dims, slots, amps, freqs, coefs) takes them directly.
+A _Family stacks its states' rows once for all its Grams and values.  Like
+modes merge on normalized rows (see _merged), so scaled copies of one
+function become one mode.
 
 Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
@@ -39,7 +39,6 @@ which is slot-diagonal and real by construction.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -53,7 +52,6 @@ from .specfun import QuadratureRule, make_rule
 
 __all__ = [
     "PhysicalParams",
-    "Mode",
     "WaveState",
     "Operator",
     "QuadratureOrderWarning",
@@ -111,71 +109,40 @@ class PhysicalParams:
 # ---------------------------------------------------------------------------
 # states
 
-@dataclass(frozen=True, eq=False)
-class Mode:
-    """One term of a WaveState: a slot, an amplitude, a time frequency and,
-    per dimension, the coefficients of its factor in the orthonormal Hermite
-    functions phi_n(X) = pi^(-1/4) (2^n n!)^(-1/2) H_n(X) exp(-X^2/2).
-
-    coefs[k][n] weighs phi_n(X_k).  WaveState(dims, modes, params) takes
-    modes and WaveState.modes gives them back; the arrays may be shared with
-    a state, so they must not be modified in place.
-    """
-
-    slot: int
-    coeff: complex
-    coefs: tuple[np.ndarray, ...]
-    freq: float = 0.0
-
-    def __post_init__(self):
-        if self.slot not in (0, 1):
-            raise ValueError(f"slot must be 0 or 1, got {self.slot}")
-        if not (cmath.isfinite(self.coeff) and math.isfinite(self.freq)):
-            raise ValueError("mode amplitude and frequency must be finite")
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "coefs", tuple(np.asarray(c, dtype=complex) for c in self.coefs))
-
-
 class WaveState:
     """Immutable quaternionic wavefunction in p dimensions, stored as columns.
 
-    Row r is one mode: slot slots[r], amplitude amps[r], time frequency
-    freqs[r] and, in dimension k, the coefficient row coefs[k, r], zero-padded
-    to the common width of the (dims, modes, width) array coefs.  The arrays
-    are read-only, since states share them.
+    Row r is one mode: slot slots[r] (0 or 1), complex amplitude amps[r], real
+    time frequency freqs[r] and, in dimension k, coefficients coefs[k, r, n] on
+    the orthonormal Hermite functions phi_n(X_k) = pi^(-1/4) (2^n n!)^(-1/2)
+    H_n(X_k) exp(-X_k^2/2), zero-padded to the width of coefs (dims, modes, width).
+
+    The constructor copies the arrays it is given, as they are (no merge, no
+    trim), and raises ValueError unless dims >= 1, every slot is 0 or 1, the
+    amplitudes and frequencies are finite and coefs holds one row of width >= 1
+    per mode in every dimension.  The stored arrays are read-only: states share them.
     """
 
-    __slots__ = ("dims", "slots", "amps", "freqs", "coefs", "params", "_modes")
+    __slots__ = ("dims", "slots", "amps", "freqs", "coefs", "params")
 
-    def __init__(self, dims: int, modes=(), params: PhysicalParams | None = None):
+    def __init__(self, dims: int, slots, amps, freqs, coefs, params: PhysicalParams | None = None):
         if dims < 1:
             raise ValueError(f"dims must be >= 1, got {dims}")
-        modes = tuple(modes)
-        for m in modes:
-            if len(m.coefs) != dims:
-                raise ValueError(f"mode has {len(m.coefs)} factors, state has {dims} dimensions")
-        rows = [[np.trim_zeros(c, "b") for c in m.coefs] for m in modes]
-        coefs = np.zeros((dims, len(modes), max([1] + [len(c) for row in rows for c in row])), dtype=complex)
-        for r, row in enumerate(rows):
-            for k, c in enumerate(row):
-                coefs[k, r, :len(c)] = c
-        _fill(self, dims, np.array([m.slot for m in modes], dtype=int),
-              np.array([m.coeff for m in modes], dtype=complex),
-              np.array([m.freq for m in modes], dtype=float), coefs, params or PhysicalParams())
+        slots = np.array(slots)
+        if slots.ndim != 1 or not np.isin(slots, (0, 1)).all():
+            raise ValueError(f"slots must be a row of 0s and 1s, got {slots.tolist()}")
+        amps, freqs = np.array(amps, dtype=complex), np.array(freqs, dtype=float)
+        if amps.shape != slots.shape or freqs.shape != slots.shape:
+            raise ValueError(f"need one amplitude and one frequency per slot, got {amps.shape} and {freqs.shape}")
+        if not (np.isfinite(amps).all() and np.isfinite(freqs).all()):
+            raise ValueError("mode amplitude and frequency must be finite")
+        coefs = np.array(coefs, dtype=complex)
+        if coefs.ndim != 3 or coefs.shape[:2] != (dims, len(slots)) or not coefs.shape[2]:
+            raise ValueError(f"coefs must have shape ({dims}, {len(slots)}, width >= 1), got {coefs.shape}")
+        _fill(self, dims, slots.astype(int), amps, freqs, coefs, params or PhysicalParams())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"WaveState is immutable; cannot set {name!r}")
-
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        """The rows as Mode objects, each cut after its last nonzero coefficient; built once."""
-        if self._modes is None:
-            rows = zip(self.slots.tolist(), self.amps.tolist(), self.freqs.tolist(),
-                       zip(*(_row_lengths(c).tolist() for c in self.coefs)))
-            modes = tuple(Mode(slot, amp, tuple(c[r, :n] for c, n in zip(self.coefs, ns)), freq)
-                          for r, (slot, amp, freq, ns) in enumerate(rows))
-            object.__setattr__(self, "_modes", modes)
-        return self._modes
 
     def evaluate(self, x, t: float = 0.0) -> Quaternion:
         return evaluate(self, x, t)
@@ -204,15 +171,18 @@ class WaveState:
         return (-1.0) * self
 
 
+_SLOT_SETTERS = tuple(getattr(WaveState, name).__set__ for name in WaveState.__slots__)  # past __setattr__
+
+
 def _fill(s: WaveState, dims, slots, amps, freqs, coefs, params) -> None:
     for a in (slots, amps, freqs, coefs):
-        a.setflags(write=False)
-    for name, value in zip(WaveState.__slots__, (dims, slots, amps, freqs, coefs, params, None)):
-        object.__setattr__(s, name, value)
+        a.setflags(False)  # write=False; by position it costs half the keyword call
+    for set_slot, value in zip(_SLOT_SETTERS, (dims, slots, amps, freqs, coefs, params)):
+        set_slot(s, value)
 
 
 def _scaled(amps: np.ndarray, factor) -> np.ndarray:
-    """amps * factor; an amplitude that overflows is an error, as in Mode."""
+    """amps * factor; an amplitude that overflows is an error, as in WaveState()."""
     with np.errstate(over="ignore", invalid="ignore"):
         amps = amps * factor
     if not np.isfinite(amps).all():
@@ -228,7 +198,7 @@ def _from_columns(dims: int, slots, amps, freqs, coefs, params) -> WaveState:
 
 
 def zero_state(dims: int = 1, params: PhysicalParams | None = None) -> WaveState:
-    return WaveState(dims, (), params or PhysicalParams())
+    return WaveState(dims, [], [], [], np.zeros((dims, 0, 1)), params)
 
 
 def _check_compatible(a: WaveState, b: WaveState) -> None:
@@ -236,12 +206,6 @@ def _check_compatible(a: WaveState, b: WaveState) -> None:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
     if a.params != b.params:
         raise ValueError("states carry different physical parameters")
-
-
-def _row_lengths(c: np.ndarray) -> np.ndarray:
-    """Each row's length (last axis) up to its last nonzero coefficient; 0 for a row of zeros."""
-    nonzero = c != 0
-    return np.where(nonzero.any(axis=-1), c.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
 
 
 def _joined(arrays, axis: int) -> np.ndarray:
@@ -742,8 +706,10 @@ def _rule_gram(rule: QuadratureRule, width: int, hermite_functions) -> np.ndarra
 
 
 def _slot_widths(coefs: np.ndarray, slots: np.ndarray) -> list[list[int]]:
-    """Per slot, per dimension: the longest coefficient row, 0 in an empty slot."""
-    lengths = _row_lengths(coefs)
+    """Per slot, per dimension: the longest coefficient row up to its last
+    nonzero coefficient, 0 in an empty slot."""
+    nonzero = coefs != 0
+    lengths = np.where(nonzero.any(axis=-1), coefs.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
     return [np.where(slots == s, lengths, 0).max(axis=-1, initial=0).tolist() for s in (0, 1)]
 
 

@@ -37,7 +37,6 @@ from quatosc.oscillator1d import (
 )
 from quatosc.specfun import make_rule
 from quatosc.wavestate import (
-    Mode,
     PhysicalParams,
     WaveState,
     apply,
@@ -233,14 +232,17 @@ def test_criterion_08_multidimensional():
 
 
 def _random_state(rng):
-    modes = []
+    slots, amps, freqs, levels = [], [], [], []
     for slot in (0, 1):
         for n in rng.choice(21, size=3, replace=False):
-            coeff = complex(rng.normal(), rng.normal()) / 3.0
-            sign = -1.0 if slot == 0 else 1.0
-            # phi_n, the n-th unit vector: hermite_norm_const(n) * hermite_coeffs(n) in monomials
-            modes.append(Mode(slot, coeff, (np.eye(int(n) + 1)[n],), sign * (n + 0.5)))
-    return WaveState(1, tuple(modes), PhysicalParams())
+            amps.append(complex(rng.normal(), rng.normal()) / 3.0)
+            slots.append(slot)
+            freqs.append((-1.0 if slot == 0 else 1.0) * (n + 0.5))
+            levels.append(int(n))
+    # row r is phi_n, the n-th unit vector: hermite_norm_const(n) * hermite_coeffs(n) in monomials
+    coefs = np.zeros((1, len(levels), max(levels) + 1))
+    coefs[0, np.arange(len(levels)), levels] = 1.0
+    return WaveState(1, slots, amps, freqs, coefs, PhysicalParams())
 
 
 def test_criterion_09_dual_path_consistency():

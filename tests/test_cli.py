@@ -679,6 +679,53 @@ class TestUnitsAndFlags:
         proc = run_cli("gram", "--states", states)
         assert proc.returncode == 2
 
+    def test_each_command_registers_the_flags_it_reads(self):
+        sub = next(a for a in cli.build_parser()._actions if a.choices and "gram" in a.choices)
+        settable = {name: sorted(a.dest for a in p._actions if a.dest != "help") for name, p in sub.choices.items()}
+        state_flags = ["format", "hbar", "mu", "omega", "states", "time"]
+        assert settable == {
+            "spectrum": sorted(state_flags + ["quad_order", "tol"]),
+            "gram": sorted(state_flags + ["conjugate_angular", "quad_order", "tol"]),
+            "verify": ["format", "quad_order", "suite", "tol"],
+            "sample": sorted(state_flags + ["grid"]),
+        }
+        assert sum(map(len, settable.values())) == 28
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--conjugate-angular"],
+        ["gram", "--grid", "-2:2:5"],
+        ["verify", "algebra", "--mu", "7"],
+        ["verify", "algebra", "--time", "3"],
+        ["verify", "algebra", "--conjugate-angular"],
+        ["sample", "--grid", "-2:2:5", "--tol", "1e-3"],
+        ["sample", "--grid", "-2:2:5", "--quad-order", "9"],
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, tmp_path, capsys):
+        if argv[0] != "verify":
+            argv = [*argv, "--states", write_states(tmp_path / "s.jsonl", HO1D[:1])]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ") and "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, desc", [
+        ("gram", {"kind": "radial", "u": 0, "v": 1, "l": 2, "theta": 0.5}),
+        ("gram", {"kind": "spherical", "l": 2, "m1": 1, "m2": -1, "theta": 0.5}),
+        ("sample", {"kind": "radial", "u": 0, "v": 1, "l": 2, "theta": 0.5}),
+    ])
+    def test_time_on_a_kind_without_time_phase_is_rejected(self, command, desc, tmp_path, capsys):
+        # radial and spherical states carry no time phase: a report at t != 0 would
+        # print the t = 0 values under the requested time
+        argv = [command, "--states", write_states(tmp_path / "s.jsonl", [desc])]
+        argv += ["--grid", "0.5:2:3"] if command == "sample" else []
+        assert cli.main([*argv, "--time", "1.3"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "--time must be 0" in err
+        assert cli.main([*argv, "--time", "0"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["inputs"]["time"] == 0.0
+
     # overlapping split descriptors are still refused by gram: the CLI knows
     # no split kind, so they exit 2 with one stderr line and no traceback
     def test_split_overlap_flag(self, tmp_path):

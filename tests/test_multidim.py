@@ -32,7 +32,6 @@ from quatosc.oscillator1d import (QPair, default_grid, energy_nm, hamiltonian, p
 from quatosc.quaternion import is_parallel
 from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
 from quatosc.wavestate import (
-    Mode,
     PhysicalParams,
     WaveState,
     _magnitude,
@@ -183,7 +182,7 @@ class TestMultiDimResidual:
 
     def test_wrong_frequency_detected(self):
         s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
-        bad = WaveState(2, [Mode(m.slot, m.coeff, m.coefs, 1.1 * m.freq) for m in s.modes], s.params)
+        bad = WaveState(2, s.slots, s.amps, 1.1 * s.freqs, s.coefs, s.params)
         assert schrodinger_residual(bad, t=0.4) >= 0.01
 
     def test_default_grid_is_the_tensor_grid(self):
@@ -275,6 +274,17 @@ class TestRadialGram:
         g = radial_gram(states)
         assert bool(g.parallel[0, 1]) and bool(g.parallel[0, 0])
         assert bool(g.theta_equal[0, 1]) and not bool(g.theta_equal[0, 2])
+
+    @pytest.mark.parametrize("l", [40, 150, 200])
+    def test_parallelism_table_at_large_l(self, l):
+        # rho^l N_u at the sample radii falls far below the absolute tolerance from
+        # l ~ 40, where every pair once read parallel; at most one label has u = v,
+        # since two such states at one angle are real multiples of each other
+        labels = [(0, 1), (1, 0), (2, 3), (3, 5), (4, 4), (5, 2), (1, 4), (6, 0), (0, 6), (3, 1)]
+        g = radial_gram([radial_state(u, v, l, 0.8) for u, v in labels])
+        assert g.parallel.tolist() == np.eye(len(labels), dtype=bool).tolist()
+        twins = radial_gram([radial_state(2, 2, l, 0.8), radial_state(5, 5, l, 0.8)])
+        assert twins.parallel.all()
 
 
 def mp_radial(u, l, rho):

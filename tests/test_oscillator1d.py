@@ -20,7 +20,6 @@ from quatosc.oscillator1d import (
 )
 from quatosc.specfun import make_rule
 from quatosc.wavestate import (
-    Mode,
     PhysicalParams,
     WaveState,
     apply,
@@ -111,6 +110,14 @@ class TestEnergy:
 
 
 class TestGram:
+    def test_parallel_table_keeps_a_state_that_vanishes_at_every_point(self):
+        # values are scaled to each state's peak magnitude; a zero peak leaves them as
+        # they are (zero, parallel to every state) with no division by zero
+        z0 = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]], dtype=complex)
+        g = oscillator1d._family_gram([QPair(0, 0, 0.3), QPair(1, 1, 0.3)], np.eye(2), [(0, 0), (1, 1)],
+                                      (z0, np.zeros_like(z0)))
+        assert g.parallel.all()
+
     def test_sample_points_drawn_once(self):
         # one read-only draw per process, the same values as a fresh seeded stream
         ranges = ((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
@@ -187,7 +194,7 @@ class TestLadder:
 
     def test_raising_bare_gaussian(self):
         # the bare Gaussian exp(-X^2/2) = pi^(1/4) phi_0
-        s = WaveState(1, (Mode(0, 1.0 + 0j, ((math.pi ** 0.25,),), 0.0),), PhysicalParams())
+        s = WaveState(1, [0], [1.0 + 0j], [0.0], [[[math.pi ** 0.25]]], PhysicalParams())
         out = apply(ladder("raise"), s)
         for x in np.linspace(-2.5, 2.5, 11):
             want = math.sqrt(2.0) * x * math.exp(-0.5 * x * x)
@@ -257,7 +264,7 @@ class TestSchrodingerResidual:
 
     def test_wrong_frequency_detected(self):
         # PI4 exp(-X^2/2) = phi_0
-        bad = WaveState(1, (Mode(0, PI4, ((math.pi ** 0.25,),), -1.6),), PhysicalParams())
+        bad = WaveState(1, [0], [PI4], [-1.6], [[[math.pi ** 0.25]]], PhysicalParams())
         assert schrodinger_residual(bad, t=0.0) >= 0.05
 
     def test_default_grid_span(self):

@@ -11,7 +11,6 @@ from quatosc.multidim import SplitSpec, product_state, split_state
 from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
 from quatosc.specfun import make_rule
 from quatosc.wavestate import (
-    Mode,
     PhysicalParams,
     QuadratureOrderWarning,
     WaveState,
@@ -39,7 +38,7 @@ PI4 = math.pi ** -0.25
 
 def bare_gaussian(params=None, slot=0, coeff=1.0 + 0j, freq=0.0):
     # exp(-X^2/2) = pi^(1/4) phi_0
-    return WaveState(1, (Mode(slot, coeff, ((math.pi ** 0.25,),), freq),), params or PhysicalParams())
+    return WaveState(1, [slot], [coeff], [freq], [[[math.pi ** 0.25]]], params or PhysicalParams())
 
 
 def random_eigenmode_combo(rng, n_max=8):
@@ -364,11 +363,11 @@ class TestAdditionAndMerge:
 
     def test_cancellation_produces_zero_state(self):
         s = psi_n(2)
-        assert (s - s).modes == ()
+        assert len((s - s).slots) == 0
 
     def test_mismatched_dims_rejected(self):
         one = psi_n(0)
-        two = WaveState(2, (), PhysicalParams())
+        two = WaveState(2, [], [], [], np.zeros((2, 0, 1)), PhysicalParams())
         with pytest.raises(ValueError):
             one + two
 
@@ -380,15 +379,15 @@ def tree_walk(op, state):
     if k in ("mul_x", "d_dx"):
         if not 0 <= op.dim < state.dims:
             raise ValueError(f"operator dimension {op.dim} out of range")
-        modes = []
-        for m in state.modes:
-            coefs = list(m.coefs)
+        rows = []
+        for r in range(len(state.slots)):
+            coefs = [c[r] for c in state.coefs]
             coefs[op.dim] = wavestate._band_shift(coefs[op.dim], 1.0 if k == "mul_x" else -1.0)
-            modes.append(Mode(m.slot, m.coeff, tuple(coefs), m.freq))
-        return WaveState(state.dims, tuple(modes), state.params)
+            rows.append(coefs)
+        return WaveState(state.dims, state.slots, state.amps, state.freqs, padded(rows, state.dims), state.params)
     if k == "right_i":
-        return WaveState(state.dims, tuple(Mode(m.slot, m.coeff * (1j if m.slot == 0 else -1j), m.coefs, m.freq)
-                                           for m in state.modes), state.params)
+        amps = [a * (1j if slot == 0 else -1j) for slot, a in zip(state.slots, state.amps)]
+        return WaveState(state.dims, state.slots, amps, state.freqs, state.coefs, state.params)
     if k == "scale":
         return op.factor * state
     if k == "add":
@@ -404,14 +403,27 @@ def tree_walk(op, state):
     raise ValueError(f"unknown operator kind: {k!r}")
 
 
+def padded(rows, dims):
+    """(dims, modes, width) columns of per-mode lists of per-dimension coefficient
+    vectors, each cut after its last nonzero entry and zero-padded to the longest."""
+    rows = [[np.trim_zeros(np.asarray(c), "b") for c in row] for row in rows]
+    coefs = np.zeros((dims, len(rows), max([1] + [len(c) for row in rows for c in row])), dtype=complex)
+    for r, row in enumerate(rows):
+        for k, c in enumerate(row):
+            coefs[k, r, :len(c)] = c
+    return coefs
+
+
 def random_state(rng, dims, modes):
     """Multi-mode state with random complex coefficient vectors of lengths 1-5;
     frequencies from a short list, so that some modes merge."""
-    return WaveState(dims, tuple(
-        Mode(int(rng.integers(2)), complex(*rng.normal(size=2)),
-             tuple(np.array((1.0, 1j)) @ rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(dims)),
-             float(rng.choice((-1.5, 0.5, 2.0))))
-        for _ in range(modes)), PhysicalParams())
+    slots, amps, freqs, rows = [], [], [], []
+    for _ in range(modes):
+        slots.append(int(rng.integers(2)))
+        amps.append(complex(*rng.normal(size=2)))
+        rows.append([np.array((1.0, 1j)) @ rng.normal(size=(2, int(rng.integers(1, 6)))) for _ in range(dims)])
+        freqs.append(float(rng.choice((-1.5, 0.5, 2.0))))
+    return WaveState(dims, slots, amps, freqs, padded(rows, dims), PhysicalParams())
 
 
 def operators(dims, depth):
@@ -523,6 +535,29 @@ def algebra_products(seed):
 
 
 class TestColumnStorage:
+    @pytest.mark.parametrize("dims, slots, amps, freqs, coefs", [
+        pytest.param(1, [2], [1.0], [0.0], np.ones((1, 1, 1)), id="slot-2"),
+        pytest.param(1, [0, 1], [1.0, math.nan], [0.0, 0.0], np.ones((1, 2, 1)), id="nan-amplitude"),
+        pytest.param(1, [1], [1.0], [math.inf], np.ones((1, 1, 1)), id="infinite-frequency"),
+        pytest.param(2, [0], [1.0], [0.0], np.ones((1, 1, 3)), id="one-dimension-of-two"),
+        pytest.param(1, [0, 1], [1.0, 1.0], [0.0, 0.0], np.ones((1, 1, 3)), id="one-row-for-two-modes"),
+        pytest.param(1, [0], [1.0], [0.0], np.ones((1, 1, 0)), id="empty-row"),
+        pytest.param(1, [0], [1.0, 2.0], [0.0], np.ones((1, 1, 1)), id="two-amplitudes-one-mode"),
+        pytest.param(0, [], [], [], np.zeros((0, 0, 1)), id="dims-0"),
+    ])
+    def test_constructor_rejects_invalid_columns(self, dims, slots, amps, freqs, coefs):
+        with pytest.raises(ValueError):
+            WaveState(dims, slots, amps, freqs, coefs)
+
+    def test_constructor_copies_and_freezes_its_columns(self):
+        slots, amps, freqs, coefs = np.array([1, 0]), np.array([1.0, 2j]), np.array([0.5, -1.5]), np.ones((1, 2, 2))
+        s = WaveState(1, slots, amps, freqs, coefs)
+        assert s.params == PhysicalParams()
+        for given, kept in zip((slots, amps, freqs, coefs), (s.slots, s.amps, s.freqs, s.coefs)):
+            assert given.flags.writeable and not kept.flags.writeable and not np.shares_memory(given, kept)
+            np.testing.assert_array_equal(given, kept)
+        assert (s.slots.dtype, s.amps.dtype, s.freqs.dtype, s.coefs.dtype) == (int, complex, float, complex)
+
     @pytest.mark.parametrize("dims", [1, 2, 3])
     def test_one_point_evaluates_like_many(self, dims):
         rng = np.random.default_rng(30 + dims)
@@ -539,15 +574,15 @@ class TestColumnStorage:
     def test_hamiltonian_keeps_product_modes(self, seed):
         # H_k maps phi_n to (n + 1/2) phi_n: a scaled copy, merged into the mode it came from
         for s in algebra_products(seed):
-            assert len(s.modes) == 16
-            assert len(apply(hamiltonian(s.params, 4), s).modes) == 16
+            assert len(s.slots) == 16
+            assert len(apply(hamiltonian(s.params, 4), s).slots) == 16
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(operator_cases())
     def test_one_dimensional_apply_adds_no_modes(self, case):
         op, s, _probe = case
         if s.dims == 1:
-            assert len(apply(op, s).modes) <= len(s.modes)
+            assert len(apply(op, s).slots) <= len(s.slots)
 
     def test_modes_rebuild_the_same_state(self):
         rng = np.random.default_rng(33)
@@ -555,7 +590,11 @@ class TestColumnStorage:
         for dims in (1, 2, 3):
             s = random_state(rng, dims, 5)
             for state in (s, apply(ladder("raise", dims - 1) * mul_x(0), s), s + s, time_derivative(s)):
-                again = WaveState(state.dims, state.modes, state.params)
+                again = WaveState(state.dims, state.slots, state.amps, state.freqs, state.coefs, state.params)
+                for a, b in zip((state.slots, state.amps, state.freqs, state.coefs),
+                                (again.slots, again.amps, again.freqs, again.coefs)):
+                    assert a.dtype == b.dtype and not b.flags.writeable
+                    np.testing.assert_array_equal(a, b)
                 for a, b in zip(evaluate_points([state], points[:, :dims], 0.6),
                                 evaluate_points([again], points[:, :dims], 0.6)):
                     np.testing.assert_array_equal(a, b)
