@@ -50,6 +50,7 @@ from .oscillator1d import (
 from .multidim import (
     QSphericalHarmonic,
     angular_gram,
+    angular_order,
     radial_energy,
     radial_gram,
     radial_ode_residual,
@@ -225,11 +226,6 @@ def _build(desc: dict, args) -> tuple:
     return spec, {name: getattr(spec, name) for name in readers}, state, params
 
 
-def _quad_order(args, default: int) -> int:
-    """The --quad-order given, else the command's default order."""
-    return default if args.quad_order is None else args.quad_order
-
-
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -304,8 +300,8 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     descriptors = _descriptors(args, "spectrum")
     built = [_build(desc, args) for desc in descriptors]
-    # apply(H) raises the degree by two, so order top + 2 is exact for the family
-    quad_order = _quad_order(args, max(max(q.n, q.m) for q, *_ in built) + 2)
+    # apply(H) trims the psi_(n+-2) it cancels: top + 1 is exact; + 2 lifts cli-cold digits_min 14.15 -> 14.45
+    quad_order = max(max(q.n, q.m) for q, *_ in built) + 2
     rows = []
     rules = [make_rule("gauss_hermite", quad_order)]
     caught: list[str] = []
@@ -355,11 +351,11 @@ def cmd_gram(args) -> int:
     kind = descriptors[0]["kind"]
     results: dict = {"kind": kind, "labels": list(labels)}
     checks: dict = {}
-    quad_order = args.quad_order  # unused by radial families, whose rule order is exact
+    quad_order = None  # radial families take their exact half-line rule in radial_gram
     if kind == "ho1d":
         states = _Family(states)  # stacked once for the values and both Gram routes
         g = gram(specs, args.time, params, states=states)
-        quad_order = _quad_order(args, max(max(q.n, q.m) for q in specs) + 1)
+        quad_order = max(max(q.n, q.m) for q in specs) + 1
         with warnings.catch_warnings(record=True) as grabbed:
             warnings.simplefilter("always")
             quad = quad_gram(states, states, args.time, [make_rule("gauss_hermite", quad_order)])
@@ -368,9 +364,8 @@ def cmd_gram(args) -> int:
     elif kind == "radial":
         g = radial_gram(states)
     else:
-        quad_order = _quad_order(args, 64)
-        g = angular_gram(states, n_polar=quad_order,
-                         n_azimuth=2 * quad_order, conjugate_slot1=args.conjugate_angular)
+        quad_order = angular_order(states)
+        g = angular_gram(states, conjugate_slot1=args.conjugate_angular)
         results["conjugate_slot1"] = args.conjugate_angular
     results["parallel"] = g.parallel.tolist()
     results["theta_equal"] = g.theta_equal.tolist()
@@ -404,7 +399,7 @@ def _check(name: str, value: float, threshold: float, comparison: str = "<=") ->
             "comparison": comparison, "passed": bool(passed)}
 
 
-def _suite_algebra(tol, quad_order) -> list[dict]:
+def _suite_algebra(tol) -> list[dict]:
     rng = np.random.default_rng(7)
     qs = [qt.Quaternion(*rng.uniform(-2.0, 2.0, size=4)) for _ in range(200)]
     norm_dev = assoc_dev = sc_dev = sym_dev = quad_i_dev = 0.0
@@ -428,7 +423,7 @@ def _suite_algebra(tol, quad_order) -> list[dict]:
     ]
 
 
-def _suite_ladder(tol, quad_order) -> list[dict]:
+def _suite_ladder(tol) -> list[dict]:
     params = PhysicalParams()
     lower, raise_op = ladder("lower"), ladder("raise")
     ground_killed = psi_n(0, params)
@@ -442,7 +437,7 @@ def _suite_ladder(tol, quad_order) -> list[dict]:
     gaps = [build_via_ladder(q, params) - psi_nm(q, params) for q in pairs]
     build_dev = float(np.max(_magnitude(*evaluate_points(gaps, np.linspace(-6.0, 6.0, 41), 0.4))))
     basis = [psi_n(n, params) for n in range(DEGREE_CAP + 1)]
-    quad = quad_gram(basis, basis, 0.0, [make_rule("gauss_hermite", DEGREE_CAP + 1)])
+    quad = quad_gram(basis, basis)
     ortho_dev = float(np.max(np.abs(quad - np.eye(DEGREE_CAP + 1))))
     return [
         _check("lowering_annihilates_ground_state", ground_killed, tol or 1e-13),
@@ -460,7 +455,7 @@ def _residual_samples() -> list[QPair]:
     return samples
 
 
-def _suite_residual(tol, quad_order) -> list[dict]:
+def _suite_residual(tol) -> list[dict]:
     params = PhysicalParams()
     res_dev = 0.0
     for q in _residual_samples():
@@ -478,7 +473,7 @@ def _suite_residual(tol, quad_order) -> list[dict]:
     ]
 
 
-def _suite_radial(tol, quad_order) -> list[dict]:
+def _suite_radial(tol) -> list[dict]:
     params = PhysicalParams()
     gram_dev = 0.0
     for l in range(4):
@@ -513,9 +508,9 @@ def _angular_specs(l_max: int) -> list[QSphericalHarmonic]:
     return specs
 
 
-def _suite_angular(tol, quad_order) -> list[dict]:
+def _suite_angular(tol) -> list[dict]:
     specs = _angular_specs(6)
-    g = angular_gram(specs, n_polar=quad_order, n_azimuth=2 * quad_order)
+    g = angular_gram(specs)
     pattern_dev = g.max_closed_form_deviation()
     norm_dev = float(np.max(np.abs(np.diag(g.entries) - 1.0)))
     return [
@@ -536,14 +531,13 @@ _SUITES = {
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    quad_order = _quad_order(args, 64)
     checks = []
     for name in names:
-        checks.extend(_SUITES[name](args.tol, quad_order))
+        checks.extend(_SUITES[name](args.tol))
     failed = [c["name"] for c in checks if not c["passed"]]
     report = {
         "command": "verify",
-        "inputs": {"suite": args.suite, "tol": args.tol, "quad_order": quad_order},
+        "inputs": {"suite": args.suite, "tol": args.tol},
         "results": {"checks": checks},
         "checks": {"all_passed": not failed, "failed": failed},
     }
@@ -568,10 +562,12 @@ def cmd_sample(args) -> int:
     t0 = time.perf_counter()
     descriptors = _descriptors(args, "sample", single=True)
     grid = _parse_grid(args.grid)
-    _spec, _label, state, _params = _build(descriptors[0], args)
+    _spec, _label, state, params = _build(descriptors[0], args)
     if descriptors[0]["kind"] == "ho1d":
         z0, z1 = (z[0] for z in evaluate_points([state], grid, args.time))
     else:
+        if params != PhysicalParams():
+            raise ValidationError(f"radial samples are dimensionless: mu, omega, hbar must be 1, got {params}")
         if np.any(grid <= 0):
             raise ValidationError("radial samples require positive radii")
         z0, z1 = state.components(grid)
@@ -601,8 +597,6 @@ _OPTIONS = {
     "--omega": dict(type=float, default=1.0, help="angular frequency"),
     "--hbar": dict(type=float, default=1.0),
     "--tol": dict(type=float, default=None, help="tolerance override"),
-    "--quad-order": dict(type=int, default=None,
-                         help="cross-check quadrature order (default: exact for the family; 64 for sphere and verify)"),
     "--conjugate-angular": dict(action="store_true", help="conjugate the slot-1 spherical harmonic"),
 }
 _STATE_OPTIONS = ("--states", "--time", "--format", "--mu", "--omega", "--hbar")
@@ -619,14 +613,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="energy table: closed forms vs expectation values")
-    _add_options(p, _STATE_OPTIONS + ("--tol", "--quad-order"))
+    _add_options(p, _STATE_OPTIONS + ("--tol",))
 
     p = sub.add_parser("gram", help="Gram matrix of candidate basis states")
     _add_options(p, _OPTIONS)
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    _add_options(p, ("--format", "--tol", "--quad-order"))
+    _add_options(p, ("--format", "--tol"))
 
     p = sub.add_parser("sample", help="tabulate a state on a grid")
     p.add_argument("--grid", required=True, help="MIN:MAX:COUNT")

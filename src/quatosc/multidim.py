@@ -42,6 +42,7 @@ __all__ = [
     "radial_ode_residual",
     "radial_energy_expectation",
     "qsph_harm",
+    "angular_order",
     "angular_gram",
     "full_spherical_energy",
     "default_radial_grid",
@@ -55,7 +56,9 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
     """Left-to-right quaternion product of per-direction two-slot states;
     factor k oscillates along dimension k.  Each step multiplies every row a
     so far by both rows b of the next factor: slots add mod 2, and a slot-1 a
-    conjugates b (z1 conj(w)), with a sign flip for a slot-1 b."""
+    conjugates b (z1 conj(w)), with a sign flip for a slot-1 b.  Right
+    multiplication by i does not commute with a later factor of theta != 0, so
+    the product solves hbar dPsi/dt i = H Psi only if each such theta is 0."""
     params = params or PhysicalParams()
     states = [_slot_state(((q.n,), (q.m,)), q.theta, params) for q in factors]
     if not states:
@@ -319,18 +322,26 @@ def _azimuth_phases(az, top: int) -> np.ndarray:
     return e
 
 
-def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: int = 128,
+def angular_order(specs: list[QSphericalHarmonic]) -> int:
+    """Gauss-Legendre order l_max + 1, exact beside 2 l_max + 2 azimuth nodes: those keep only
+    equal azimuth frequencies, whose polar products have degree l + l' <= 2 l_max in cos(polar)."""
+    return max((s.l for s in specs), default=0) + 1
+
+
+def angular_gram(specs: list[QSphericalHarmonic], n_polar: int | None = None, n_azimuth: int | None = None,
                  conjugate_slot1: bool = False) -> GramMatrix:
-    """Gram matrix of quaternionic spherical harmonics over the full sphere,
-    by Gauss-Legendre x uniform-azimuth quadrature.  Y_l^m(polar, azimuth) =
-    Y_l^m(polar, 0) exp(i m azimuth) on a tensor-product rule, so each slot's
-    node sum factors: Re sum_s (F_s W F_s^T) o (E_s V E_s^H), with F_s the real
-    polar profiles and E_s the azimuth phases exp(+-i m azimuth) on the nodes.
-    The Legendre rows of every state come from one pass per distinct |m| over
-    the polar nodes and the parallelism test's sample angles together."""
+    """Gram matrix of quaternionic spherical harmonics over the full sphere, by Gauss-Legendre
+    x uniform-azimuth quadrature: by default the exact rule, angular_order(specs) polar nodes
+    and twice as many azimuth nodes.  Y_l^m(polar, azimuth) = Y_l^m(polar, 0) exp(i m azimuth)
+    on a tensor-product rule, so each slot's node sum factors: Re sum_s (F_s W F_s^T) o
+    (E_s V E_s^H), with F_s the real polar profiles and E_s the azimuth phases exp(+-i m
+    azimuth) on the nodes.  The Legendre rows of every state come from one pass per distinct
+    |m| over the polar nodes and the parallelism test's sample angles together."""
     specs = tuple(specs)
     n = len(specs)
-    gl, az = make_rule("gauss_legendre", n_polar), make_rule("uniform_periodic", n_azimuth)
+    order = angular_order(specs)
+    gl = make_rule("gauss_legendre", order if n_polar is None else n_polar)
+    az = make_rule("uniform_periodic", 2 * order if n_azimuth is None else n_azimuth)
     thetas, phis = _sample_points((0.2, math.pi - 0.2), (0.0, 2.0 * math.pi))
     polar = np.concatenate([np.arccos(gl.nodes), thetas])
     x, sin = np.cos(polar), np.sin(polar)
@@ -345,7 +356,7 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
     mix = np.array([[math.cos(s.theta) for s in specs], [math.sin(s.theta) for s in specs]]).reshape(2, n, 1)
     # azimuth frequencies: Y_l^m carries exp(i m azimuth), conjugate_slot1 negates slot 1's
     freqs = ms * np.array([[1], [-1 if conjugate_slot1 else 1]])
-    f = mix * leg[..., :n_polar]
+    f = mix * leg[..., :gl.order]
     entries = np.zeros((n, n))
     top = int(np.abs(ms).max(initial=0))
     for fs, ks in zip(f, freqs):
@@ -353,7 +364,7 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int = 64, n_azimuth: 
         k, row = np.unique(ks, return_inverse=True)
         e = _azimuth_phases(az, top)[k + top]
         entries += (((fs * gl.weights) @ fs.T) * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
-    values = mix * (leg[..., n_polar:] * np.exp(1j * freqs[..., None] * phis))
+    values = mix * (leg[..., gl.order:] * np.exp(1j * freqs[..., None] * phis))
     return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values)
 
 

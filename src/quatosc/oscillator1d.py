@@ -84,25 +84,22 @@ class GramMatrix:
     """Matrix of real inner products among candidate basis states.
 
     closed_form holds the analytic prediction for the same labels; parallel
-    and theta_equal (present for position-space states) record whether the
-    pointwise quaternionic parallelism test and the equal-angle condition
-    hold for each pair.
+    and theta_equal record whether the pointwise quaternionic parallelism
+    test and the equal-angle condition hold for each pair.
     """
 
     labels: tuple
     entries: np.ndarray = field(repr=False)
-    t: float = 0.0
-    closed_form: np.ndarray | None = field(default=None, repr=False)
-    parallel: np.ndarray | None = field(default=None, repr=False)
-    theta_equal: np.ndarray | None = field(default=None, repr=False)
+    t: float
+    closed_form: np.ndarray = field(repr=False)
+    parallel: np.ndarray = field(repr=False)
+    theta_equal: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
     def max_closed_form_deviation(self) -> float:
-        if self.closed_form is None:
-            return float("nan")
         return float(np.max(np.abs(self.entries - self.closed_form))) if self.size else 0.0
 
     def max_identity_deviation(self) -> float:

@@ -648,42 +648,40 @@ def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
                rules: list[QuadratureRule] | None = None) -> float:
-    """Real inner product by Gauss-Hermite quadrature, one rule per dimension;
-    the 1x1 case of quad_gram."""
+    """Real inner product by Gauss-Hermite quadrature, one rule per dimension
+    (by default the exact one); the 1x1 case of quad_gram."""
     return float(quad_gram([a], [b], t, rules)[0, 0])
 
 
 def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0,
               rules: list[QuadratureRule] | None = None) -> np.ndarray:
     """Matrix of real inner products <a_i, b_j> by Gauss-Hermite quadrature,
-    one rule per dimension.
+    one rule per dimension: by default order deg // 2 + 1, exact for the
+    dimension's largest product degree deg; a given rule too coarse for it warns.
 
     The Hermite functions are evaluated pointwise on each dimension's nodes
     by their recurrence.  The Gaussian envelopes of the two states supply
     exactly the Hermite weight, so the rule integrates the polynomial part
     of Sc(a * conj(b)); on the tensor-product grid that sum factors into one
     node sum per dimension, A G B^H with G the rule's Gram matrix of the
-    Hermite functions (_rule_gram, made once per rule and width).  Warns
-    (without failing) when the rule order cannot integrate the largest
-    product degree exactly.
+    Hermite functions (_rule_gram, made once per rule and width).
     """
     states = [*a_states, *b_states]
     if not states:
         return np.zeros((0, 0))
     dims = states[0].dims
-    if rules is None:
-        rules = [make_rule("gauss_hermite", 64)] * dims
-    if len(rules) != dims:
+    if rules is not None and len(rules) != dims:
         raise ValueError(f"need {dims} quadrature rules, got {len(rules)}")
-    for r in rules:
+    for r in rules or ():
         if r.kind != "gauss_hermite":
             raise ValueError(f"inner_quad requires gauss_hermite rules, got {r.kind!r}")
     def contract(a, b, slot_a, slot_b):
         # rows in different slots never meet, so the degree is taken per slot
         wa = _slot_widths(a, slot_a)
         wb = wa if b is a else _slot_widths(b, slot_b)
-        for k, rule in enumerate(rules):
+        for k in range(dims):
             deg = max((wa[s][k] + wb[s][k] - 2 for s in (0, 1) if wa[s][k] and wb[s][k]), default=0)
+            rule = make_rule("gauss_hermite", deg // 2 + 1) if rules is None else rules[k]
             if deg > 2 * rule.order - 1:
                 warnings.warn(
                     f"quadrature order {rule.order} in dimension {k} is below the "

@@ -15,9 +15,16 @@ from hypothesis import strategies as st
 
 from quatosc import cli, multidim, oscillator1d, specfun, wavestate
 
-def run_cli(*args, stdin=None):
-    return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
-                          input=stdin, capture_output=True, timeout=120)
+def run_cli(*args, stdin=None, rule=None):
+    """quatosc in a fresh process; given rule, with a defect planted in the CLI's
+    rule choice: every quadrature rule it makes has that many nodes."""
+    if rule is None:
+        return subprocess.run([sys.executable, "-m", "quatosc.cli", *args],
+                              input=stdin, capture_output=True, timeout=120)
+    plant = ("import sys; from quatosc import cli, specfun; "
+             f"cli.make_rule = lambda kind, order: specfun.make_rule(kind, {rule}); "
+             "sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", plant, *args], input=stdin, capture_output=True, timeout=120)
 
 
 def body_of(output: bytes) -> bytes:
@@ -122,7 +129,7 @@ class TestSpectrum:
     def test_low_quadrature_order_warns_in_report(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl",
                               [{"kind": "ho1d", "n": 8, "m": 8, "theta": 0.5}])
-        proc = run_cli("spectrum", "--states", states, "--quad-order", "3")
+        proc = run_cli("spectrum", "--states", states, rule=3)
         assert proc.returncode == 3  # the quadrature route is spectrum's gate too
         report = json.loads(proc.stdout)
         assert report["checks"]["warnings"]
@@ -182,7 +189,7 @@ class TestGram:
             {"kind": "ho1d", "n": 8, "m": 8, "theta": 0.5},
             {"kind": "ho1d", "n": 2, "m": 1, "theta": 0.5},
         ])
-        proc = run_cli("gram", "--states", states, "--quad-order", "3")
+        proc = run_cli("gram", "--states", states, rule=3)
         assert proc.returncode == 3  # the quadrature route is gram's ho1d gate
         warned = json.loads(proc.stdout)["checks"]["warnings"]
         # one warning, naming the family's largest product degree, 8 + 8
@@ -206,20 +213,21 @@ class TestGram:
 
 
 class TestExitCodes:
-    # a quadrature rule too coarse for the family fails gram's check; a level
-    # above DEGREE_CAP is rejected; every level up to the cap passes both routes
-    @pytest.mark.parametrize("command, pairs, extra, code", [
-        pytest.param("gram", [(40, 41), (1, 2)], ["--quad-order", "20"], 3, id="gram-coarse-rule-3"),
-        pytest.param("spectrum", [(201, 0)], [], 2, id="spectrum-above-cap-2"),
-        pytest.param("spectrum", [(40, 41)], [], 0, id="spectrum-40-41-0"),
-        pytest.param("spectrum", [(200, 199)], ["--quad-order", "202"], 0, id="spectrum-200-199-0"),
-        pytest.param("gram", [(40, 41)], [], 0, id="gram-40-41-0"),
-        pytest.param("gram", [(200, 199)], ["--quad-order", "201"], 0, id="gram-200-199-0"),
+    # a quadrature rule too coarse for the family (a planted defect) fails gram's
+    # check; a level above DEGREE_CAP is rejected; every level up to the cap
+    # passes both routes
+    @pytest.mark.parametrize("command, pairs, rule, code", [
+        pytest.param("gram", [(40, 41), (1, 2)], 20, 3, id="gram-coarse-rule-3"),
+        pytest.param("spectrum", [(201, 0)], None, 2, id="spectrum-above-cap-2"),
+        pytest.param("spectrum", [(40, 41)], None, 0, id="spectrum-40-41-0"),
+        pytest.param("spectrum", [(200, 199)], None, 0, id="spectrum-200-199-0"),
+        pytest.param("gram", [(40, 41)], None, 0, id="gram-40-41-0"),
+        pytest.param("gram", [(200, 199)], None, 0, id="gram-200-199-0"),
     ])
-    def test_failed_check_or_rejected_state(self, command, pairs, extra, code, tmp_path):
+    def test_failed_check_or_rejected_state(self, command, pairs, rule, code, tmp_path):
         states = write_states(tmp_path / "s.jsonl",
                               [{"kind": "ho1d", "n": n, "m": m, "theta": 0.7} for n, m in pairs])
-        proc = run_cli(command, "--states", states, *extra)
+        proc = run_cli(command, "--states", states, rule=rule)
         assert proc.returncode == code
         assert b"Traceback" not in proc.stderr
         if code == 2:
@@ -336,9 +344,11 @@ class TestExitCodes:
             {"kind": "spherical", "l": l, "m1": m1, "m2": m2, "theta": 0.7}
             for l, m1, m2 in [(200, 0, 1), (200, 200, -200), (199, 5, -7), (150, 150, 149),
                               (0, 0, 0), (1, -1, 1), (200, -3, 3)]])
-        proc = run_cli("gram", "--states", states, "--quad-order", "201")
+        proc = run_cli("gram", "--states", states)
         assert proc.returncode == 0
-        assert json.loads(proc.stdout)["checks"]["max_closed_form_deviation"] <= 1e-12
+        report = json.loads(proc.stdout)
+        assert report["checks"]["max_closed_form_deviation"] <= 1e-12
+        assert report["inputs"]["quad_order"] == 201  # angular_order: l_max + 1
 
     def test_radial_gram_at_the_cap(self, tmp_path):
         states = write_states(tmp_path / "s.jsonl", [
@@ -350,8 +360,9 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["checks"]["max_closed_form_deviation"] <= 1e-12
 
-    # without --quad-order, spectrum and ho1d gram take the exact Gauss-Hermite
-    # order of the family: top level + 2 (H raises the degree by two) and + 1
+    # spectrum and ho1d gram take the Gauss-Hermite order of the family: top
+    # level + 2 (H psi keeps psi's width, so + 1 is exact; + 2 keeps one node
+    # in reserve) and + 1
     @pytest.mark.parametrize("command, pairs, order", [
         pytest.param("spectrum", [(64, 0, 0.3)], 66, id="spectrum-64-0"),
         pytest.param("spectrum", [(200, 199, 0.7)], 202, id="spectrum-200-199"),
@@ -624,15 +635,20 @@ class TestEmitter:
     def test_mixed_and_empty_rows_match_indent_2(self, tree):
         assert cli._emit(tree) == json.dumps(tree, indent=2)
 
-    @pytest.mark.parametrize("command, kind, flags", [
-        *(("gram", kind, flags) for kind in ("ho1d", "radial", "spherical")
+    _REPORTS = [
+        *(("gram", kind, flags, None) for kind in ("ho1d", "radial", "spherical")
           for flags in ([], ["--conjugate-angular"])),
-        ("gram", "ho1d", ["--quad-order", "3"]),  # a failed check, with warning strings
-        ("spectrum", "ho1d", []),
-        ("sample", "ho1d", ["--grid", "-2:2:5"]),
-        ("sample", "radial", ["--grid", "0.5:4:6"]),
-    ])
-    def test_command_reports_are_indent_2_bytes(self, command, kind, flags, tmp_path, monkeypatch):
+        ("gram", "ho1d", [], 3),  # a planted coarse rule: a failed check, with warning strings
+        ("spectrum", "ho1d", [], None),
+        ("sample", "ho1d", ["--grid", "-2:2:5"], None),
+        ("sample", "radial", ["--grid", "0.5:4:6"], None),
+    ]
+
+    @pytest.mark.parametrize("command, kind, flags, rule", _REPORTS,
+                             ids=[f"{c}-{k}-flags{i}" for i, (c, k, *_) in enumerate(_REPORTS)])
+    def test_command_reports_are_indent_2_bytes(self, command, kind, flags, rule, tmp_path, monkeypatch):
+        if rule is not None:
+            monkeypatch.setattr(cli, "make_rule", lambda rule_kind, order: specfun.make_rule(rule_kind, rule))
         states = {
             "ho1d": HO1D + [{"kind": "ho1d", "n": 8, "m": 3, "theta": 0.5}],
             "radial": [{"kind": "radial", "u": 0, "v": 1, "l": 1, "theta": 0.4},
@@ -684,12 +700,12 @@ class TestUnitsAndFlags:
         settable = {name: sorted(a.dest for a in p._actions if a.dest != "help") for name, p in sub.choices.items()}
         state_flags = ["format", "hbar", "mu", "omega", "states", "time"]
         assert settable == {
-            "spectrum": sorted(state_flags + ["quad_order", "tol"]),
-            "gram": sorted(state_flags + ["conjugate_angular", "quad_order", "tol"]),
-            "verify": ["format", "quad_order", "suite", "tol"],
+            "spectrum": sorted(state_flags + ["tol"]),
+            "gram": sorted(state_flags + ["conjugate_angular", "tol"]),
+            "verify": ["format", "suite", "tol"],
             "sample": sorted(state_flags + ["grid"]),
         }
-        assert sum(map(len, settable.values())) == 28
+        assert sum(map(len, settable.values())) == 25
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--conjugate-angular"],
@@ -699,6 +715,10 @@ class TestUnitsAndFlags:
         ["verify", "algebra", "--conjugate-angular"],
         ["sample", "--grid", "-2:2:5", "--tol", "1e-3"],
         ["sample", "--grid", "-2:2:5", "--quad-order", "9"],
+        # every rule order follows from the family, so no command takes one
+        ["spectrum", "--quad-order", "9"],
+        ["gram", "--quad-order", "9"],
+        ["verify", "algebra", "--quad-order", "9"],
     ], ids=" ".join)
     def test_flag_the_command_does_not_read_is_a_usage_error(self, argv, tmp_path, capsys):
         if argv[0] != "verify":
@@ -709,6 +729,23 @@ class TestUnitsAndFlags:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("usage: ") and "unrecognized arguments" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, params", [
+        (["--mu", "4"], None), (["--omega", "0.5"], None), (["--hbar", "2"], None), ([], {"mu": 4}),
+    ], ids=["mu-flag", "omega-flag", "hbar-flag", "descriptor-params"])
+    def test_params_on_radial_sample_are_rejected(self, flags, params, tmp_path, capsys):
+        # a radial state is sampled at the dimensionless radius rho, so mu, omega and
+        # hbar would be printed beside values they did not change
+        desc = {"kind": "radial", "u": 1, "v": 2, "l": 1, "theta": 0.5}
+        argv = ["sample", "--grid", "0.5:2:3", "--states"]
+        path = write_states(tmp_path / "s.jsonl", [{**desc, "params": params} if params else desc])
+        assert cli.main([*argv, path, *flags]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "must be 1" in err
+        # the default units, given or not, still sample
+        path = write_states(tmp_path / "d.jsonl", [{**desc, "params": {"mu": 1}}])
+        assert cli.main([*argv, path, "--omega", "1", "--hbar", "1.0"]) == cli.EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["results"]["rows"]) == 3
 
     @pytest.mark.parametrize("command, desc", [
         ("gram", {"kind": "radial", "u": 0, "v": 1, "l": 2, "theta": 0.5}),

@@ -173,12 +173,24 @@ class TestMultiDimResidual:
         [(1, 2, 0.4), (0, 3, 0.0)],
         [(2, 1, 1.1), (1, 1, 0.0), (3, 0, 0.0)],
         [(0, 0, 0.3), (1, 2, 0.0), (2, 2, 0.0), (0, 5, 0.0)],
+        [(2, 1, 0.7), (1, 0, 0.0), (3, 3, 0.0)],
     ])
     def test_products_with_complex_later_factors_solve_the_equation(self, factors):
         # every factor after the first is complex (theta = 0), so it commutes with right_i
         s = product_state([QPair(*f) for f in factors])
         for t in (0.0, 0.9):
             assert schrodinger_residual(s, t=t) <= 1e-12
+
+    @pytest.mark.parametrize("factors", [
+        [(0, 0, 0.0), (1, 2, 0.4)],
+        [(1, 2, 0.4), (0, 3, 1.1)],
+    ])
+    def test_products_with_a_quaternionic_later_factor_do_not(self, factors):
+        # a later factor with theta != 0 has a slot-1 part, which right_i does not
+        # commute with: the product solves no equation hbar dPsi/dt i = H Psi
+        s = product_state([QPair(*f) for f in factors])
+        for t in (0.0, 0.9):
+            assert schrodinger_residual(s, t=t) >= 0.1
 
     def test_wrong_frequency_detected(self):
         s = split_state(SplitSpec(2, {0}, {1}, 1, 0, 0.5))
@@ -583,10 +595,39 @@ class TestAngularGram:
         assert g.entries[0, 1] == pytest.approx(-1.0, abs=1e-12)
         assert g.max_closed_form_deviation() > 0.5
 
-    def test_too_coarse_rule_still_fails_verify(self):
+    @staticmethod
+    def _family_to(l_max):
+        """Degrees 0..l_max in about eight steps, l_max - 1 and l_max; per degree
+        m = +-l in opposite slots, m = 0 and m = l - 1, so |k| = 2 l_max occurs."""
+        specs = []
+        for l in sorted({*range(0, l_max + 1, max(1, l_max // 8)), max(l_max - 1, 0), l_max}):
+            for m1, m2 in sorted({(l, -l), (-l, l), (0, min(l, 1)), (max(l - 1, 0), l)}):
+                specs.append(QSphericalHarmonic(l, m1, m2, 0.3 + 0.1 * (l % 5)))
+        return specs
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("l_max", [0, 1, 6, 63, 64, 120, 200])
+    def test_default_rule_is_exact(self, l_max, conjugate):
+        specs = self._family_to(l_max)
+        assert multidim.angular_order(specs) == l_max + 1
+        g = angular_gram(specs, conjugate_slot1=conjugate)
+        assert g.max_closed_form_deviation() <= 1e-12
+        want = angular_gram(specs, l_max + 1, 2 * l_max + 2, conjugate_slot1=conjugate)
+        assert np.array_equal(g.entries, want.entries)
+
+    @pytest.mark.parametrize("conjugate", [False, True])
+    @pytest.mark.parametrize("l_max", [1, 6, 64])
+    def test_rule_one_order_short_misses(self, l_max, conjugate):
+        g = angular_gram(self._family_to(l_max), l_max, 2 * l_max, conjugate_slot1=conjugate)
+        assert g.max_closed_form_deviation() > 1e-6
+
+    def test_too_coarse_rule_still_fails_verify(self, monkeypatch):
+        # a planted defect: the sphere order one short of exact
+        order = multidim.angular_order
+        monkeypatch.setattr(multidim, "angular_order", lambda specs: order(specs) - 1)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = cli.main(["verify", "angular", "--quad-order", "4"])
+            code = cli.main(["verify", "angular"])
         assert code == 3
         checks = {c["name"]: c for c in json.loads(out.getvalue())["results"]["checks"]}
         assert checks["angular_gram_matches_closed_form"]["passed"] is False

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,29 @@ class TestInnerQuad:
     def test_requires_one_rule_per_dimension(self):
         with pytest.raises(ValueError):
             inner_quad(psi_n(0), psi_n(0), 0.0, [make_rule("gauss_hermite", 16)] * 2)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_default_rule_is_exact_for_the_family(self, dims):
+        # without rules, dimension k takes the order top_k + 1, top_k the family's highest
+        # level there: exact (no warning) and bit for bit that explicit rule, which
+        # warns one order lower in any dimension
+        rng = np.random.default_rng(40 + dims)
+        labels = [[QPair(int(rng.integers(12)), int(rng.integers(12)), float(rng.uniform(0.2, 1.4)))
+                   for _ in range(dims)] for _ in range(5)]
+        states = [psi_nm(q[0]) if dims == 1 else product_state(q) for q in labels]
+        orders = [max(max(q[k].n, q[k].m) for q in labels) + 1 for k in range(dims)]
+        exact = [make_rule("gauss_hermite", order) for order in orders]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureOrderWarning)
+            derived = quad_gram(states, states, 0.4)
+            assert np.array_equal(derived, quad_gram(states, states, 0.4, exact))
+            part = quad_gram(states[:2], states, 0.4)
+            assert np.max(np.abs(part - moment_gram(states[:2], states, 0.4))) <= 1e-12
+        assert np.max(np.abs(derived - moment_gram(states, states, 0.4))) <= 1e-12
+        for k in range(dims):
+            short = [*exact[:k], make_rule("gauss_hermite", orders[k] - 1), *exact[k + 1:]]
+            with pytest.warns(QuadratureOrderWarning, match=f"dimension {k} "):
+                quad_gram(states, states, 0.4, short)
 
     def test_rule_gram_cached_per_rule_and_width(self):
         # rules of different order never share a cached Gram, nor does a narrower
