@@ -192,8 +192,8 @@ class _NoStates(Exception):
 def _descriptors(args, command: str, single: bool = False) -> list[dict]:
     """The --states descriptors, checked for all that needs no state: an
     empty file, more than one descriptor where single, an unknown kind, one
-    the command does not accept, a mix of kinds, and a non-zero --time on a
-    kind without a time phase (all but ho1d)."""
+    the command does not accept, a mix of kinds, a non-zero --time on a kind
+    without a time phase (all but ho1d) and --conjugate-angular on all but spherical."""
     descriptors = _load_descriptors(args.states)
     if not descriptors:
         raise _NoStates("no state descriptors provided")
@@ -210,6 +210,8 @@ def _descriptors(args, command: str, single: bool = False) -> list[dict]:
         raise ValidationError(f"{command} requires homogeneous state kinds, got {sorted(kinds)}")
     if args.time and kinds != {"ho1d"}:
         raise ValidationError(f"{kinds.pop()} states carry no time phase, so --time must be 0, got {args.time!r}")
+    if getattr(args, "conjugate_angular", False) and kinds != {"spherical"}:
+        raise ValidationError(f"--conjugate-angular applies to spherical states only, got {kinds.pop()!r}")
     return descriptors
 
 
@@ -597,7 +599,7 @@ _OPTIONS = {
     "--omega": dict(type=float, default=1.0, help="angular frequency"),
     "--hbar": dict(type=float, default=1.0),
     "--tol": dict(type=float, default=None, help="tolerance override"),
-    "--conjugate-angular": dict(action="store_true", help="conjugate the slot-1 spherical harmonic"),
+    "--conjugate-angular": dict(action="store_true", help="conjugate the slot-1 harmonic (spherical states only)"),
 }
 _STATE_OPTIONS = ("--states", "--time", "--format", "--mu", "--omega", "--hbar")
 

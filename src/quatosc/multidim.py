@@ -55,7 +55,7 @@ __all__ = [
 def product_state(factors: list[QPair], params: PhysicalParams | None = None) -> WaveState:
     """Left-to-right quaternion product of per-direction two-slot states;
     factor k oscillates along dimension k.  Each step multiplies every row a
-    so far by both rows b of the next factor: slots add mod 2, and a slot-1 a
+    so far by each row b of the next factor: slots add mod 2, and a slot-1 a
     conjugates b (z1 conj(w)), with a sign flip for a slot-1 b.  Right
     multiplication by i does not commute with a later factor of theta != 0, so
     the product solves hbar dPsi/dt i = H Psi only if each such theta is 0."""
@@ -70,7 +70,7 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
         sign = np.where(conj & (f.slots == 1), -1.0, 1.0)
         amps = (sign * amps[:, None] * np.where(conj, f.amps.conj(), f.amps)).ravel()
         freqs = (freqs[:, None] + np.where(conj, -f.freqs, f.freqs)).ravel()
-        coefs = [c.repeat(2, axis=0) for c in coefs]
+        coefs = [c.repeat(len(f.slots), axis=0) for c in coefs]
         coefs.append(np.where(conj[..., None], f.coefs[0].conj(), f.coefs[0]).reshape(-1, f.coefs.shape[2]))
         slots = (slots[:, None] ^ f.slots).ravel()
     return _merged(len(states), slots, amps, freqs, _joined([c[None] for c in coefs], 0), params)

@@ -90,7 +90,6 @@ class GramMatrix:
 
     labels: tuple
     entries: np.ndarray = field(repr=False)
-    t: float
     closed_form: np.ndarray = field(repr=False)
     parallel: np.ndarray = field(repr=False)
     theta_equal: np.ndarray = field(repr=False)
@@ -107,27 +106,28 @@ class GramMatrix:
 
 
 def _slot_state(levels: tuple[tuple[int, ...], ...], theta: float, params: PhysicalParams) -> WaveState:
-    """One mode per slot: slot s at level levels[s][k] in dimension k, amplitude cos(theta)
-    in slot 0 at minus its energy, sin(theta) in slot 1 (the conjugated eigenfunction) at
-    plus; one level tuple gives slot 0 alone.  sqrt(alpha)^dims normalizes phi_n(alpha x)."""
-    dims, slots = len(levels[0]), len(levels)
+    """A row for each slot of non-zero amplitude: slot s at level levels[s][k] in dimension k,
+    cos(theta) in slot 0 at minus its energy, sin(theta) in slot 1 (the conjugated eigenfunction)
+    at plus; theta = 0 gives slot 0 alone.  sqrt(alpha)^dims normalizes phi_n(alpha x)."""
+    dims = len(levels[0])
     for name, slot_levels in zip("nm", levels):
         for level in slot_levels:
             _check_degree(level, name)
-    coefs = np.zeros((dims, slots, max(map(max, levels)) + 1), dtype=complex)
     norm = math.sqrt(params.alpha) ** dims
-    amps, freqs = np.empty(slots, dtype=complex), np.empty(slots)
-    for s, slot_levels in enumerate(levels):
-        for k, level in enumerate(slot_levels):
-            coefs[k, s, level] = 1.0
-        amps[s] = (math.cos, math.sin)[s](theta) * norm
-        freqs[s] = (2 * s - 1) * (sum(slot_levels) + 0.5 * dims) * params.omega
-    return _from_columns(dims, np.arange(slots), amps, freqs, coefs, params)
+    live = [(s, amp) for s, amp in enumerate((math.cos(theta) * norm, math.sin(theta) * norm)) if amp]
+    coefs = np.zeros((dims, len(live), max(map(max, [levels[s] for s, _ in live]), default=0) + 1), dtype=complex)
+    slots, amps, freqs = np.empty(len(live), dtype=int), np.empty(len(live), dtype=complex), np.empty(len(live))
+    for r, (s, amp) in enumerate(live):
+        for k, level in enumerate(levels[s]):
+            coefs[k, r, level] = 1.0
+        slots[r], amps[r] = s, amp
+        freqs[r] = (2 * s - 1) * (sum(levels[s]) + 0.5 * dims) * params.omega
+    return _from_columns(dims, slots, amps, freqs, coefs, params)
 
 
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
-    """The n-th complex oscillator eigenfunction as a slot-0 state."""
-    return _slot_state(((n,),), 0.0, params or PhysicalParams())
+    """The n-th complex oscillator eigenfunction: psi_nm(QPair(n, n, 0.0)), one slot-0 row."""
+    return _slot_state(((n,), (n,)), 0.0, params or PhysicalParams())
 
 
 def psi_nm(q: QPair, params: PhysicalParams | None = None) -> WaveState:
@@ -194,7 +194,7 @@ def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
     return points
 
 
-def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0) -> GramMatrix:
+def _family_gram(labels, entries: np.ndarray, keys, values) -> GramMatrix:
     """GramMatrix of a two-slot family from its computed entries.
 
     keys[i] holds state i's slot-0 and slot-1 label keys, which give the
@@ -220,7 +220,7 @@ def _family_gram(labels, entries: np.ndarray, keys, values, t: float = 0.0) -> G
     zt = [np.ascontiguousarray(z.T * scale) for z in values]  # (points, states): products run along the states
     par = _parallel([z[:, :, None] for z in zt], [z[:, None, :] for z in zt], PARALLEL_TOL).all(axis=0)
     th_eq = np.equal.outer(np.array(thetas), np.array(thetas))
-    return GramMatrix(tuple(labels), entries, t, closed, par, th_eq)
+    return GramMatrix(tuple(labels), entries, closed, par, th_eq)
 
 
 def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = None,
@@ -240,7 +240,7 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     states = _Family(states or [psi_nm(q, params) for q in pairs])
     xs, = _sample_points((-3.0, 3.0))
     values = evaluate_points(states, xs / params.alpha, t)
-    return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs], values, t)
+    return _family_gram(pairs, moment_gram(states, states, t), [(q.n, q.m) for q in pairs], values)
 
 
 def ladder(which: str, dim: int = 0) -> Operator:

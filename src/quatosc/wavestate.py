@@ -237,7 +237,7 @@ def _merged(dims: int, slots, amps, freqs, coefs, params) -> WaveState:
         pivot[pivot == 0] = 1.0  # a row of zeros, dropped below
         rest = rest / pivot
         first = first * pivot.prod(axis=0)
-        rows = rest.transpose(1, 0, 2).reshape(len(slots), (dims - 1) * rest.shape[2]).view(float) + 0.0
+        rows = rest.transpose(1, 0, 2).reshape(len(slots), (dims - 1) * rest.shape[2]).copy().view(float) + 0.0
         keys.append(rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel().tolist())
     index: dict = {}
     group, firsts = [], []

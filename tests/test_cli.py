@@ -44,6 +44,15 @@ HO1D = [
 ]
 
 
+FAMILIES = {
+    "ho1d": HO1D + [{"kind": "ho1d", "n": 8, "m": 3, "theta": 0.5}],
+    "radial": [{"kind": "radial", "u": 0, "v": 1, "l": 1, "theta": 0.4},
+               {"kind": "radial", "u": 2, "v": 0, "l": 1, "theta": 1.1}],
+    "spherical": [{"kind": "spherical", "l": 2, "m1": 1, "m2": -2, "theta": 0.4},
+                  {"kind": "spherical", "l": 1, "m1": 0, "m2": 1, "theta": 0.4}],
+}
+
+
 def _refuse_to_build(*args, **kwargs):
     raise AssertionError("a state was built")
 
@@ -635,27 +644,24 @@ class TestEmitter:
     def test_mixed_and_empty_rows_match_indent_2(self, tree):
         assert cli._emit(tree) == json.dumps(tree, indent=2)
 
-    _REPORTS = [
-        *(("gram", kind, flags, None) for kind in ("ho1d", "radial", "spherical")
-          for flags in ([], ["--conjugate-angular"])),
-        ("gram", "ho1d", [], 3),  # a planted coarse rule: a failed check, with warning strings
-        ("spectrum", "ho1d", [], None),
-        ("sample", "ho1d", ["--grid", "-2:2:5"], None),
-        ("sample", "radial", ["--grid", "0.5:4:6"], None),
-    ]
+    # fixed ids: gram --conjugate-angular on ho1d (flags1) and radial (flags3) is refused,
+    # see TestUnitsAndFlags.test_conjugate_angular_on_a_kind_without_harmonics_is_rejected
+    _REPORTS = {
+        "gram-ho1d-flags0": ("gram", "ho1d", [], None),
+        "gram-radial-flags2": ("gram", "radial", [], None),
+        "gram-spherical-flags4": ("gram", "spherical", [], None),
+        "gram-spherical-flags5": ("gram", "spherical", ["--conjugate-angular"], None),
+        "gram-ho1d-flags6": ("gram", "ho1d", [], 3),  # a planted coarse rule: a failed check, with warning strings
+        "spectrum-ho1d-flags7": ("spectrum", "ho1d", [], None),
+        "sample-ho1d-flags8": ("sample", "ho1d", ["--grid", "-2:2:5"], None),
+        "sample-radial-flags9": ("sample", "radial", ["--grid", "0.5:4:6"], None),
+    }
 
-    @pytest.mark.parametrize("command, kind, flags, rule", _REPORTS,
-                             ids=[f"{c}-{k}-flags{i}" for i, (c, k, *_) in enumerate(_REPORTS)])
+    @pytest.mark.parametrize("command, kind, flags, rule", list(_REPORTS.values()), ids=list(_REPORTS))
     def test_command_reports_are_indent_2_bytes(self, command, kind, flags, rule, tmp_path, monkeypatch):
         if rule is not None:
             monkeypatch.setattr(cli, "make_rule", lambda rule_kind, order: specfun.make_rule(rule_kind, rule))
-        states = {
-            "ho1d": HO1D + [{"kind": "ho1d", "n": 8, "m": 3, "theta": 0.5}],
-            "radial": [{"kind": "radial", "u": 0, "v": 1, "l": 1, "theta": 0.4},
-                       {"kind": "radial", "u": 2, "v": 0, "l": 1, "theta": 1.1}],
-            "spherical": [{"kind": "spherical", "l": 2, "m1": 1, "m2": -2, "theta": 0.4},
-                          {"kind": "spherical", "l": 1, "m1": 0, "m2": 1, "theta": 0.4}],
-        }[kind]
+        states = FAMILIES[kind]
         path = write_states(tmp_path / "s.jsonl", states[:1] if command == "sample" else states)
         text, _, report = _emitted(monkeypatch, [command, "--states", path, *flags])
         wall = json.loads(text)["wall_time_s"]
@@ -763,6 +769,17 @@ class TestUnitsAndFlags:
         assert cli.main([*argv, "--time", "0"]) == cli.EXIT_OK
         assert json.loads(capsys.readouterr().out)["inputs"]["time"] == 0.0
 
+    @pytest.mark.parametrize("kind", ["ho1d", "radial"])
+    def test_conjugate_angular_on_a_kind_without_harmonics_is_rejected(self, kind, tmp_path, capsys):
+        # only a spherical state has a slot-1 harmonic to conjugate: a ho1d or radial
+        # report would drop the flag and print the unconjugated family
+        argv = ["gram", "--states", write_states(tmp_path / "s.jsonl", FAMILIES[kind])]
+        assert cli.main([*argv, "--conjugate-angular"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "--conjugate-angular applies to spherical" in err
+        assert cli.main(argv) == cli.EXIT_OK
+        assert "conjugate_slot1" not in json.loads(capsys.readouterr().out)["results"]
+
     # overlapping split descriptors are still refused by gram: the CLI knows
     # no split kind, so they exit 2 with one stderr line and no traceback
     def test_split_overlap_flag(self, tmp_path):
@@ -851,13 +868,18 @@ def test_kind_registry_matches_the_documented_commands():
 @st.composite
 def _requests(draw):
     """A command with one to three descriptors (one for sample) of any kind,
-    registered with the CLI or not; now and then a params override, and one
-    field with a wrong type, value or kind."""
+    registered with the CLI or not; now and then a --time (zero or not), on gram
+    --conjugate-angular, a params override, and one field with a wrong type,
+    value or kind."""
     command = draw(st.sampled_from(["spectrum", "gram", "sample"]))
     kind = draw(st.sampled_from(sorted(_KINDS)))
     argv = [command]
     if command == "sample":
         argv += ["--grid", "0.5:4:6" if kind == "radial" else "-3:3:7"]
+    if draw(st.booleans()):
+        argv += ["--time", repr(draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))))]
+    if command == "gram" and draw(st.booleans()):
+        argv.append("--conjugate-angular")
     count = 1 if command == "sample" else 3
     descriptors = [{"kind": kind, **draw(_KINDS[kind])} for _ in range(draw(st.integers(1, count)))]
     if draw(st.booleans()):
@@ -887,3 +909,10 @@ def test_generated_descriptors_keep_the_exit_code_contract(request, tmp_path_fac
         checks = json.loads(out.getvalue())["checks"]
         assert checks.get("within_tolerance") is not False
         assert checks.get("all_passed") is not False
+        # a flag that was set is one the family's kind reads: only ho1d has a time
+        # phase, only spherical has a harmonic to conjugate
+        kind, = {d["kind"] for d in descriptors}
+        if "--time" in argv and float(argv[argv.index("--time") + 1]):
+            assert kind == "ho1d"
+        if "--conjugate-angular" in argv:
+            assert kind == "spherical"

@@ -94,6 +94,39 @@ class TestProductState:
         with pytest.raises(ValueError):
             product_state([])
 
+    def test_level_zero_factors_past_two_dimensions(self):
+        # rows of width 1 in three or more dimensions: the merge takes its keys from
+        # a strided view of them, which once raised ValueError
+        factors = [QPair(0, 0, 0.5)] * 3
+        s = product_state(factors)
+        assert abs(inner(s, s, 0.3) - 1.0) <= 1e-14
+        want = evaluate(psi_nm(factors[0]), 0.2, 0.3) * evaluate(psi_nm(factors[1]), -0.4, 0.3)
+        want = want * evaluate(psi_nm(factors[2]), 0.9, 0.3)
+        assert abs(evaluate(s, [0.2, -0.4, 0.9], 0.3) - want) <= 1e-15
+        g = split_state(SplitSpec(3, {0, 1, 2}, {0, 1, 2}, 0, 0, 0.5))
+        assert abs(inner(g + g, g + g, 0.3) - 4.0) <= 1e-14
+
+    def test_solution_product_of_50_factors_stays_two_modes(self):
+        # every factor after the first is complex (theta = 0) and holds one row, so
+        # the product keeps the first factor's two rows and never grows to 2^50
+        factors = [QPair(1, 2, 0.4)] + [QPair(k % 3, 4, 0.0) for k in range(49)]
+        tracemalloc.start()
+        try:
+            s = product_state(factors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(s.slots.tolist()) == [0, 1]
+        assert peak < 10e6
+        assert abs(inner(s, s, 0.7) - 1.0) <= 1e-14
+        rng = np.random.default_rng(50)
+        for x in rng.uniform(-1.5, 1.5, (3, 50)):
+            want = evaluate(psi_nm(factors[0]), x[0], 0.7)
+            for q, xk in zip(factors[1:], x[1:]):
+                want = want * evaluate(psi_nm(q), xk, 0.7)
+            got = evaluate(s, x, 0.7)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestSplitState:
     def test_one_dimensional_case_reduces(self):
@@ -117,6 +150,9 @@ class TestSplitState:
         b = split_state(SplitSpec(3, frozenset({0, 1}), frozenset({0, 2}), 2, 3, 0.0))
         for pt in ([0.3, -0.7, 1.1], [0.0, 0.5, -2.0]):
             assert abs(evaluate(a, pt, 0.4) - evaluate(b, pt, 0.4)) <= 1e-14
+        # a zero sin(theta) gives no slot-1 row
+        for s in (a, b):
+            assert s.slots.tolist() == [0] and s.coefs.shape == (3, 1, 3)
 
     def test_union_must_cover(self):
         with pytest.raises(ValueError):

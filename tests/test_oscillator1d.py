@@ -68,6 +68,15 @@ class TestPsiNM:
         assert abs(q.x0) <= 1e-16
         assert (q.x1, q.x3) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("n, m", [(3, 1), (0, 7), (5, 5)])
+    def test_theta_zero_holds_the_complex_state_columns(self, n, m):
+        # a zero sin(theta) gives no slot-1 row: psi_nm(n, m, 0) is psi_n(n), column for column
+        a, b = psi_nm(QPair(n, m, 0.0)), psi_n(n)
+        for name in ("slots", "amps", "freqs", "coefs"):
+            assert getattr(a, name).dtype == getattr(b, name).dtype
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.slots.tolist() == [0] and a.coefs.shape == (1, 1, n + 1)
+
     @pytest.mark.parametrize("theta", THETAS)
     def test_normalized(self, theta):
         s = psi_nm(QPair(2, 4, theta))
