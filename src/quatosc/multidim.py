@@ -64,16 +64,18 @@ def product_state(factors: list[QPair], params: PhysicalParams | None = None) ->
     if not states:
         raise ValueError("product_state needs at least one factor")
     first, *rest = states
-    slots, amps, freqs, coefs = first.slots, first.amps, first.freqs, [first.coefs[0]]
+    slots, amps, freqs, rows = first.slots, first.amps, first.freqs, [first.coefs[0]]
     for f in rest:
         conj = (slots == 1)[:, None]
         sign = np.where(conj & (f.slots == 1), -1.0, 1.0)
         amps = (sign * amps[:, None] * np.where(conj, f.amps.conj(), f.amps)).ravel()
         freqs = (freqs[:, None] + np.where(conj, -f.freqs, f.freqs)).ravel()
-        coefs = [c.repeat(len(f.slots), axis=0) for c in coefs]
-        coefs.append(np.where(conj[..., None], f.coefs[0].conj(), f.coefs[0]).reshape(-1, f.coefs.shape[2]))
+        rows.append(np.where(conj[..., None], f.coefs[0].conj(), f.coefs[0]).reshape(-1, f.coefs.shape[2]))
         slots = (slots[:, None] ^ f.slots).ravel()
-    return _merged(len(states), slots, amps, freqs, _joined([c[None] for c in coefs], 0), params)
+    # mixed radix: product row i takes row i // S of dimension k's rows, S the later factors' row counts
+    index = np.arange(len(slots))
+    coefs = _joined([[r[index // (len(slots) // len(r))] for r in rows]])
+    return _merged(len(states), slots, amps, freqs, coefs, params)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
 both slots, every tree has a normal form, cached on the Operator: a sum of
 terms c (right_i)^r W_0 W_1 ..., with one word W_k of X and d/dX per
-dimension the term touches.  apply expands that form once per operator and
-runs each word as band shifts of a state's coefficient matrix, all modes
-at once.
+dimension the term touches.  apply runs it as a banded table, also cached
+on the Operator, per coefficient width and _band_shift: per right-i power and
+dimension, one real vector per band offset, made once by running the band
+shifts over the identity, so bands that cancel are dropped then.
 
 The real inner product used throughout is the scalar part
 
@@ -208,17 +209,16 @@ def _check_compatible(a: WaveState, b: WaveState) -> None:
         raise ValueError("states carry different physical parameters")
 
 
-def _joined(arrays, axis: int) -> np.ndarray:
-    """(dims, modes, width) coefficient arrays joined along axis 0 or 1, each
-    zero-padded to the widest."""
-    shape = list(arrays[0].shape)
-    shape[axis], shape[2] = sum(a.shape[axis] for a in arrays), max(a.shape[2] for a in arrays)
-    out, index = np.zeros(shape, dtype=complex), [slice(None)] * 3
+def _joined(blocks) -> np.ndarray:
+    """(dims, modes, width) coefficients of blocks of rows stacked in order, each
+    block one (modes, width) matrix per dimension, zero-padded to the widest."""
+    out = np.zeros((len(blocks[0]), sum(len(b[0]) for b in blocks), max(c.shape[1] for b in blocks for c in b)),
+                   dtype=complex)
     start = 0
-    for a in arrays:
-        index[axis], index[2] = slice(start, start + a.shape[axis]), slice(a.shape[2])
-        out[tuple(index)] = a
-        start += a.shape[axis]
+    for b in blocks:
+        for k, c in enumerate(b):
+            out[k, start:start + len(c), :c.shape[1]] = c
+        start += len(b[0])
     return out
 
 
@@ -273,10 +273,17 @@ def _stacked(states):
         _check_compatible(states[0], s)
     if len(states) == 1:
         s = states[0]
-        return np.zeros(len(s.slots), dtype=int), s.slots, s.amps, s.freqs, s.coefs
+        return _no_owner(len(s.slots)), s.slots, s.amps, s.freqs, s.coefs
     owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
     slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
-    return owner, slots, amps, freqs, _joined([s.coefs for s in states], 1)
+    return owner, slots, amps, freqs, _joined([s.coefs for s in states])
+
+
+@functools.lru_cache(maxsize=64)
+def _no_owner(modes: int) -> np.ndarray:
+    """The owner column of a one-state stack: zeros, read-only."""
+    (owner := np.zeros(modes, dtype=int)).setflags(write=False)
+    return owner
 
 
 class _Family(tuple):
@@ -341,20 +348,22 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     terms = amp[:, None]
     step = max(1, _CONTRACT_ELEMENTS // max(1, coefs[0].size))  # points per block of the product below
     for c, xk in zip(coefs, coords):
-        h = _hermite_functions(c.shape[1], xk).T.astype(complex)
+        h = _hermite_functions(c.shape[1], xk).T  # real: the complex product casts it
         # (modes, points, width) in C order: each point's sum over the width is one contiguous run
         parts = [np.multiply(c[:, None, :], h[i:i + step], order="C").sum(axis=2) for i in range(0, len(h), step)]
         terms = terms * (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
     z = np.zeros((2, len(states), len(x)), dtype=complex)
     np.add.at(z, (slot, owner), terms)
     r2 = functools.reduce(np.add, (xk * xk for xk in coords))  # in dimension order, whatever the points
-    return tuple(z * np.exp(-0.5 * r2))
+    r2 *= -0.5
+    z *= np.exp(r2, out=r2)
+    return tuple(z)
 
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     """Quaternion value of the state at position x (scalar or p-vector) and
     time t; the one-point case of evaluate_points."""
-    z0, z1 = evaluate_points([state], np.reshape(np.asarray(x, dtype=float), (1, -1)), t)
+    z0, z1 = evaluate_points([state], (x,), t)
     return Quaternion.from_symplectic(z0[0, 0], z1[0, 0])
 
 
@@ -427,8 +436,7 @@ class Operator:
         both slots, so every tree expands into this form.  A word is a tuple
         of band-shift signs in application order, +1 for X and -1 for d/dX;
         words is a tuple of (k, w_k) sorted by k, over the dimensions the term
-        touches.  Like terms are combined and zero terms dropped.  The form is
-        symbolic: no coefficient array is cached.
+        touches.  Like terms are combined and zero terms dropped.
         """
         k = self.kind
         if k in ("mul_x", "d_dx"):
@@ -479,8 +487,10 @@ def d_dx(dim: int = 0) -> Operator:
     return Operator("d_dx", dim=dim)
 
 
+@cache
 def right_i() -> Operator:
-    """Right multiplication of the wavefunction by i."""
+    """Right multiplication of the wavefunction by i; one shared Operator, so
+    apply builds its table once per width."""
     return Operator("right_i")
 
 
@@ -503,47 +513,35 @@ def op_compose(*ops: Operator) -> Operator:
 
 
 def apply(op: Operator, state: WaveState) -> WaveState:
-    """Exact action of an operator on a state, from the operator's normal form.
-
-    In each term c (right_i)^r W_0 W_1 ... of op._terms, a word W is a run of
-    band shifts of all the state's coefficients, and r = 1 turns amplitudes
-    by i in slot 0 and -i in slot 1.  The terms that touch one dimension k (or
-    none: dimension 0) are summed, amplitudes folded in, into one new row of
-    dimension k per mode, so a one-dimensional state keeps at most its number
-    of modes, without a merge.  In more dimensions the blocks of rows are
-    merged once (_merged): H_k turns phi_n into a scaled copy, which merges
-    back into its mode.  Shifts are computed afresh on every call; only the
-    symbolic terms are cached.
+    """Exact action of an operator on a state, from op's banded table at the
+    state's coefficient width (_band_table), kept in op._tables per width and
+    _band_shift: bands that cancel (the +-2 bands of H_k) cancel once, when
+    the table is built.  Each block makes one new row per mode in the
+    dimensions it replaces, the first carrying the amplitudes, times i in
+    slot 0 and -i in slot 1 for right_i terms.  The terms that touch one
+    dimension share a block, so a one-dimensional state keeps at most its
+    number of modes, without a merge.  In more dimensions the blocks of rows
+    are merged once (_merged): H_k turns phi_n into a scaled copy, which
+    merges back.
     """
     for d in op._dims:
         if not 0 <= d < state.dims:
             raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
     if not len(state.slots):
         return state
-    shifted = {(): state.coefs}
-    weights: dict = {}  # (r, word) -> {dimension: coefficient} of the one-dimension terms
+    tables = vars(op).setdefault("_tables", {})  # cached on op like its _terms
+    key = (state.coefs.shape[2], _band_shift)
+    if key not in tables:
+        tables[key] = _band_table(op._terms, *key)
     blocks = []  # per block of output rows, the new coefficient matrix of each dimension it replaces
-    for c, r, words in op._terms:
-        if len(words) <= 1:
-            # a scalar term (no word) scales the factor of dimension 0
-            k, w = words[0] if words else (0, ())
-            weights.setdefault((r, w), {})[k] = c
-        else:
-            (k0, w0), *rest = words
-            blocks.append({k0: _turned(state, r) * (c * _word(shifted, w0)[k0]),
-                           **{k: _word(shifted, w)[k] for k, w in rest}})
-    if weights:
-        parts: dict = {}
-        for (r, w), by_dim in weights.items():
-            c = np.array([by_dim.get(k, 0.0) for k in range(state.dims)])[:, None, None]
-            parts.setdefault(r, []).append(c * _word(shifted, w))
-        total = _summed([_turned(state, r) * _summed(p) for r, p in parts.items()])
-        blocks[:0] = [{k: total[k]} for k in sorted({k for by_dim in weights.values() for k in by_dim})]
+    for k0, parts, rest in tables[key]:
+        first = _summed([_turned(state, r) * _banded(bands, state.coefs[k0]) for r, bands in parts])
+        blocks.append({k0: first, **{k: _banded(bands, state.coefs[k]) for k, bands in rest}})
     if not blocks:
         return zero_state(state.dims, state.params)
     if state.dims == 1:
         return _nonzero(1, state.slots, state.freqs, blocks[0][0][None], state.params)
-    coefs = _joined([_joined([b.get(k, c)[None] for k, c in enumerate(state.coefs)], 0) for b in blocks], 1)
+    coefs = _joined([[b.get(k, c) for k, c in enumerate(state.coefs)] for b in blocks])
     return _merged(state.dims, np.tile(state.slots, len(blocks)), np.ones(coefs.shape[1], dtype=complex),
                    np.tile(state.freqs, len(blocks)), coefs, state.params)
 
@@ -554,13 +552,60 @@ def _turned(state: WaveState, r: int) -> np.ndarray:
     return amps[:, None]
 
 
-def _word(shifted: dict, w: tuple) -> np.ndarray:
-    """The coefficients of every dimension after the band shifts of word w,
-    in application order.  shifted maps words to arrays already built in
-    this call, so a prefix shared by several words is shifted once."""
-    if w not in shifted:
-        shifted[w] = _band_shift(_word(shifted, w[:-1]), w[-1])
-    return shifted[w]
+def _band_table(terms: tuple, width: int, band_shift) -> tuple:
+    """The normal form at this coefficient width as blocks (k0, parts, rest):
+    parts holds (r, bands) for dimension k0, whose rows carry the amplitudes,
+    and rest (k, bands) for the block's other dimensions.  The terms touching
+    at most dimension k (scalars: k = 0) share one block; each other term is a
+    block, its coefficient in k0.  bands are (d, v) by offset d, v[i - max(0, -d)]
+    the coefficient of phi_(i+d) in the summed words' image of phi_i, from
+    band_shift run over the identity; exactly zero bands are dropped.  The v
+    are read-only.
+
+    The identity's rows are folded mod p = 2 L + 1, L the longest word: rows
+    of one class lie p apart, out of each other's reach within L shifts, so
+    every entry read is its identity row's own, bit for bit, for O(L width)
+    work instead of O(width^2)."""
+    longest = max((len(w) for _, _, words in terms for _, w in words), default=0)
+    p = min(width, 2 * longest + 1)
+    folded = (np.arange(width) % p == np.arange(p)[:, None]).astype(complex)
+
+    def word(w):
+        out = folded
+        for sign in w:
+            out = band_shift(out, sign)
+        return out
+
+    def bands(pairs):
+        dense = _summed([c * word(w) for c, w in pairs])
+        top = dense.shape[1] - width  # the longest word
+        out = []
+        for d in range(-top, top + 1):
+            i = np.arange(max(0, -d), width)
+            if (v := dense[i % p, i + d].real).any():
+                v.setflags(write=False)
+                out.append((d, v))
+        return tuple(out)
+
+    singles: dict = {}  # dimension -> r -> (c, word) pairs of the terms touching at most that dimension
+    blocks = []
+    for c, r, words in terms:
+        (k0, w0), *rest = words or ((0, ()),)
+        if rest:
+            blocks.append((k0, ((r, bands([(c, w0)])),), tuple((k, bands([(1.0, w)])) for k, w in rest)))
+        else:
+            singles.setdefault(k0, {}).setdefault(r, []).append((c, w0))
+    return tuple((k, tuple((r, bands(pairs)) for r, pairs in singles[k].items()), ()) for k in sorted(singles)) + tuple(blocks)
+
+
+def _banded(bands: tuple, c: np.ndarray) -> np.ndarray:
+    """Rows c (modes, width) through bands (d, v) sorted by d: column i + d
+    gets v[i - max(0, -d)] c[:, i]."""
+    width = c.shape[1]
+    out = np.zeros((len(c), width + max(0, bands[-1][0] if bands else 0)), dtype=complex)
+    for d, v in bands:
+        out[:, max(0, d):width + d] += v * c[:, max(0, -d):]
+    return out
 
 
 def _summed(parts: list[np.ndarray]) -> np.ndarray:
@@ -573,25 +618,16 @@ def _summed(parts: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-@cache
-def _band_weights(n: int, upper_sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper and lower band of _band_shift on n coefficients, read-only."""
-    root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
-    (upper := upper_sign * root).setflags(write=False)
-    root.setflags(write=False)
-    return upper, root[:n - 1]
-
-
 def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
     """Hermite-function coefficients of X f (upper_sign +1) or d/dX f
     (upper_sign -1) for f = sum_n c_n phi_n, along the last axis of c:
     X phi_n = sqrt(n/2) phi_(n-1) + sqrt((n+1)/2) phi_(n+1), and d/dX is the
     same with the upper band negated."""
     n = c.shape[-1]
-    upper, lower = _band_weights(n, upper_sign)
+    root = np.sqrt(0.5 * np.arange(1, n + 1))  # root[k] = sqrt((k+1)/2)
     out = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
-    np.multiply(upper, c, out=out[..., 1:])
-    out[..., :n - 1] += lower * c[..., 1:]
+    np.multiply(upper_sign * root, c, out=out[..., 1:])
+    out[..., :n - 1] += root[:n - 1] * c[..., 1:]
     return out
 
 
@@ -620,13 +656,16 @@ def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
         na = np.searchsorted(owner, len(a_states))  # the a states' modes come first
         rows, cols = slice(None, na), slice(na, None)
         col_owner = owner[cols] - len(a_states)
+    # x_k integrals are 1/alpha times X_k ones, folded into the amplitudes (each holding sqrt(alpha) per
+    # dimension) before their outer product: neither it nor the scale then leaves the double range
+    amp = amp * math.prod([1.0 / math.sqrt(states[0].params.alpha)] * len(coefs))
     prod = np.multiply.outer(amp[rows], amp[cols].conj()) * np.equal.outer(slot[rows], slot[cols])
     a = coefs[:, rows]
     for factor in contract(a, a if cols is rows else coefs[:, cols], slot[rows], slot[cols]):
         prod *= factor
     out = np.zeros((len(a_states), len(b_states)))
     np.add.at(out, (owner[rows, None], col_owner[None, :]), prod.real)
-    return out * (1.0 / states[0].params.alpha) ** len(coefs)
+    return out
 
 
 def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0) -> np.ndarray:

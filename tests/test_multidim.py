@@ -1,9 +1,11 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -127,6 +129,33 @@ class TestProductState:
             got = evaluate(s, x, 0.7)
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_rows_are_the_row_by_row_product(self, monkeypatch):
+        # the rows handed to the merge, against a plain walk over every combination of
+        # factor rows (the last factor's row varying fastest): a slot-1 row so far
+        # conjugates the next factor, with a sign flip for its slot-1 row
+        columns = []
+        monkeypatch.setattr(multidim, "_merged", lambda *c: columns.append(c))
+        rng = random.Random(17)
+        for _ in range(60):
+            factors = [QPair(rng.randint(0, 5), rng.randint(0, 5), rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
+                       for _ in range(rng.randint(1, 7))]
+            product_state(factors)
+            dims, slots, amps, freqs, coefs, _ = columns.pop()
+            states = [psi_nm(q) for q in factors]
+            combos = list(itertools.product(*(range(len(s.slots)) for s in states)))
+            assert (dims, len(slots)) == (len(factors), len(combos))
+            for row, combo in enumerate(combos):
+                slot, amp, freq = 0, 1.0, 0.0
+                for k, (s, i) in enumerate(zip(states, combo)):
+                    f = s.coefs[0, i].conj() if slot else s.coefs[0, i]
+                    np.testing.assert_array_equal(coefs[k, row], np.pad(f, (0, coefs.shape[2] - len(f))))
+                    a = s.amps[i].conj() if slot else s.amps[i]
+                    amp *= -a if slot and s.slots[i] else a
+                    freq += -s.freqs[i] if slot else s.freqs[i]
+                    slot ^= int(s.slots[i])
+                assert (slots[row], freqs[row]) == (slot, freq)
+                assert abs(amps[row] - amp) <= 1e-15 * abs(amp)
+
 
 class TestSplitState:
     def test_one_dimensional_case_reduces(self):
@@ -157,6 +186,14 @@ class TestSplitState:
     def test_union_must_cover(self):
         with pytest.raises(ValueError):
             SplitSpec(3, frozenset({0}), frozenset({1}), 0, 0, 0.1)
+
+    def test_tiny_alpha_in_forty_dimensions(self):
+        # amplitudes of 8.8e-181 and a scale (1/alpha)^40 = 1e360: neither their square
+        # nor the scale fits a double, but the norm is 1
+        s = split_state(SplitSpec(40, range(40), {0}, 1, 2, 0.5), PhysicalParams(mu=1e-9, omega=1e-9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert abs(inner(s, s) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("spec, params", [
         (SplitSpec(2, {0}, {1}, 2, 1, 0.6), PhysicalParams()),

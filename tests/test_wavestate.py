@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from quatosc import wavestate
 from quatosc.multidim import SplitSpec, product_state, split_state
 from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
-from quatosc.specfun import make_rule
+from quatosc.specfun import DEGREE_CAP, make_rule
 from quatosc.wavestate import (
     PhysicalParams,
     QuadratureOrderWarning,
@@ -543,6 +546,46 @@ class TestNormalForm:
     def test_memoized_operators_are_shared(self):
         assert hamiltonian(PhysicalParams(), 3) is hamiltonian(PhysicalParams(), 3)
         assert ladder("raise") is ladder("raise", 0)
+
+    @pytest.mark.parametrize("op, offsets", [(hamiltonian(), [0]), (ladder("raise"), [1]), (ladder("lower"), [-1])])
+    def test_band_table_keeps_only_the_bands_that_survive(self, op, offsets):
+        # the +-2 bands of H and the lower (upper) band of raise (lower) cancel when the table is built
+        for n in range(1, 13):
+            apply(op, psi_n(n))
+            (k0, parts, rest), = op._tables[(n + 1, wavestate._band_shift)]
+            assert (k0, rest) == (0, ()) and [r for r, _ in parts] == [0]
+            assert [d for d, _ in parts[0][1]] == offsets
+
+    def test_band_tables_through_the_degree_cap_stay_small(self):
+        # fresh copies of the shared operators, so every table below is built here
+        ops = [dataclasses.replace(op) for op in (hamiltonian(), ladder("raise"), ladder("lower"))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(DEGREE_CAP + 1):
+                s = psi_n(n)
+                for op in ops:
+                    apply(op, s)
+            del s
+            gc.collect()
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert [len(op._tables) for op in ops] == [DEGREE_CAP + 1] * 3
+        assert kept < 5e6
+        assert peak < 20e6  # each build's working arrays are freed with it, not left for the collector
+
+    def test_hamiltonian_expectation_on_eigenstates_stays_exact(self):
+        # exact for the 179 levels n <= DEGREE_CAP outside this list, as before the banded tables;
+        # on these the coefficient route lands one ulp off n + 1/2
+        inexact = {0, 4, 12, 15, 29, 38, 39, 40, 51, 63, 104, 116, 118, 121, 126, 131, 160, 174, 184, 192, 193, 194}
+        for n in range(DEGREE_CAP + 1):
+            e = expectation(hamiltonian(), psi_n(n))
+            if n in inexact:
+                assert abs(e - (n + 0.5)) == math.ulp(n + 0.5)
+            else:
+                assert e == n + 0.5
 
 
 def algebra_products(seed):
