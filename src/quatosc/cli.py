@@ -74,6 +74,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CHECK_FAILED = 3
 
+GRID_CAP = 100_000  # sample rows per request: about 16 MB of JSON
+
 class ValidationError(ValueError):
     """Invalid descriptor, grid or option combination (exit code 2, as for
     every ValueError the library raises on the inputs it was given)."""
@@ -395,7 +397,9 @@ def cmd_gram(args) -> int:
 
 # --- verify suites ---------------------------------------------------------
 
-def _check(name: str, value: float, threshold: float, comparison: str = "<=") -> dict:
+def _check(name: str, value: float, default: float, tol: float | None = None, comparison: str = "<=") -> dict:
+    """The check of value against --tol when given (0 included), else against its default."""
+    threshold = default if tol is None else tol
     passed = value <= threshold if comparison == "<=" else value >= threshold
     return {"name": name, "value": float(value), "threshold": float(threshold),
             "comparison": comparison, "passed": bool(passed)}
@@ -418,11 +422,11 @@ def _suite_algebra(tol) -> list[dict]:
             p4 = qt.right_mul_i(p4)
         quad_i_dev = max(quad_i_dev, abs(p4 - p))
     return [
-        _check("hamilton_product_norm_multiplicative", norm_dev, tol or 1e-12),
-        _check("hamilton_product_associative", assoc_dev, tol or 1e-12),
-        _check("scalar_part_symmetry", sc_dev, tol or 1e-14),
-        _check("right_i_symplectic_action", sym_dev, tol or 1e-15),
-        _check("right_i_fourth_power_identity", quad_i_dev, tol or 1e-15),
+        _check("hamilton_product_norm_multiplicative", norm_dev, 1e-12, tol),
+        _check("hamilton_product_associative", assoc_dev, 1e-12, tol),
+        _check("scalar_part_symmetry", sc_dev, 1e-14, tol),
+        _check("right_i_symplectic_action", sym_dev, 1e-15, tol),
+        _check("right_i_fourth_power_identity", quad_i_dev, 1e-15, tol),
     ]
 
 
@@ -443,10 +447,10 @@ def _suite_ladder(tol) -> list[dict]:
     quad = quad_gram(basis, basis)
     ortho_dev = float(np.max(np.abs(quad - np.eye(DEGREE_CAP + 1))))
     return [
-        _check("lowering_annihilates_ground_state", ground_killed, tol or 1e-13),
-        _check("ladder_commutator_is_identity", comm_dev, tol or 1e-10),
-        _check("algebraic_state_matches_direct_build", build_dev, tol or 1e-10),
-        _check("hermite_functions_orthonormal_by_quadrature", ortho_dev, tol or 1e-12),
+        _check("lowering_annihilates_ground_state", ground_killed, 1e-13, tol),
+        _check("ladder_commutator_is_identity", comm_dev, 1e-10, tol),
+        _check("algebraic_state_matches_direct_build", build_dev, 1e-10, tol),
+        _check("hermite_functions_orthonormal_by_quadrature", ortho_dev, 1e-12, tol),
     ]
 
 
@@ -471,8 +475,8 @@ def _suite_residual(tol) -> list[dict]:
     gap = [a - (p - m) * (0.5 / h) for a, p, m in zip(analytic, ahead, behind)]
     fd_dev = float(np.max(_magnitude(*gap)))
     return [
-        _check("schrodinger_residual_on_solutions", res_dev, tol or 1e-10),
-        _check("time_derivative_matches_finite_differences", fd_dev, tol or 1e-6),
+        _check("schrodinger_residual_on_solutions", res_dev, 1e-10, tol),
+        _check("time_derivative_matches_finite_differences", fd_dev, 1e-6, tol),
     ]
 
 
@@ -493,8 +497,8 @@ def _suite_radial(tol) -> list[dict]:
             energies = (radial_energy(u, l, params) + shift, radial_energy(v, l, params) + shift)
             res_margin = min(res_margin, radial_ode_residual(state, energies) / peak)
     return [
-        _check("radial_gram_matches_closed_form", gram_dev, tol or 1e-10),
-        _check("radial_equation_residual_at_true_energy", res_true, tol or 1e-9),
+        _check("radial_gram_matches_closed_form", gram_dev, 1e-10, tol),
+        _check("radial_equation_residual_at_true_energy", res_true, 1e-9, tol),
         _check("radial_residual_detects_energy_shift", res_margin, 0.05, comparison=">="),
     ]
 
@@ -517,8 +521,8 @@ def _suite_angular(tol) -> list[dict]:
     pattern_dev = g.max_closed_form_deviation()
     norm_dev = float(np.max(np.abs(np.diag(g.entries) - 1.0)))
     return [
-        _check("angular_states_unit_norm", norm_dev, tol or 1e-10),
-        _check("angular_gram_matches_closed_form", pattern_dev, tol or 1e-9),
+        _check("angular_states_unit_norm", norm_dev, 1e-10, tol),
+        _check("angular_gram_matches_closed_form", pattern_dev, 1e-9, tol),
     ]
 
 
@@ -556,8 +560,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"grid must be MIN:MAX:COUNT, got {spec!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or count < 2:
-        raise ValidationError(f"grid requires min < max and count >= 2, got {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi) or not 2 <= count <= GRID_CAP:
+        raise ValidationError(f"grid requires min < max and 2 <= count <= {GRID_CAP}, got {spec!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -635,6 +639,15 @@ def build_parser() -> _Parser:
 _parser = cache(build_parser)  # built once per process; parse_args keeps no state between calls
 
 
+def _checked_flags(args) -> None:
+    """The flags no library call checks: --time must be finite, --tol finite and >= 0."""
+    if not math.isfinite(getattr(args, "time", 0.0)):
+        raise ValidationError(f"--time must be finite, got {args.time!r}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # looked up per call, not kept in the cached parser, so a rebound cmd_* still runs
@@ -643,6 +656,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            _checked_flags(args)
             return commands[args.command](args)
     except _NoStates as exc:
         sys.stderr.write(f"{args.command}: {exc}\n")

@@ -25,10 +25,11 @@ Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
 both slots, every tree has a normal form, cached on the Operator: a sum of
 terms c (right_i)^r W_0 W_1 ..., with one word W_k of X and d/dX per
-dimension the term touches.  apply runs it as a banded table, also cached
-on the Operator, per coefficient width and _band_shift: per right-i power and
-dimension, one real vector per band offset, made once by running the band
-shifts over the identity, so bands that cancel are dropped then.
+dimension the term touches.  apply runs it as a banded table, kept in one
+bounded module cache per normal form, coefficient width and _band_shift, so
+equal normal forms share it: per right-i power and dimension, one real vector
+per band offset, made once by running the band shifts over the identity, so
+bands that cancel are dropped then.
 
 The real inner product used throughout is the scalar part
 
@@ -44,7 +45,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +151,6 @@ class WaveState:
 
     def norm(self, t: float = 0.0) -> float:
         return math.sqrt(max(inner(self, self, t), 0.0))
-
-    def merged(self) -> "WaveState":
-        return _merged(self.dims, self.slots, self.amps, self.freqs, self.coefs, self.params)
 
     def __add__(self, other: "WaveState") -> "WaveState":
         return _merged(self.dims, *_stacked([self, other])[1:], self.params)
@@ -487,10 +485,8 @@ def d_dx(dim: int = 0) -> Operator:
     return Operator("d_dx", dim=dim)
 
 
-@cache
 def right_i() -> Operator:
-    """Right multiplication of the wavefunction by i; one shared Operator, so
-    apply builds its table once per width."""
+    """Right multiplication of the wavefunction by i."""
     return Operator("right_i")
 
 
@@ -513,10 +509,10 @@ def op_compose(*ops: Operator) -> Operator:
 
 
 def apply(op: Operator, state: WaveState) -> WaveState:
-    """Exact action of an operator on a state, from op's banded table at the
-    state's coefficient width (_band_table), kept in op._tables per width and
-    _band_shift: bands that cancel (the +-2 bands of H_k) cancel once, when
-    the table is built.  Each block makes one new row per mode in the
+    """Exact action of an operator on a state, from the banded table of op's
+    normal form at the state's coefficient width and _band_shift (_band_table,
+    which caches it): bands that cancel (the +-2 bands of H_k) cancel once,
+    when the table is built.  Each block makes one new row per mode in the
     dimensions it replaces, the first carrying the amplitudes, times i in
     slot 0 and -i in slot 1 for right_i terms.  The terms that touch one
     dimension share a block, so a one-dimensional state keeps at most its
@@ -529,12 +525,8 @@ def apply(op: Operator, state: WaveState) -> WaveState:
             raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
     if not len(state.slots):
         return state
-    tables = vars(op).setdefault("_tables", {})  # cached on op like its _terms
-    key = (state.coefs.shape[2], _band_shift)
-    if key not in tables:
-        tables[key] = _band_table(op._terms, *key)
     blocks = []  # per block of output rows, the new coefficient matrix of each dimension it replaces
-    for k0, parts, rest in tables[key]:
+    for k0, parts, rest in _band_table(op._terms, state.coefs.shape[2], _band_shift):
         first = _summed([_turned(state, r) * _banded(bands, state.coefs[k0]) for r, bands in parts])
         blocks.append({k0: first, **{k: _banded(bands, state.coefs[k]) for k, bands in rest}})
     if not blocks:
@@ -552,15 +544,17 @@ def _turned(state: WaveState, r: int) -> np.ndarray:
     return amps[:, None]
 
 
+@functools.lru_cache(maxsize=256)
 def _band_table(terms: tuple, width: int, band_shift) -> tuple:
-    """The normal form at this coefficient width as blocks (k0, parts, rest):
+    """The normal form at this coefficient width as blocks (k0, parts, rest),
+    one cached table per (terms, width, band_shift), shared by equal normal forms:
     parts holds (r, bands) for dimension k0, whose rows carry the amplitudes,
     and rest (k, bands) for the block's other dimensions.  The terms touching
     at most dimension k (scalars: k = 0) share one block; each other term is a
     block, its coefficient in k0.  bands are (d, v) by offset d, v[i - max(0, -d)]
     the coefficient of phi_(i+d) in the summed words' image of phi_i, from
     band_shift run over the identity; exactly zero bands are dropped.  The v
-    are read-only.
+    are read-only, as every caller shares them.
 
     The identity's rows are folded mod p = 2 L + 1, L the longest word: rows
     of one class lie p apart, out of each other's reach within L shifts, so

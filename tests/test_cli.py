@@ -521,6 +521,15 @@ class TestVerify:
         proc = run_cli("verify", "everything")
         assert proc.returncode == 1
 
+    def test_zero_tolerance_is_honoured(self, capsys):
+        # --tol 0 is a tolerance, not a missing one: every check bounded by --tol takes 0
+        assert cli.main(["verify", "all", "--tol", "0"]) == cli.EXIT_CHECK_FAILED
+        report = json.loads(capsys.readouterr().out)
+        assert report["inputs"]["tol"] == 0.0
+        bounded = [c for c in report["results"]["checks"] if c["comparison"] == "<="]
+        assert len(bounded) == 15 and all(c["threshold"] == 0.0 for c in bounded)
+        assert all(c["passed"] is (c["value"] == 0.0) for c in bounded)
+
 
 class TestSample:
     def test_even_state_symmetric(self, tmp_path):
@@ -562,6 +571,15 @@ class TestSample:
         states = write_states(tmp_path / "s.jsonl", HO1D)
         proc = run_cli("sample", "--states", states, "--grid", "-1:1:3")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("count", [cli.GRID_CAP + 1, 10 ** 10])
+    def test_grid_count_above_the_cap_is_rejected(self, count, tmp_path, capsys):
+        # 10^10 points once ended in a memory-error traceback (exit 1)
+        states = write_states(tmp_path / "s.jsonl", HO1D[:1])
+        assert cli.main(["sample", "--states", states, "--grid", f"0:1:{count}"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and str(cli.GRID_CAP) in err
+        assert len(cli._parse_grid(f"0:1:{cli.GRID_CAP}")) == cli.GRID_CAP
 
 
 class TestDeterminism:
@@ -779,6 +797,21 @@ class TestUnitsAndFlags:
         assert out == "" and len(err.splitlines()) == 1 and "--conjugate-angular applies to spherical" in err
         assert cli.main(argv) == cli.EXIT_OK
         assert "conjugate_slot1" not in json.loads(capsys.readouterr().out)["results"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gram", "--time", "nan"], ["gram", "--time", "inf"], ["spectrum", "--time", "nan"],
+        ["sample", "--grid", "-1:1:3", "--time=-inf"],
+        *([command, "--tol", tol] for command in ("gram", "spectrum", "verify") for tol in ("nan", "-1", "inf")),
+    ], ids=" ".join)
+    def test_non_finite_or_negative_flag_is_rejected(self, argv, tmp_path, capsys):
+        # these once exited 3, some with NaN or Infinity tokens in a body that is then not JSON
+        if argv[0] == "verify":
+            argv = ["verify", "algebra", *argv[1:]]
+        else:
+            argv = [*argv, "--states", write_states(tmp_path / "s.jsonl", HO1D[:1])]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and "must be finite" in err
 
     # overlapping split descriptors are still refused by gram: the CLI knows
     # no split kind, so they exit 2 with one stderr line and no traceback

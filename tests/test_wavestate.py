@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import random
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from quatosc import wavestate
 from quatosc.multidim import SplitSpec, product_state, split_state
-from quatosc.oscillator1d import QPair, hamiltonian, ladder, psi_n, psi_nm
+from quatosc.oscillator1d import QPair, _hamiltonian, _ladder, hamiltonian, ladder, psi_n, psi_nm
 from quatosc.specfun import DEGREE_CAP, make_rule
 from quatosc.wavestate import (
     PhysicalParams,
@@ -552,13 +551,15 @@ class TestNormalForm:
         # the +-2 bands of H and the lower (upper) band of raise (lower) cancel when the table is built
         for n in range(1, 13):
             apply(op, psi_n(n))
-            (k0, parts, rest), = op._tables[(n + 1, wavestate._band_shift)]
+            (k0, parts, rest), = wavestate._band_table(op._terms, n + 1, wavestate._band_shift)
             assert (k0, rest) == (0, ()) and [r for r, _ in parts] == [0]
             assert [d for d, _ in parts[0][1]] == offsets
 
     def test_band_tables_through_the_degree_cap_stay_small(self):
-        # fresh copies of the shared operators, so every table below is built here
-        ops = [dataclasses.replace(op) for op in (hamiltonian(), ladder("raise"), ladder("lower"))]
+        ops = [hamiltonian(), ladder("raise"), ladder("lower")]
+        table = wavestate._band_table
+        table.cache_clear()  # so every table below is built here
+        largest = 0
         gc.collect()
         tracemalloc.start()
         try:
@@ -567,14 +568,32 @@ class TestNormalForm:
                 s = psi_n(n)
                 for op in ops:
                     apply(op, s)
+                    largest = max(largest, table.cache_info().currsize)
             del s
             gc.collect()
             kept, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert [len(op._tables) for op in ops] == [DEGREE_CAP + 1] * 3
+        info = table.cache_info()
+        assert info.misses == 3 * (DEGREE_CAP + 1) and info.hits == 0
+        assert largest == info.maxsize < 3 * (DEGREE_CAP + 1)  # full, never past its bound
         assert kept < 5e6
         assert peak < 20e6  # each build's working arrays are freed with it, not left for the collector
+
+    def test_fresh_operator_takes_the_cached_table(self):
+        # operators built per call, equal in normal form to shared ones, build no table of their own
+        s = psi_n(5)
+        for shared, fresh in ((hamiltonian(), _hamiltonian.__wrapped__(PhysicalParams(), 1)),
+                              (ladder("raise"), _ladder.__wrapped__("raise", 0)), (mul_x(), mul_x())):
+            want = apply(shared, s)
+            before = wavestate._band_table.cache_info()
+            got = apply(fresh, s)
+            after = wavestate._band_table.cache_info()
+            assert fresh is not shared
+            assert after.hits == before.hits + 1 and after.misses == before.misses
+            assert after.currsize == before.currsize
+            for column in ("slots", "amps", "freqs", "coefs"):
+                assert np.array_equal(getattr(got, column), getattr(want, column))
 
     def test_hamiltonian_expectation_on_eigenstates_stays_exact(self):
         # exact for the 179 levels n <= DEGREE_CAP outside this list, as before the banded tables;
