@@ -89,8 +89,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let values like -4:4:9 reach --grid instead of looking like options
-        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d")
+        # let values like -4:4:9, -inf or -nan reach --grid, --time and --tol instead of looking like options
+        self._negative_number_matcher = re.compile(r"^-\d|^-\.\d|^-inf|^-nan", re.IGNORECASE)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ import numpy as np
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import GramMatrix, QPair, _family_gram, _sample_points, _slot_state, hamiltonian
-from .specfun import DEGREE_CAP, _check_degree, _legendre_rows, laguerre, laguerre_norm_const, make_rule, sph_harm
+from .specfun import (DEGREE_CAP, _check_degree, _check_integer, _legendre_rows, laguerre, laguerre_norm_const,
+                      make_rule, sph_harm)
 from .wavestate import PhysicalParams, WaveState, _joined, _merged, expectation
 
 __all__ = [
@@ -100,6 +101,8 @@ class SplitSpec:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         _check_degree(self.n, "n")
         _check_degree(self.m, "m")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         full = frozenset(range(self.dims))
         if self.slot0_dims | self.slot1_dims != full:
             raise ValueError("slot0_dims and slot1_dims must jointly cover all dimensions")
@@ -139,6 +142,8 @@ class RadialState:
     def __post_init__(self):
         for name in ("u", "v", "l"):
             _check_degree(getattr(self, name), name)
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
     def components(self, rho):
         """Symplectic components (z0, z1) at dimensionless radius
@@ -284,8 +289,12 @@ class QSphericalHarmonic:
 
     def __post_init__(self):
         _check_degree(self.l, "l")
+        _check_integer(self.m1, "m1")
+        _check_integer(self.m2, "m2")
         if abs(self.m1) > self.l or abs(self.m2) > self.l:
             raise ValueError(f"azimuthal indices out of range for l={self.l}")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import PARALLEL_TOL, _parallel, is_parallel  # noqa: F401
-from .specfun import _check_degree
+from .specfun import _check_degree, _check_integer
 from .wavestate import (
     Operator,
     PhysicalParams,
@@ -73,6 +73,8 @@ class QPair:
     theta: float = 0.0
 
     def __post_init__(self):
+        _check_integer(self.n, "n")
+        _check_integer(self.m, "m")
         if self.n < 0 or self.m < 0:
             raise ValueError(f"quantum numbers must be non-negative, got ({self.n}, {self.m})")
         if not math.isfinite(self.theta):
@@ -186,7 +188,8 @@ def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
     """The fixed pseudo-random sample coordinates of the parallelism test, one
     read-only array per (low, high) range: low + (high - low) u, u taken in order
     from _SAMPLE_STREAM, as default_rng(_SAMPLE_SEED).uniform draws them bit for
-    bit; the stream is kept as literals so that no command imports numpy.random."""
+    bit.  The stream is kept as literals so that gram, spectrum and sample do not
+    import numpy.random; verify algebra does, for its own seeded generator."""
     u = np.reshape(_SAMPLE_STREAM[:_SAMPLE_COUNT * len(ranges)], (-1, _SAMPLE_COUNT))
     points = tuple(low + (high - low) * row for (low, high), row in zip(ranges, u, strict=True))
     for p in points:

@@ -13,6 +13,7 @@ polynomial degrees.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -33,7 +34,15 @@ __all__ = [
 # coefficients finite.
 DEGREE_CAP = 200
 
+def _check_integer(n: int, name: str) -> None:
+    """A label must be an integer (numpy's too), but not a bool: True as an index is a mask.
+    A plain int skips the slower abstract-class check."""
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
 def _check_degree(n: int, name: str) -> None:
+    _check_integer(n, name)
     if n < 0:
         raise ValueError(f"{name} must be non-negative, got {n}")
     if n > DEGREE_CAP:
@@ -64,7 +73,7 @@ def laguerre(u, alpha: float, x):
     yields a row per degree, each bit for bit its own single-degree call.
     The pass keeps two running rows and holds on only to the requested ones.
     """
-    for d in (degrees := np.atleast_1d(u).tolist()):
+    for d in (degrees := list(u) if np.ndim(u) else [u]):  # as given: numpy would read True as 1
         _check_degree(d, "u")
     if alpha <= -1:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
@@ -125,6 +134,7 @@ def sph_harm(l: int, m: int, theta, phi):
     per |m| for a whole family.
     """
     _check_degree(l, "l")
+    _check_integer(m, "m")
     if abs(m) > l:
         raise ValueError(f"m={m} out of range for l={l}")
     theta = np.asarray(theta, dtype=float)

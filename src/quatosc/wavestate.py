@@ -17,9 +17,10 @@ integrals, through the rule's Gram matrix of the phi_n (cached per width).
 
 A state is its columns, one row per mode: every operation reads and writes
 them, and WaveState(dims, slots, amps, freqs, coefs) takes them directly.
-A _Family stacks its states' rows once for all its Grams and values.  Like
-modes merge on normalized rows (see _merged), so scaled copies of one
-function become one mode.
+A _Family stacks its states' rows once for all its Grams and values.  A
+Gram stacks each of its two sides on its own, once per object: a side passed
+as both is stacked once.  Like modes merge on normalized rows (see _merged),
+so scaled copies of one function become one mode.
 
 Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
@@ -271,17 +272,10 @@ def _stacked(states):
         _check_compatible(states[0], s)
     if len(states) == 1:
         s = states[0]
-        return _no_owner(len(s.slots)), s.slots, s.amps, s.freqs, s.coefs
+        return np.zeros(len(s.slots), dtype=int), s.slots, s.amps, s.freqs, s.coefs
     owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
     slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
     return owner, slots, amps, freqs, _joined([s.coefs for s in states])
-
-
-@functools.lru_cache(maxsize=64)
-def _no_owner(modes: int) -> np.ndarray:
-    """The owner column of a one-state stack: zeros, read-only."""
-    (owner := np.zeros(modes, dtype=int)).setflags(write=False)
-    return owner
 
 
 class _Family(tuple):
@@ -636,29 +630,23 @@ def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
     and slot_b, per dimension k the (a modes, b modes) matrix of integrals
     over X_k of each a factor times the conjugated b factor.  Their product
     over dimensions, weighted by amplitude, time phase and slot match, is
-    summed over each state's modes.  A family compared with itself
-    (b_states is a_states) is stacked once and passed as both A and B.
+    summed over each state's modes.  Each side is stacked on its own, at its
+    own width; a side passed as both (b_states is a_states) is stacked once
+    and passed as both A and B.
     """
-    states = a_states if b_states is a_states else [*a_states, *b_states]
-    if not states:
-        return np.zeros((0, 0))
-    owner, slot, amp, _, coefs = _stacked_at(states, t)
-    if b_states is a_states:
-        rows = cols = slice(None)
-        col_owner = owner
-    else:
-        na = np.searchsorted(owner, len(a_states))  # the a states' modes come first
-        rows, cols = slice(None, na), slice(na, None)
-        col_owner = owner[cols] - len(a_states)
+    out = np.zeros((len(a_states), len(b_states)))
+    if not (a_states and b_states):
+        return out
+    _check_compatible(a_states[0], b_states[0])
+    a_owner, a_slot, a_amp, _, a = a_stack = _stacked_at(a_states, t)
+    b_owner, b_slot, b_amp, _, b = a_stack if b_states is a_states else _stacked_at(b_states, t)
     # x_k integrals are 1/alpha times X_k ones, folded into the amplitudes (each holding sqrt(alpha) per
     # dimension) before their outer product: neither it nor the scale then leaves the double range
-    amp = amp * math.prod([1.0 / math.sqrt(states[0].params.alpha)] * len(coefs))
-    prod = np.multiply.outer(amp[rows], amp[cols].conj()) * np.equal.outer(slot[rows], slot[cols])
-    a = coefs[:, rows]
-    for factor in contract(a, a if cols is rows else coefs[:, cols], slot[rows], slot[cols]):
+    scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * len(a))
+    prod = np.multiply.outer(a_amp * scale, (b_amp * scale).conj()) * np.equal.outer(a_slot, b_slot)
+    for factor in contract(a, b, a_slot, b_slot):
         prod *= factor
-    out = np.zeros((len(a_states), len(b_states)))
-    np.add.at(out, (owner[rows, None], col_owner[None, :]), prod.real)
+    np.add.at(out, (a_owner[:, None], b_owner[None, :]), prod.real)
     return out
 
 
@@ -667,16 +655,21 @@ def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float =
 
     The Hermite functions are orthonormal, so per dimension the integral of
     one mode factor against another is the dot product of their coefficients:
-    one complex matmul A B^H per dimension for the whole family.
+    one complex matmul A B^H per dimension for the whole family, over the
+    narrower side's width (past it, that side's coefficients are 0).  Each
+    side is stacked once, as in _mode_gram.
     """
-    return _mode_gram(a_states, b_states, t, lambda a, b, *_: (ak @ bk.conj().T for ak, bk in zip(a, b)))
+    def contract(a, b, *_):
+        w = min(a.shape[2], b.shape[2])
+        return (ak[:, :w] @ bk[:, :w].conj().T for ak, bk in zip(a, b))
+
+    return _mode_gram(a_states, b_states, t, contract)
 
 
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
     """Real inner product from the Hermite-function coefficients; the 1x1
     case of moment_gram."""
-    states = [a]
-    return float(moment_gram(states, states if b is a else [b], t)[0, 0])
+    return float(moment_gram([a], [b], t)[0, 0])
 
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
@@ -697,12 +690,12 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     exactly the Hermite weight, so the rule integrates the polynomial part
     of Sc(a * conj(b)); on the tensor-product grid that sum factors into one
     node sum per dimension, A G B^H with G the rule's Gram matrix of the
-    Hermite functions (_rule_gram, made once per rule and width).
+    Hermite functions (_rule_gram, made once per rule and width), its block
+    of the two sides' widths.  Each side is stacked once, as in _mode_gram.
     """
-    states = [*a_states, *b_states]
-    if not states:
+    if not (a_states or b_states):
         return np.zeros((0, 0))
-    dims = states[0].dims
+    dims = (a_states or b_states)[0].dims
     if rules is not None and len(rules) != dims:
         raise ValueError(f"need {dims} quadrature rules, got {len(rules)}")
     for r in rules or ():
@@ -720,8 +713,9 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
                     f"quadrature order {rule.order} in dimension {k} is below the "
                     f"product degree {deg}; result may be inexact",
                     QuadratureOrderWarning, stacklevel=4)
-            width = max(1, wa[0][k], wa[1][k], wb[0][k], wb[1][k])
-            yield a[k, :, :width] @ _rule_gram(rule, width, _hermite_functions) @ b[k, :, :width].conj().T
+            na, nb = max(1, wa[0][k], wa[1][k]), max(1, wb[0][k], wb[1][k])
+            g = _rule_gram(rule, max(na, nb), _hermite_functions)
+            yield a[k, :, :na] @ g[:na, :nb] @ b[k, :, :nb].conj().T
 
     return _mode_gram(a_states, b_states, t, contract)
 

@@ -802,6 +802,9 @@ class TestUnitsAndFlags:
         ["gram", "--time", "nan"], ["gram", "--time", "inf"], ["spectrum", "--time", "nan"],
         ["sample", "--grid", "-1:1:3", "--time=-inf"],
         *([command, "--tol", tol] for command in ("gram", "spectrum", "verify") for tol in ("nan", "-1", "inf")),
+        # a value spelled as its own argument once read as an option and exited 1
+        ["sample", "--grid", "-1:1:3", "--time", "-inf"], ["gram", "--time", "-nan"],
+        ["spectrum", "--time", "-Infinity"], ["gram", "--tol", "-inf"], ["verify", "--tol", "-NaN"],
     ], ids=" ".join)
     def test_non_finite_or_negative_flag_is_rejected(self, argv, tmp_path, capsys):
         # these once exited 3, some with NaN or Infinity tokens in a body that is then not JSON
@@ -812,6 +815,16 @@ class TestUnitsAndFlags:
         assert cli.main(argv) == cli.EXIT_VALIDATION
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "must be finite" in err
+
+    @pytest.mark.parametrize("argv", [["gram", "--mu", "-inf"], ["spectrum", "--omega", "-nan"],
+                                      ["sample", "--grid", "-inf:0:3"], ["sample", "--grid", "-NAN:0:3"]],
+                             ids=" ".join)
+    def test_space_spelled_negative_non_finite_value_is_validated(self, argv, tmp_path, capsys):
+        # -inf and -nan reach the flag's own check (exit 2) as --mu=-inf does, not argparse (exit 1)
+        argv = [*argv, "--states", write_states(tmp_path / "s.jsonl", HO1D[:1])]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
 
     # overlapping split descriptors are still refused by gram: the CLI knows
     # no split kind, so they exit 2 with one stderr line and no traceback

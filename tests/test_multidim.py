@@ -32,7 +32,7 @@ from quatosc.multidim import (
 from quatosc.oscillator1d import (QPair, default_grid, energy_nm, hamiltonian, psi_n, psi_nm,
                                   schrodinger_residual)
 from quatosc.quaternion import is_parallel
-from quatosc.specfun import DEGREE_CAP, make_rule, sph_harm
+from quatosc.specfun import DEGREE_CAP, hermite, laguerre, make_rule, sph_harm
 from quatosc.wavestate import (
     PhysicalParams,
     WaveState,
@@ -563,6 +563,51 @@ class TestQSphericalHarmonic:
         for l in (DEGREE_CAP + 1, 10**6):
             with pytest.raises(ValueError, match="degree cap"):
                 QSphericalHarmonic(l, 0, 0, 0.3)
+
+
+class TestLabels:
+    # a level is an integer (numpy's too) in 0..DEGREE_CAP, an azimuthal index an
+    # integer with |m| <= l and theta finite; anything else raises ValueError where
+    # the label is made or read, not a TypeError, an IndexError or a wrong state
+    # (True as a level once indexed as a mask: psi_n(True) was phi_0 + phi_1)
+    @pytest.mark.parametrize("make", [
+        lambda: psi_n(True), lambda: psi_n(1.5), lambda: hermite(True, 0.3),
+        lambda: psi_nm(QPair(True, 2, 0.3)), lambda: psi_nm(QPair(1.5, 2, 0.3)), lambda: QPair(2, 2.0, 0.3),
+        lambda: split_state(SplitSpec(1, {0}, {0}, True, 2, 0.3)),
+        lambda: product_state([QPair(1, 2, 0.3), QPair(0, True, 0.0)]),
+        lambda: radial_state(1.5, 0, 1), lambda: radial_state(0, 1, True),
+        lambda: QSphericalHarmonic(1.5, 0, 0), lambda: sph_harm(1.5, 0, 0.3, 0.2),
+        lambda: laguerre(1.5, 0.5, 0.3), lambda: laguerre([0, True], 0.5, 0.3),
+    ], ids=["psi_n-bool", "psi_n-float", "hermite-bool", "qpair-bool", "qpair-float", "qpair-float-m",
+            "split-bool", "product-bool", "radial-float", "radial-bool-l", "spherical-float",
+            "sph_harm-float", "laguerre-float", "laguerre-bool-in-list"])
+    def test_level_must_be_an_integer(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: QSphericalHarmonic(1, 0.5, 0, 0.3), lambda: QSphericalHarmonic(1, 0, True, 0.3),
+        lambda: sph_harm(2, 0.5, 0.3, 0.2),
+    ], ids=["m1-float", "m2-bool", "sph_harm-m-float"])
+    def test_azimuthal_index_must_be_an_integer(self, make):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda th: SplitSpec(1, {0}, {0}, 1, 2, th), lambda th: radial_state(0, 1, 2, th),
+        lambda th: QSphericalHarmonic(1, 0, 1, th),
+    ], ids=["split", "radial", "spherical"])
+    def test_theta_must_be_finite(self, make, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            make(theta)
+
+    def test_numpy_integers_are_levels(self):
+        n, l, m = np.int64(3), np.int32(2), np.int16(-1)
+        assert inner(psi_n(n), psi_n(3)) == 1.0
+        assert psi_nm(QPair(n, l, 0.4)).coefs.shape == psi_nm(QPair(3, 2, 0.4)).coefs.shape
+        assert angular_gram([QSphericalHarmonic(l, m, 0, 0.3)]).entries[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert sph_harm(l, m, 0.3, 0.2) == sph_harm(2, -1, 0.3, 0.2)
 
 
 class TestParallelTable:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -717,3 +718,79 @@ class TestSelfGram:
     def test_empty_family(self):
         family: list = []
         assert moment_gram(family, family).shape == (0, 0)
+
+
+class TestCrossGram:
+    # each side is stacked at its own width: the moment route contracts over the narrower
+    # one, the quadrature route takes the block of the rule's Gram for the two widths
+    # per dims, the narrow and the wide side's factor labels; every factor after the
+    # first has theta = 0, so the Gram is the product of the factors' 1-D closed forms
+    LABELS = {
+        1: ([(QPair(k, k, 0.0),) for k in range(3)],
+            [(QPair(0, 40, 0.3),), (QPair(2, 17, 1.1),), (QPair(40, 1, 0.7),), (QPair(1, 0, 0.4),)]),
+        2: ([(QPair(0, 2, 0.5), QPair(1, 1, 0.0)), (QPair(2, 0, 0.9), QPair(0, 0, 0.0))],
+            [(QPair(0, 25, 0.8), QPair(1, 1, 0.0)), (QPair(2, 3, 0.9), QPair(30, 30, 0.0)),
+             (QPair(2, 0, 1.2), QPair(0, 0, 0.0))]),
+    }
+
+    @classmethod
+    def _sides(cls, dims):
+        narrow, wide = cls.LABELS[dims]
+        if dims == 1:
+            return [psi_n(f[0].n) for f in narrow], [psi_nm(f[0]) for f in wide]
+        return [product_state(f) for f in narrow], [product_state(f) for f in wide]
+
+    @staticmethod
+    def _closed(p, q):
+        return math.prod(math.cos(a.theta) * math.cos(b.theta) * (a.n == b.n)
+                         + math.sin(a.theta) * math.sin(b.theta) * (a.m == b.m) for a, b in zip(p, q))
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_unequal_widths_match_entries_and_closed_form(self, dims):
+        narrow, wide = self._sides(dims)
+        assert narrow[0].coefs.shape[2] < wide[0].coefs.shape[2]
+        rules = [make_rule("gauss_hermite", 45)] * dims
+        sides = zip((narrow, wide), self.LABELS[dims])
+        for (a_states, a_labels), (b_states, b_labels) in itertools.permutations(sides):
+            want = np.array([[self._closed(p, q) for q in b_labels] for p in a_labels])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", QuadratureOrderWarning)
+                for gram, entry, given in ((moment_gram, inner, ()), (quad_gram, inner_quad, ()),
+                                           (quad_gram, inner_quad, (rules,))):
+                    got = gram(a_states, b_states, 0.7, *given)
+                    pairwise = np.array([[entry(a, b, 0.7, *given) for b in b_states] for a in a_states])
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - pairwise)) <= 1e-13
+                    assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_one_empty_side(self, dims):
+        states = self._sides(dims)[1]
+        for gram in (moment_gram, quad_gram):
+            assert gram([], states).shape == (0, len(states))
+            assert gram(states, []).shape == (len(states), 0)
+        # given rules are checked against the non-empty side
+        for a_states, b_states in (([], states), (states, [])):
+            with pytest.raises(ValueError, match="quadrature rules"):
+                quad_gram(a_states, b_states, 0.0, [make_rule("gauss_hermite", 8)] * (dims + 1))
+            with pytest.raises(ValueError, match="gauss_hermite"):
+                quad_gram(a_states, b_states, 0.0, [make_rule("gauss_legendre", 8)] * dims)
+
+    def test_each_side_stacked_once_per_object(self, monkeypatch):
+        calls = []
+        stacked = wavestate._stacked
+        monkeypatch.setattr(wavestate, "_stacked", lambda states: calls.append(len(states)) or stacked(states))
+        narrow, wide = self._sides(1)
+        for gram in (moment_gram, quad_gram):
+            calls.clear()
+            gram(wide, wide, 0.4)
+            assert calls == [len(wide)]
+            calls.clear()
+            gram(narrow, wide, 0.4)
+            assert calls == [len(narrow), len(wide)]
+
+    def test_sides_must_match(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            moment_gram([psi_n(0)], [product_state([QPair(0, 0, 0.0)] * 2)])
+        with pytest.raises(ValueError, match="physical parameters"):
+            quad_gram([psi_n(0), psi_n(1)], [psi_n(0, PhysicalParams(mu=2.0))])
