@@ -222,9 +222,9 @@ def radial_gram(states: list[RadialState]) -> GramMatrix:
 
 def radial_energy(u: int, l: int, params: PhysicalParams | None = None) -> float:
     """Energy of one radial slot: (2u + l + 3/2) hbar omega."""
+    _check_degree(u, "u")
+    _check_degree(l, "l")
     params = params or PhysicalParams()
-    if u < 0 or l < 0:
-        raise ValueError("u and l must be non-negative")
     return (2.0 * u + l + 1.5) * params.energy_quantum
 
 

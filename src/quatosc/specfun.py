@@ -162,8 +162,8 @@ def hermite_norm_const(n: int, params=None) -> float:
 def laguerre_norm_const(u: int, l: int) -> float:
     """Constant N_u making rho^l exp(-rho^2/2) L_u^{(l+1/2)}(rho^2) unit-norm
     under the measure rho^2 drho: N_u = sqrt(2 u! / Gamma(u+l+3/2))."""
-    if u < 0 or l < 0:
-        raise ValueError("u and l must be non-negative")
+    _check_degree(u, "u")
+    _check_degree(l, "l")
     log_n = 0.5 * (math.log(2.0) + math.lgamma(u + 1.0) - math.lgamma(u + l + 1.5))
     return math.exp(log_n)
 

@@ -30,7 +30,13 @@ dimension the term touches.  apply runs it as a banded table, kept in one
 bounded module cache per normal form, coefficient width and _band_shift, so
 equal normal forms share it: per right-i power and dimension, one real vector
 per band offset, made once by running the band shifts over the identity, so
-bands that cancel are dropped then.
+bands that cancel are dropped then.  expectation reads <op s, s> from the
+same table without building op s: a bilinear form over the state's
+per-dimension Gram factors, whose product also gives the norm it checks.
+
+Pointwise values add each term of the recurrence to a running sum as it is
+made; evaluate is the one-point case of evaluate_points, stepped on Python
+floats, and equal to it bit for bit.
 
 The real inner product used throughout is the scalar part
 
@@ -301,35 +307,45 @@ def _stacked_at(states, t: float) -> tuple:
     return owner, slots, amps * np.exp(1j * freqs * t) if t else amps, freqs, coefs
 
 
-def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
-    """phi_n(x) exp(x^2/2) for n < count, as the rows of a (count, points) array.
+def _hermite_rows(count: int, x):
+    """phi_n(x) exp(x^2/2) for n < count, one row at a time: for a float x a
+    float, for an array x an array (h_0, which x does not enter, is a float).
 
     Normalized three-term recurrence (Bunck, BIT 49 (2009)):
     h_0 = pi^(-1/4), h_1 = sqrt(2) x h_0 and
     h_(n+1) = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_(n-1); no factorials,
-    no cancellation of large monomial terms.  One point steps a Python float
-    (same operations, same values) to spare numpy's per-call cost.
+    no cancellation of large monomial terms.  A float and an array step the
+    same operations, so each point's rows are the same either way.
     """
-    if x.size == 1:
-        x, h = x.item(), [0.0] * count
-    else:
-        h = np.empty((count, x.size))
-    h[0] = math.pi ** -0.25
+    prev = h = math.pi ** -0.25
+    yield h
     if count > 1:
-        h[1] = math.sqrt(2.0) * x * h[0]
+        prev, h = h, math.sqrt(2.0) * x * h
+        yield h
     for n in range(1, count - 1):
-        h[n + 1] = math.sqrt(2.0 / (n + 1)) * x * h[n] - math.sqrt(n / (n + 1)) * h[n - 1]
-    return np.asarray(h).reshape(count, -1)
+        prev, h = h, math.sqrt(2.0 / (n + 1)) * x * h - math.sqrt(n / (n + 1)) * prev
+        yield h
 
 
-_CONTRACT_ELEMENTS = 1 << 20  # bounds evaluate_points' products of coefficients and values
+def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
+    """phi_n(x) exp(x^2/2) for n < count, as the rows of a (count, points) array."""
+    h = np.empty((count, x.size))
+    for n, row in enumerate(_hermite_rows(count, x)):
+        h[n] = row
+    return h
 
 
 def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     """Symplectic components (z0, z1) of each state at each point and time t,
     as (states, points) complex arrays; x holds one position per row, (points,)
-    or (points, dims).  Each point's sums run alone and in one order, so its
-    values do not depend on the other points evaluated with it."""
+    or (points, dims).
+
+    Per dimension, each term c_n h_n of the recurrence is added to a
+    (modes, points) sum as it is made, in order of n, real and imaginary
+    parts apart; no (modes, points, width) product is formed.  Each point's
+    sums run alone and in one order, so its values do not depend on the
+    other points evaluated with it, and evaluate, which steps the same sums
+    on Python floats, equals them bit for bit."""
     if not states:
         return tuple(np.zeros((2, 0, len(x)), dtype=complex))
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
@@ -338,12 +354,14 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     coords = states[0].params.alpha * x.T
     owner, slot, amp, _, coefs = _stacked_at(states, t)
     terms = amp[:, None]
-    step = max(1, _CONTRACT_ELEMENTS // max(1, coefs[0].size))  # points per block of the product below
     for c, xk in zip(coefs, coords):
-        h = _hermite_functions(c.shape[1], xk).T  # real: the complex product casts it
-        # (modes, points, width) in C order: each point's sum over the width is one contiguous run
-        parts = [np.multiply(c[:, None, :], h[i:i + step], order="C").sum(axis=2) for i in range(0, len(h), step)]
-        terms = terms * (parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1))
+        parts = np.stack([c.real, c.imag])[..., None]  # (2, modes, width, 1)
+        acc = np.zeros((2, len(c), len(xk)))
+        for n, h in enumerate(_hermite_rows(c.shape[1], xk)):
+            acc += parts[:, :, n] * h
+        sums = np.empty(acc.shape[1:], dtype=complex)
+        sums.real, sums.imag = acc
+        terms = terms * sums
     z = np.zeros((2, len(states), len(x)), dtype=complex)
     np.add.at(z, (slot, owner), terms)
     r2 = functools.reduce(np.add, (xk * xk for xk in coords))  # in dimension order, whatever the points
@@ -354,9 +372,32 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     """Quaternion value of the state at position x (scalar or p-vector) and
-    time t; the one-point case of evaluate_points."""
-    z0, z1 = evaluate_points([state], (x,), t)
-    return Quaternion.from_symplectic(z0[0, 0], z1[0, 0])
+    time t: the one-point case of evaluate_points, equal to it bit for bit.
+    The recurrence and the sums over the width step Python floats in the
+    same operations and order; the time phase, the per-dimension products
+    and the Gaussian stay numpy array operations of the same shapes, since
+    numpy's complex product and exp may round otherwise than Python's."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != state.dims:
+        raise ValueError(f"expected points of {state.dims} coordinates, got {x.size}")
+    coords = (state.params.alpha * x).tolist()
+    terms = (state.amps * np.exp(1j * state.freqs * t) if t else state.amps)[:, None]
+    for c, xk in zip(state.coefs, coords):
+        h = list(_hermite_rows(c.shape[1], xk))
+        sums = []
+        for row_re, row_im in zip(c.real.tolist(), c.imag.tolist()):
+            re = im = 0.0
+            for a, b, hn in zip(row_re, row_im, h):
+                re += a * hn
+                im += b * hn
+            sums.append(complex(re, im))
+        terms = terms * np.array(sums)[:, None]
+    z = [0j, 0j]
+    for slot, term in zip(state.slots.tolist(), terms[:, 0].tolist()):
+        z[slot] += term
+    r2 = sum(xk * xk for xk in coords)  # 0 + a == a: the sum evaluate_points reduces
+    z0, z1 = np.array(z) * np.exp([r2 * -0.5])
+    return Quaternion.from_symplectic(z0, z1)
 
 
 def _magnitude(z0, z1):
@@ -514,9 +555,7 @@ def apply(op: Operator, state: WaveState) -> WaveState:
     are merged once (_merged): H_k turns phi_n into a scaled copy, which
     merges back.
     """
-    for d in op._dims:
-        if not 0 <= d < state.dims:
-            raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
+    _check_dims(op, state)
     if not len(state.slots):
         return state
     blocks = []  # per block of output rows, the new coefficient matrix of each dimension it replaces
@@ -530,6 +569,12 @@ def apply(op: Operator, state: WaveState) -> WaveState:
     coefs = _joined([[b.get(k, c) for k, c in enumerate(state.coefs)] for b in blocks])
     return _merged(state.dims, np.tile(state.slots, len(blocks)), np.ones(coefs.shape[1], dtype=complex),
                    np.tile(state.freqs, len(blocks)), coefs, state.params)
+
+
+def _check_dims(op: Operator, state: WaveState) -> None:
+    for d in op._dims:
+        if not 0 <= d < state.dims:
+            raise ValueError(f"operator dimension {d} out of range for a {state.dims}-dimensional state")
 
 
 def _turned(state: WaveState, r: int) -> np.ndarray:
@@ -738,20 +783,79 @@ def _slot_widths(coefs: np.ndarray, slots: np.ndarray) -> list[list[int]]:
     return [np.where(slots == s, lengths, 0).max(axis=-1, initial=0).tolist() for s in (0, 1)]
 
 
-def _require_normalized(s: WaveState, t: float, check_norm: bool) -> None:
-    if not check_norm:
-        return
-    n = inner(s, s, t)
-    if abs(n - 1.0) > NORM_CHECK_TOL:
-        raise ValueError(
-            f"state norm^2 = {n!r} is not 1 within {NORM_CHECK_TOL}; "
-            "pass check_norm=False to override")
+def _expectations(s: WaveState, t: float, check_norm: bool, *ops_terms) -> list[float]:
+    """<O s, s> for each normal form, from the state's per-dimension Gram
+    factors G_k = A_k A_k^H (A_k its coefficient rows), with no O s built.
+
+    A block of O's band table that touches one dimension k (each term of H or
+    of a sum of ladders) puts F_k = banded(A_k) A_k^H, turned by i in slot 0
+    and -i in slot 1 for an odd right-i power, in place of G_k.  These blocks
+    sum to P (F_0 G_1 ... G_(p-1) + G_0 F_1 G_2 ... + ...), elementwise, P the
+    amplitude and slot matrix of _mode_gram, which one pass over the
+    dimensions forms by the product rule: T <- T G_k + Q F_k, Q <- Q G_k,
+    from T = 0 and Q = P.  So a few (modes, modes) matrices are held in any
+    dimension, and Q ends as the matrix whose entries sum to <s, s>, the norm
+    that check_norm requires to be 1.  A block touching several dimensions
+    takes a pass of its own.  The real parts of the entries are summed by
+    fsum (_exact_sum).
+    """
+    width = s.coefs.shape[2]
+    amps = s.amps * np.exp(1j * s.freqs * t) if t else s.amps
+    amps = amps * math.prod([1.0 / math.sqrt(s.params.alpha)] * s.dims)  # as in _mode_gram
+    pair = np.multiply.outer(amps, amps.conj()) * np.equal.outer(s.slots, s.slots)
+    turn = np.where(s.slots == 0, 1j, -1j)[:, None]
+    adjoints = [c.conj().T for c in s.coefs]
+
+    def form(k, parts):
+        forms = [(_banded(bands, s.coefs[k])[:, :width] @ adjoints[k], r) for r, bands in parts]
+        return _summed([turn * f if r else f for f, r in forms])
+
+    tables = [_band_table(terms, width, _band_shift) for terms in ops_terms]
+    singles = [{k: parts for k, parts, rest in table if not rest} for table in tables]
+    sums, head = [np.zeros_like(pair) for _ in tables], pair.copy()
+    for k, c in enumerate(s.coefs):
+        g = c @ adjoints[k]
+        for total, one in zip(sums, singles):
+            total *= g
+            if k in one:
+                total += head * form(k, one[k])
+        head *= g
+    if check_norm:
+        n = _exact_sum(head.real)
+        if abs(n - 1.0) > NORM_CHECK_TOL:
+            raise ValueError(
+                f"state norm^2 = {n!r} is not 1 within {NORM_CHECK_TOL}; "
+                "pass check_norm=False to override")
+    out = []
+    for table, total in zip(tables, sums):
+        entries = [total.real]
+        for k0, parts, rest in table:
+            if rest:
+                touched = {k0: parts, **{k: ((0, bands),) for k, bands in rest}}
+                prod = pair
+                for k, c in enumerate(s.coefs):
+                    prod = prod * (form(k, touched[k]) if k in touched else c @ adjoints[k])
+                entries.append(prod.real)
+        out.append(_exact_sum(np.concatenate([e.ravel() for e in entries])))
+    return out
+
+
+def _exact_sum(entries: np.ndarray) -> float:
+    """fsum of the entries, correctly rounded; the exact zeros (rows in other
+    slots, or orthogonal in some dimension) are dropped first, as they add nothing."""
+    return math.fsum(entries[entries != 0].tolist())
 
 
 def expectation(op: Operator, s: WaveState, t: float = 0.0, check_norm: bool = True) -> float:
-    """Real expectation value <op> = <op s, s> on a normalized state."""
-    _require_normalized(s, t, check_norm)
-    return inner(apply(op, s), s, t)
+    """Real expectation value <op> = <op s, s> on a normalized state.
+
+    A banded bilinear form over the per-dimension Gram factors: each block of
+    op's band table replaces the factors of the dimensions it touches, so no
+    op s is built, and the norm is read from the same factors (_expectations).
+    inner(apply(op, s), s, t) is the same number by the other order of work.
+    """
+    _check_dims(op, s)
+    return _expectations(s, t, check_norm, op._terms)[0]
 
 
 def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
@@ -760,11 +864,12 @@ def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
 
     first is the plain expectation of op, second the expectation of the
     right-i companion (op | i); second vanishes for Hermitian operators.
+    The companion's normal form is op's with each right-i power raised by
+    one: right_i^2 = -1 negates the terms that had one.
     """
-    _require_normalized(s, t, check_norm)
-    op_s = apply(op, s)
-    first = inner(op_s, s, t)
-    second = inner(apply(right_i(), op_s), s, t)
+    _check_dims(op, s)
+    turned = tuple((-c if r else c, r ^ 1, words) for c, r, words in op._terms)
+    first, second = _expectations(s, t, check_norm, op._terms, turned)
     return first + second, first, second
 
 

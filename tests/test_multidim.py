@@ -96,6 +96,22 @@ class TestProductState:
         with pytest.raises(ValueError):
             product_state([])
 
+    def test_thousand_factor_energy_from_gram_factors(self):
+        # the form over per-dimension Gram factors builds no H s: 1000 blocks of 2 x 2 products
+        factors = [QPair(1, 2, 0.4)] + [QPair(n % 4, 0, 0.0) for n in range(999)]
+        s = product_state(factors)
+        want = math.fsum(energy_nm(f) for f in factors)
+        cartesian_energy(s)  # the band table of the 1000-dimensional H is built once
+        tracemalloc.start()
+        try:
+            got = cartesian_energy(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.slots) == 2
+        assert got == pytest.approx(want, rel=1e-12)
+        assert peak < 20e6
+
     def test_level_zero_factors_past_two_dimensions(self):
         # rows of width 1 in three or more dimensions: the merge takes its keys from
         # a strided view of them, which once raised ValueError
@@ -463,6 +479,11 @@ class TestRadialThroughDegreeCap:
 
 
 class TestRadialEnergy:
+    @pytest.mark.parametrize("u, l", [(1.5, 2), (True, 0), (500, 2), (0, 201), (-1, 0), (0, 2.0)])
+    def test_labels_are_checked(self, u, l):
+        with pytest.raises(ValueError):
+            radial_energy(u, l)
+
     def test_frozen_values(self):
         assert radial_energy(0, 0) == pytest.approx(1.5, abs=0)
         assert radial_energy(1, 2) == pytest.approx(5.5, abs=0)

@@ -84,6 +84,13 @@ class TestPsiNM:
 
 
 class TestEnergy:
+    @pytest.mark.parametrize("n, m", [(300, 0), (0, 201), (-1, 0), (1.5, 0), (0, True)])
+    def test_labels_past_the_degree_cap_are_refused(self, n, m):
+        # energy_nm would otherwise price a label that psi_nm refuses
+        with pytest.raises(ValueError):
+            QPair(n, m, 0.2)
+        QPair(200, 200, 0.2)
+
     def test_zero_point(self):
         for theta in THETAS:
             assert energy_nm(QPair(0, 0, theta)) == pytest.approx(0.5, abs=1e-15)

@@ -227,6 +227,11 @@ class TestNormConstants:
     def test_laguerre_constant_frozen(self):
         assert laguerre_norm_const(0, 0) == pytest.approx(math.sqrt(4.0 / math.sqrt(math.pi)), abs=1e-15)
 
+    @pytest.mark.parametrize("u, l", [(1.5, 2), (True, 0), (500, 2), (0, 201), (-1, 0), (2, False)])
+    def test_laguerre_constant_checks_its_labels(self, u, l):
+        with pytest.raises(ValueError):
+            laguerre_norm_const(u, l)
+
     def test_laguerre_constant_positive(self):
         for u in range(6):
             for l in range(5):

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatosc import wavestate
+from quatosc import oscillator1d, wavestate
 from quatosc.multidim import SplitSpec, product_state, split_state
-from quatosc.oscillator1d import QPair, _hamiltonian, _ladder, hamiltonian, ladder, psi_n, psi_nm
+from quatosc.oscillator1d import (QPair, _hamiltonian, _ladder, energy_nm, hamiltonian, ladder, momentum, psi_n, psi_nm,
+                                  schrodinger_residual)
 from quatosc.specfun import DEGREE_CAP, make_rule
 from quatosc.wavestate import (
     PhysicalParams,
@@ -608,6 +609,98 @@ class TestNormalForm:
                 assert e == n + 0.5
 
 
+def apply_route(op, s, t):
+    """<op s, s> and <(op s) i, s> by building op s: the oracle of the band-form route."""
+    op_s = apply(op, s)
+    return inner(op_s, s, t), inner(apply(right_i(), op_s), s, t)
+
+
+def bound(op, s, t):
+    """|<op s, s>| <= |op s| |s|: the scale that rounding in either route is relative to.
+    op is first divided by its largest coefficient m, so that a tiny one cannot take
+    the squares in the norm below the double range."""
+    m = max((abs(c) for c, _, _ in op._terms), default=0.0) or 1.0
+    return m * apply(scale(1.0 / m) * op, s).norm(t) * s.norm(t)
+
+
+class TestBandForm:
+    # expectation reads <op s, s> from per-dimension Gram factors; apply then inner is the oracle
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(operator_cases(), st.floats(-2.0, 2.0))
+    def test_matches_the_apply_route(self, case, t):
+        op, s, _probe = case
+        want, want_i = apply_route(op, s, t)
+        scale_ = bound(op, s, t)
+        assert abs(expectation(op, s, t, check_norm=False) - want) <= 1e-12 * scale_
+        total, first, second = expectation_quaternionic(op, s, t, check_norm=False)
+        assert abs(first - want) <= 1e-12 * scale_
+        assert abs(second - want_i) <= 1e-12 * scale_
+        assert total == first + second
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_odd_right_i_power_is_turned_by_slot(self, seed):
+        # momentum carries one right-i factor: i in slot 0, -i in slot 1; a flipped turn negates these values
+        rng = np.random.default_rng(40 + seed)
+        dims = 1 + seed % 3
+        s = random_state(rng, dims, 4)
+        for op in (momentum(dims - 1), op_add(*(momentum(k) for k in range(dims))) * mul_x(0),
+                   right_i() * mul_x(0) * d_dx(dims - 1) + mul_x(dims - 1)):
+            want, want_i = apply_route(op, s, 0.3)
+            scale_ = bound(op, s, 0.3)
+            assert abs(want) >= 1e-3 * scale_
+            assert abs(expectation(op, s, 0.3, check_norm=False) - want) <= 1e-12 * scale_
+            assert abs(expectation_quaternionic(op, s, 0.3, check_norm=False)[2] - want_i) <= 1e-12 * scale_
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 50])
+    def test_products_of_many_factors(self, k):
+        # at most three factors of theta != 0, so at most 8 modes
+        rng = random.Random(k)
+        factors = [QPair(rng.randint(0, 6), rng.randint(0, 6), rng.uniform(0.1, 1.4) if j < 3 else 0.0)
+                   for j in range(k)]
+        rng.shuffle(factors)
+        s = product_state(factors)
+        ops = [hamiltonian(s.params, k),
+               op_add(*(ladder("raise", j) * ladder("lower", j) for j in range(k))),
+               mul_x(0) * mul_x(k - 1) + d_dx(k // 2) * d_dx(k // 2)]
+        for op in ops:
+            want, want_i = apply_route(op, s, 0.8)
+            scale_ = bound(op, s, 0.8)
+            assert abs(expectation(op, s, 0.8) - want) <= 1e-12 * scale_
+            assert abs(expectation_quaternionic(op, s, 0.8)[2] - want_i) <= 1e-12 * scale_
+        assert expectation(ops[0], s, 0.8) == pytest.approx(sum(energy_nm(f) for f in factors), rel=1e-12)
+
+    @pytest.mark.parametrize("form", [expectation, expectation_quaternionic])
+    def test_norm_check(self, form):
+        s = 1.001 * psi_nm(QPair(2, 1, 0.4))
+        with pytest.raises(ValueError, match=r"^state norm\^2 = 1\.00200\d* is not 1 within 1e-08; "
+                                             r"pass check_norm=False to override$"):
+            form(hamiltonian(), s, 0.2)
+        got = form(hamiltonian(), s, 0.2, check_norm=False)
+        want = inner(apply(hamiltonian(), s), s, 0.2)
+        assert (got if form is expectation else got[1]) == pytest.approx(want, rel=1e-14)
+
+    def test_zero_state(self):
+        s = zero_state(2)
+        assert expectation(hamiltonian(s.params, 2), s, check_norm=False) == 0.0
+        with pytest.raises(ValueError, match="norm"):
+            expectation(hamiltonian(s.params, 2), s)
+
+    def test_builds_no_state(self, monkeypatch):
+        # the form reads the state's own columns: no op s, no inner product, no right_i() per call
+        for name in ("apply", "inner", "moment_gram", "right_i", "_merged", "_joined"):
+            monkeypatch.setattr(wavestate, name, None)
+        q = QPair(3, 1, 0.6)
+        assert expectation(hamiltonian(), psi_nm(q), 0.5) == pytest.approx(energy_nm(q), rel=1e-14)
+        total, first, second = expectation_quaternionic(hamiltonian(), psi_nm(q), 0.5)
+        assert first == pytest.approx(energy_nm(q), rel=1e-14) and abs(second) <= 1e-14
+
+    def test_residual_builds_no_right_i(self, monkeypatch):
+        monkeypatch.setattr(wavestate, "right_i", None)
+        monkeypatch.setattr(oscillator1d, "right_i", None)
+        assert schrodinger_residual(psi_nm(QPair(3, 1, 0.6)), t=0.4) <= 1e-12
+
+
 def algebra_products(seed):
     """The 4-D product states of the state-algebra benchmark for one seed:
     levels 0..6 and 6 over four factors in a seeded order, random angles."""
@@ -656,6 +749,38 @@ class TestColumnStorage:
                 q = evaluate(s, x, 0.4)
                 assert (q.x0, q.x1) == (z0[0, p].real, z0[0, p].imag)
                 assert (q.x2, q.x3) == (z1[0, p].real, z1[0, p].imag)
+
+    @pytest.mark.parametrize("dims, width", [(1, 8), (1, 201), (2, 9), (2, 57), (3, 30), (4, 8), (4, 21)])
+    @pytest.mark.parametrize("t", [0.0, 1.3])
+    def test_one_point_evaluates_like_many_at_any_width(self, dims, width, t):
+        rng = np.random.default_rng(50 + 7 * dims + width)
+        modes = 5
+        coefs = rng.normal(size=(dims, modes, width)) + 1j * rng.normal(size=(dims, modes, width))
+        s = WaveState(dims, rng.integers(2, size=modes), rng.normal(size=modes) + 1j * rng.normal(size=modes),
+                      rng.choice((-1.5, 0.5, 2.0), size=modes), coefs)
+        xs = rng.uniform(-4.0, 4.0, size=(11, dims))
+        z0, z1 = evaluate_points([s], xs, t)
+        for p, x in enumerate(xs):
+            q = evaluate(s, x, t)
+            assert (q.x0, q.x1, q.x2, q.x3) == (z0[0, p].real, z0[0, p].imag, z1[0, p].real, z1[0, p].imag)
+
+    @pytest.mark.parametrize("x", [0.7, [0.7], np.array(0.7), np.float64(0.7), np.array([0.7])])
+    def test_one_point_takes_any_spelling_of_x(self, x):
+        s = psi_nm(QPair(4, 9, 0.3))
+        z0, z1 = evaluate_points([s], [0.7], 0.2)
+        q = evaluate(s, x, 0.2)
+        assert (q.x0, q.x1, q.x2, q.x3) == (z0[0, 0].real, z0[0, 0].imag, z1[0, 0].real, z1[0, 0].imag)
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_zero_state_evaluates_to_zero(self, dims):
+        q = evaluate(zero_state(dims), [0.4] * dims, 0.9)
+        assert (q.x0, q.x1, q.x2, q.x3) == (0.0, 0.0, 0.0, 0.0)
+        for z in evaluate_points([zero_state(dims)], [[0.4] * dims] * 2):
+            assert np.array_equal(z, np.zeros((1, 2)))
+
+    def test_one_point_rejects_the_wrong_coordinate_count(self):
+        with pytest.raises(ValueError, match="expected points of 2 coordinates, got 3"):
+            evaluate(zero_state(2), [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hamiltonian_keeps_product_modes(self, seed):
