@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -406,9 +407,10 @@ def _check(name: str, value: float, default: float, tol: float | None = None, co
 
 
 def _suite_algebra(tol) -> list[dict]:
-    rng = np.random.default_rng(7)
-    # Python floats, not numpy scalars: the same values, with cheaper arithmetic
-    qs = [qt.Quaternion(*row) for row in rng.uniform(-2.0, 2.0, size=(200, 4)).tolist()]
+    # the stdlib generator, not numpy's: no command imports numpy.random, which
+    # would add about 6 MB to the process
+    rng = random.Random(7)
+    qs = [qt.Quaternion(*(rng.uniform(-2.0, 2.0) for _ in range(4))) for _ in range(200)]
     norm_dev = assoc_dev = sc_dev = sym_dev = quad_i_dev = 0.0
     for p, q, r in zip(qs, qs[1:] + qs[:1], qs[2:] + qs[:2]):
         norm_dev = max(norm_dev, abs(abs(p * q) - abs(p) * abs(q)))

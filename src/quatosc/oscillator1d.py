@@ -186,8 +186,7 @@ def _sample_points(*ranges) -> tuple[np.ndarray, ...]:
     """The fixed pseudo-random sample coordinates of the parallelism test, one
     read-only array per (low, high) range: low + (high - low) u, u taken in order
     from _SAMPLE_STREAM, as default_rng(_SAMPLE_SEED).uniform draws them bit for
-    bit.  The stream is kept as literals so that gram, spectrum and sample do not
-    import numpy.random; verify algebra does, for its own seeded generator."""
+    bit.  The stream is kept as literals so that no command imports numpy.random."""
     u = np.reshape(_SAMPLE_STREAM[:_SAMPLE_COUNT * len(ranges)], (-1, _SAMPLE_COUNT))
     points = tuple(low + (high - low) * row for (low, high), row in zip(ranges, u, strict=True))
     for p in points:

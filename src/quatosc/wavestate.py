@@ -19,7 +19,11 @@ A state is its columns, one row per mode: every operation reads and writes
 them, and WaveState(dims, slots, amps, freqs, coefs) takes them directly.
 A _Family stacks its states' rows once for all its Grams and values.  A
 Gram stacks each of its two sides on its own, once per object: a side passed
-as both is stacked once.  Like modes merge on normalized rows (see _merged),
+as both is stacked once.  Between two single-level sides (one nonzero
+coefficient a row per dimension, as every built state has) its per-dimension
+factor is a gather of the rule's Gram matrix, or of the identity, at the two
+rows' levels; and it is formed over row tiles of bounded size, so its memory
+is that of its result.  Like modes merge on normalized rows (see _merged),
 so scaled copies of one function become one mode.
 
 Operators are trees over X, d/dX, right multiplication by i and real
@@ -53,6 +57,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,6 +304,15 @@ class _Family(tuple):
         for a in stack:
             a.setflags(write=False)
         return stack
+
+    @cached_property
+    def profile(self) -> tuple:
+        """_profile of the stack, made once and read-only like it."""
+        profile = _profile(self.stack[4])
+        for a in profile:
+            if a is not None:
+                a.setflags(write=False)
+        return profile
 
 
 def _stacked_at(states, t: float) -> tuple:
@@ -667,32 +681,143 @@ def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # inner products and expectations
 
-def _mode_gram(a_states, b_states, t: float, contract) -> np.ndarray:
+_TILE_ELEMENTS = 1 << 13  # (a rows) x (b modes) entries of one tile of _mode_gram's product
+
+
+class _Side(NamedTuple):
+    """One side of a Gram: its stack at time t and the stack's _profile."""
+
+    owner: np.ndarray
+    slot: np.ndarray
+    amp: np.ndarray
+    coefs: np.ndarray
+    levels: np.ndarray | None
+    values: np.ndarray | None
+    nonzero: np.ndarray | None
+
+
+def _side(states, t: float) -> _Side:
+    """The side of a Gram holding these states: their stack at time t and its
+    _profile, both made once per _Family."""
+    owner, slots, amps, _, coefs = _stacked_at(states, t)
+    profile = states.profile if isinstance(states, _Family) else _profile(coefs)
+    return _Side(owner, slots, amps, coefs, *profile)
+
+
+def _profile(coefs: np.ndarray) -> tuple:
+    """(levels, values, nonzero) of a stack's (dims, modes, width)
+    coefficients, from one pass over coefs != 0.
+
+    When every row holds exactly one nonzero coefficient in every dimension
+    (a single-level side: every built state until an operator is applied),
+    levels and values are the (dims, modes) positions and values of those
+    coefficients, and nonzero is None.  Else levels and values are None and
+    nonzero is coefs != 0, which _slot_widths reads."""
+    nonzero = coefs != 0
+    if np.count_nonzero(nonzero) == nonzero.shape[0] * nonzero.shape[1]:  # one a row, or none in some row
+        values = coefs.sum(axis=-1)  # exact: the one nonzero coefficient plus zeros
+        if np.count_nonzero(values) == values.size:
+            return nonzero.argmax(axis=-1), values, None
+    return None, None, nonzero
+
+
+_SLOT_COLUMNS = np.array([[0], [1]])
+
+
+def _slot_widths(side: _Side) -> list[list[int]]:
+    """Per slot, per dimension: the longest coefficient row of the side up to
+    its last nonzero coefficient, 0 in an empty slot."""
+    if side.levels is not None:
+        lengths = side.levels + 1
+    else:
+        nonzero = side.nonzero
+        lengths = np.where(nonzero.any(axis=-1), nonzero.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
+    return (lengths * (side.slot == _SLOT_COLUMNS)[:, None, :]).max(axis=-1, initial=0).tolist()
+
+
+def _row_tiles(owner: np.ndarray, columns: int) -> list[slice]:
+    """Consecutive slices of the a rows, each ending at an owner boundary, of at
+    most _TILE_ELEMENTS // columns rows, or one owner's rows where they alone
+    are more; one slice of every row when they fit."""
+    n, most = len(owner), max(1, _TILE_ELEMENTS // max(columns, 1))
+    if n <= most:
+        return [slice(0, n)]
+    ends = np.append(np.flatnonzero(owner[1:] != owner[:-1]) + 1, n)
+    tiles, lo = [], 0
+    while lo < n:
+        # the last boundary within reach, or else the next one
+        hi = int(ends[max(np.searchsorted(ends, lo + most, side="right") - 1, np.searchsorted(ends, lo, side="right"))])
+        tiles.append(slice(lo, hi))
+        lo = hi
+    return tiles
+
+
+def _mode_gram(a_states, b_states, t: float, grams) -> np.ndarray:
     """Matrix of real inner products <a_i, b_j>, one factor per dimension.
 
-    contract(A, B, slot_a, slot_b) yields, for the (dims, modes, width)
-    coefficients A of the a modes and B of the b modes, in the slots slot_a
-    and slot_b, per dimension k the (a modes, b modes) matrix of integrals
-    over X_k of each a factor times the conjugated b factor.  Their product
-    over dimensions, weighted by amplitude, time phase and slot match, is
-    summed over each state's modes.  Each side is stacked on its own, at its
+    grams(a, b) takes the _Side of the a and the b modes and returns, per
+    dimension k, the Gram G_k of the phi_n over which X_k is integrated (None
+    for the identity), its block of the two sides' widths; _factors turns
+    each into the (a modes, b modes) matrix A_k G_k B_k^H of integrals of an
+    a factor times a conjugated b factor.  Their product over dimensions,
+    weighted by amplitude, time phase and slot match, is summed over each
+    state's modes.  The product is formed over row tiles of the a side
+    (_row_tiles), cut at state boundaries, so each entry of the result sums
+    the same terms in the same order whatever the tiles, and a tile holds
+    about _TILE_ELEMENTS products.  Each side is stacked on its own, at its
     own width; a side passed as both (b_states is a_states) is stacked once
-    and passed as both A and B.
+    and passed as both.
     """
     out = np.zeros((len(a_states), len(b_states)))
     if not (a_states and b_states):
         return out
     _check_compatible(a_states[0], b_states[0])
-    a_owner, a_slot, a_amp, _, a = a_stack = _stacked_at(a_states, t)
-    b_owner, b_slot, b_amp, _, b = a_stack if b_states is a_states else _stacked_at(b_states, t)
+    a = _side(a_states, t)
+    b = a if b_states is a_states else _side(b_states, t)
     # x_k integrals are 1/alpha times X_k ones, folded into the amplitudes (each holding sqrt(alpha) per
     # dimension) before their outer product: neither it nor the scale then leaves the double range
-    scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * len(a))
-    prod = np.multiply.outer(a_amp * scale, (b_amp * scale).conj()) * np.equal.outer(a_slot, b_slot)
-    for factor in contract(a, b, a_slot, b_slot):
-        prod *= factor
-    np.add.at(out, (a_owner[:, None], b_owner[None, :]), prod.real)
+    scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * a.coefs.shape[0])
+    a_amp, b_amp = a.amp * scale, (b.amp * scale).conj()
+    factors = _factors(a, b, grams(a, b))
+    for rows in _row_tiles(a.owner, len(b.slot)):
+        prod = np.multiply.outer(a_amp[rows], b_amp)
+        prod *= np.equal.outer(a.slot[rows], b.slot)
+        for factor in factors:
+            prod *= factor(rows)
+        np.add.at(out, (a.owner[rows, None], b.owner[None, :]), prod.real)
     return out
+
+
+def _factors(a: _Side, b: _Side, grams: list) -> list:
+    """Per dimension k, a function of a slice of a rows giving their block of
+    A_k G_k B_k^H, G_k = grams[k] a block of a Gram of the phi_n, or None for
+    the identity.
+
+    Between two single-level sides this is a gather: their rows are their
+    values times unit vectors at their levels, so the block is
+    values_a G_k[levels_a, levels_b] conj(values_b), in that order, the
+    identity's entries being [levels_a == levels_b].  Any other pair of sides
+    is multiplied out from the left, (A_k G_k) B_k^H, or A_k B_k^H over the
+    narrower side's width for the identity.
+    """
+    if a.levels is None or b.levels is None:
+        def multiplied(ak, g, bk):
+            if g is None:
+                w = min(ak.shape[1], bk.shape[1])
+                ak, bh = ak[:, :w], bk[:, :w].conj().T
+                return lambda rows: ak[rows] @ bh
+            ak, bh = ak[:, :g.shape[0]], bk[:, :g.shape[1]].conj().T
+            return lambda rows: ak[rows] @ g @ bh
+        return [multiplied(ak, g, bk) for ak, g, bk in zip(a.coefs, grams, b.coefs)]
+
+    def gathered(la, va, g, lb, vb):
+        def factor(rows):
+            block = np.equal.outer(la[rows], lb) if g is None else g.take(la[rows], axis=0).take(lb, axis=1)
+            block = va[rows, None] * block
+            block *= vb
+            return block
+        return factor
+    return [gathered(*args) for args in zip(a.levels, a.values, grams, b.levels, b.values.conj())]
 
 
 def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0) -> np.ndarray:
@@ -700,28 +825,29 @@ def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float =
 
     The Hermite functions are orthonormal, so per dimension the integral of
     one mode factor against another is the dot product of their coefficients:
-    one complex matmul A B^H per dimension for the whole family, over the
-    narrower side's width (past it, that side's coefficients are 0).  Each
-    side is stacked once, as in _mode_gram.
+    A B^H, the Gram of the phi_n being the identity.  Between two
+    single-level sides that is a gather, [l_a == l_b] times the values;
+    otherwise one complex matmul per dimension over the narrower side's width
+    (past it, that side's coefficients are 0); see _factors.  Each side is
+    stacked once, as in _mode_gram.
     """
-    def contract(a, b, *_):
-        w = min(a.shape[2], b.shape[2])
-        return (ak[:, :w] @ bk[:, :w].conj().T for ak, bk in zip(a, b))
-
-    return _mode_gram(a_states, b_states, t, contract)
+    return _mode_gram(a_states, b_states, t, lambda a, b: [None] * len(a.coefs))
 
 
 def inner(a: WaveState, b: WaveState, t: float = 0.0) -> float:
     """Real inner product from the Hermite-function coefficients; the 1x1
-    case of moment_gram."""
-    return float(moment_gram([a], [b], t)[0, 0])
+    case of moment_gram (a state passed as both is one side)."""
+    states = [a]
+    return float(moment_gram(states, states if b is a else [b], t)[0, 0])
 
 
 def inner_quad(a: WaveState, b: WaveState, t: float = 0.0,
                rules: list[QuadratureRule] | None = None) -> float:
     """Real inner product by Gauss-Hermite quadrature, one rule per dimension
-    (by default the exact one); the 1x1 case of quad_gram."""
-    return float(quad_gram([a], [b], t, rules)[0, 0])
+    (by default the exact one); the 1x1 case of quad_gram (a state passed as
+    both is one side)."""
+    states = [a]
+    return float(quad_gram(states, states if b is a else [b], t, rules)[0, 0])
 
 
 def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0.0,
@@ -746,10 +872,11 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     for r in rules or ():
         if r.kind != "gauss_hermite":
             raise ValueError(f"inner_quad requires gauss_hermite rules, got {r.kind!r}")
-    def contract(a, b, slot_a, slot_b):
+    def grams(a, b):
         # rows in different slots never meet, so the degree is taken per slot
-        wa = _slot_widths(a, slot_a)
-        wb = wa if b is a else _slot_widths(b, slot_b)
+        wa = _slot_widths(a)
+        wb = wa if b is a else _slot_widths(b)
+        out = []
         for k in range(dims):
             deg = max((wa[s][k] + wb[s][k] - 2 for s in (0, 1) if wa[s][k] and wb[s][k]), default=0)
             rule = make_rule("gauss_hermite", deg // 2 + 1) if rules is None else rules[k]
@@ -759,10 +886,10 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
                     f"product degree {deg}; result may be inexact",
                     QuadratureOrderWarning, stacklevel=4)
             na, nb = max(1, wa[0][k], wa[1][k]), max(1, wb[0][k], wb[1][k])
-            g = _rule_gram(rule, max(na, nb), _hermite_functions)
-            yield a[k, :, :na] @ g[:na, :nb] @ b[k, :, :nb].conj().T
+            out.append(_rule_gram(rule, max(na, nb), _hermite_functions)[:na, :nb])
+        return out
 
-    return _mode_gram(a_states, b_states, t, contract)
+    return _mode_gram(a_states, b_states, t, grams)
 
 
 @functools.lru_cache(maxsize=32)
@@ -773,14 +900,6 @@ def _rule_gram(rule: QuadratureRule, width: int, hermite_functions) -> np.ndarra
     h = hermite_functions(width, rule.nodes)
     (g := (h * rule.weights) @ h.T).setflags(write=False)
     return g
-
-
-def _slot_widths(coefs: np.ndarray, slots: np.ndarray) -> list[list[int]]:
-    """Per slot, per dimension: the longest coefficient row up to its last
-    nonzero coefficient, 0 in an empty slot."""
-    nonzero = coefs != 0
-    lengths = np.where(nonzero.any(axis=-1), coefs.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
-    return [np.where(slots == s, lengths, 0).max(axis=-1, initial=0).tolist() for s in (0, 1)]
 
 
 def _expectations(s: WaveState, t: float, check_norm: bool, *ops_terms) -> list[float]:

@@ -851,8 +851,8 @@ def test_reused_parser_keeps_no_option_between_calls(tmp_path):
 
 def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is a test-only dependency: importing the CLI leaves it out, and
-    # every command runs with any scipy import made to fail; every command but
-    # verify, whose algebra suite draws from a generator, leaves numpy.random out
+    # every command runs with any scipy import made to fail; no command, verify
+    # included, imports numpy.random
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, quatosc.cli; sys.exit('scipy' in sys.modules)"],
                           capture_output=True, timeout=120)
@@ -875,8 +875,8 @@ def test_cli_import_leaves_scipy_out(tmp_path):
               "        code = cli.main(argv)\n"
               "    if code:\n"
               "        sys.exit(f'{argv[0]} exited {code}')\n"
-              "    if ('numpy.random' in sys.modules) is (argv[0] != 'verify'):\n"
-              "        sys.exit(f'{argv[:2]}: numpy.random imported: {\"numpy.random\" in sys.modules}')\n")
+              "    if 'numpy.random' in sys.modules:\n"
+              "        sys.exit(f'{argv[:2]}: numpy.random imported')\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
 

@@ -919,3 +919,161 @@ class TestCrossGram:
             moment_gram([psi_n(0)], [product_state([QPair(0, 0, 0.0)] * 2)])
         with pytest.raises(ValueError, match="physical parameters"):
             quad_gram([psi_n(0), psi_n(1)], [psi_n(0, PhysicalParams(mu=2.0))])
+
+
+def dense_gram(a_states, b_states, t=0.0, rules=None):
+    """The Gram kernel written out densely, as one product over whole sides: per
+    dimension A_k B_k^H, or A_k G_k B_k^H with G_k the block of rules[k]'s Gram
+    of the phi_n for the two sides' widths, each a matmul; their product over
+    dimensions summed into states by np.add.at."""
+    a_owner, a_slot, a_amp, _, a = wavestate._stacked_at(a_states, t)
+    b_owner, b_slot, b_amp, _, b = wavestate._stacked_at(b_states, t)
+    scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * len(a))
+    prod = np.multiply.outer(a_amp * scale, (b_amp * scale).conj()) * np.equal.outer(a_slot, b_slot)
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        if rules is None:
+            w = min(ak.shape[1], bk.shape[1])
+            prod *= ak[:, :w] @ bk[:, :w].conj().T
+        else:
+            na, nb = (int(np.nonzero(c)[1].max()) + 1 for c in (ak, bk))
+            g = wavestate._rule_gram(rules[k], max(na, nb), wavestate._hermite_functions)
+            prod *= ak[:, :na] @ g[:na, :nb] @ bk[:, :nb].conj().T
+    out = np.zeros((len(a_states), len(b_states)))
+    np.add.at(out, (a_owner[:, None], b_owner[None, :]), prod.real)
+    return out
+
+
+def traced_peak(call) -> int:
+    """tracemalloc's peak, in bytes, over one call."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGramKernel:
+    # between two single-level sides the per-dimension factor is a gather of the
+    # rule's Gram (of the identity on the moment route), the product is formed
+    # over row tiles of the a side, and neither may change a bit of the result
+    @staticmethod
+    def families():
+        rng = random.Random(22)
+        ho1d = [psi_nm(QPair(rng.randint(0, 20), rng.randint(0, 20), rng.uniform(0.0, 1.5))) for _ in range(30)]
+        split = [split_state(SplitSpec(3, frozenset(s0), frozenset(s1), rng.randint(0, 6), rng.randint(0, 6),
+                                       rng.uniform(0.0, 1.5)))
+                 for s0, s1 in [((0,), (1, 2)), ((0, 1, 2), (1,)), ((2,), (0, 1)), ((0, 1), (1, 2))] * 3]
+        product = [product_state([QPair(rng.randint(0, 4), rng.randint(0, 4), rng.uniform(0.0, 1.5))
+                                  for _ in range(4)]) for _ in range(8)]
+        return {"ho1d": ho1d, "split": split, "product": product}
+
+    @pytest.mark.parametrize("kind", ["ho1d", "split", "product"])
+    @pytest.mark.parametrize("t", [0.0, 1.3])
+    def test_single_level_gather_equals_the_dense_product(self, kind, t):
+        states = self.families()[kind]
+        assert all(wavestate._profile(s.coefs)[0] is not None for s in states)
+        others = states[::-2]  # a second side of another width and order
+        rules = [make_rule("gauss_hermite", 25)] * states[0].dims
+        for b_states in (states, others):
+            assert np.array_equal(moment_gram(states, b_states, t), dense_gram(states, b_states, t))
+            assert np.array_equal(quad_gram(states, b_states, t, rules), dense_gram(states, b_states, t, rules))
+
+    def test_default_rule_gather_equals_the_dense_product(self):
+        basis = [psi_n(n) for n in range(DEGREE_CAP + 1)]
+        rules = [make_rule("gauss_hermite", DEGREE_CAP + 1)]  # quad_gram's choice, exact for degree 2 DEGREE_CAP
+        assert np.array_equal(quad_gram(basis, basis), dense_gram(basis, basis, 0.0, rules))
+
+    @pytest.mark.parametrize("kind", ["ho1d", "split", "product"])
+    def test_mixed_sides_match_the_dense_product(self, kind):
+        states = self.families()[kind]
+        dims = states[0].dims
+        # H and the ladders keep a built state single-level; X takes each row to two levels
+        ops = [hamiltonian(dims=dims) + mul_x(0), mul_x(dims - 1), ladder("raise", 0) + mul_x(dims - 1)]
+        applied = [apply(ops[i % 3], s) for i, s in enumerate(states[:6])]
+        assert wavestate._profile(apply(hamiltonian(dims=dims), states[0]).coefs)[0] is not None
+        assert all(wavestate._profile(s.coefs)[0] is None for s in applied)
+        rules = [make_rule("gauss_hermite", 30)] * dims
+        for a_states, b_states in ((applied, states), (states, applied), (applied, applied)):
+            for got, want in ((moment_gram(a_states, b_states, 0.4), dense_gram(a_states, b_states, 0.4)),
+                              (quad_gram(a_states, b_states, 0.4, rules),
+                               dense_gram(a_states, b_states, 0.4, rules))):
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_single_level_rows_of_other_values(self, dims):
+        # one nonzero coefficient a row, of any complex value: still a gather,
+        # whose products round on their own
+        rng = np.random.default_rng(60 + dims)
+        states = []
+        for _ in range(12):
+            modes, width = rng.integers(1, 4), rng.integers(1, 9)
+            coefs = np.zeros((dims, modes, width), dtype=complex)
+            for k in range(dims):
+                coefs[k, np.arange(modes), rng.integers(0, width, size=modes)] = (
+                    rng.uniform(0.2, 2.0, size=modes) * np.exp(1j * rng.uniform(-3.0, 3.0, size=modes)))
+            states.append(WaveState(dims, rng.integers(0, 2, size=modes), rng.normal(size=modes) + 1j,
+                                    rng.normal(size=modes), coefs))
+        assert wavestate._profile(wavestate._stacked(states)[4])[0] is not None
+        rules = [make_rule("gauss_hermite", 10)] * dims
+        for got, want in ((moment_gram(states, states, 0.8), dense_gram(states, states, 0.8)),
+                          (quad_gram(states, states, 0.8, rules), dense_gram(states, states, 0.8, rules))):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_row_tiles_end_at_owners_and_stay_bounded(self, monkeypatch):
+        owner = np.repeat(np.arange(7), [1, 3, 2, 6, 1, 1, 2])
+        monkeypatch.setattr(wavestate, "_TILE_ELEMENTS", 4 * 10)  # 4 rows of 10 b modes
+        tiles = wavestate._row_tiles(owner, 10)
+        ends = {0, *np.flatnonzero(np.diff(owner)) + 1, len(owner)}
+        assert tiles[0].start == 0 and tiles[-1].stop == len(owner)
+        assert all(p.stop == q.start for p, q in zip(tiles, tiles[1:]))
+        assert all(s.start in ends and s.stop in ends for s in tiles)
+        # at most 4 rows, unless one owner alone holds more (the 6 rows of owner 3)
+        assert [s.stop - s.start for s in tiles] == [4, 2, 6, 4]
+        assert wavestate._row_tiles(owner, 1) == [slice(0, len(owner))]
+
+    @pytest.mark.parametrize("kind", ["ho1d", "split", "product"])
+    def test_tiles_change_no_bit(self, kind, monkeypatch):
+        states = self.families()[kind]
+        applied = [apply(mul_x(0), s) for s in states[:4]]
+        results = []
+        for elements in (1 << 40, 1):  # one tile; a tile per state
+            monkeypatch.setattr(wavestate, "_TILE_ELEMENTS", elements)
+            results.append([gram(a, b, 0.7) for gram in (moment_gram, quad_gram)
+                            for a, b in ((states, states), (states, states[::-3]), (applied, states))])
+        assert len(wavestate._row_tiles(wavestate._stacked(states)[0], 1)) == len(states)
+        assert all(np.array_equal(x, y) for x, y in zip(*results))
+
+    @pytest.mark.parametrize("applied", [False, True])
+    def test_family_profile_is_read_only(self, applied):
+        # every Gram of the family shares the profile, as it shares the stack
+        states = self.families()["ho1d"][:5]
+        family = wavestate._Family([apply(mul_x(0), s) for s in states] if applied else states)
+        assert family.profile is family.profile
+        assert (family.profile[0] is None) is applied
+        assert not any(a.flags.writeable for a in family.profile if a is not None)
+
+    def test_order_warning_once_at_the_caller(self, monkeypatch):
+        monkeypatch.setattr(wavestate, "_TILE_ELEMENTS", 1)  # many tiles, one warning
+        states = self.families()["ho1d"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            quad_gram(states, states, 0.0, [make_rule("gauss_hermite", 5)])
+        assert [(w.category, w.filename) for w in caught] == [(QuadratureOrderWarning, __file__)]
+
+    def test_basis_quad_gram_memory(self):
+        # verify ladder's GH(201) Gram of phi_0 .. phi_200: gathers of the rule's
+        # Gram in tiles, not two 201-wide complex matmuls and (201, 201) products
+        basis = [psi_n(n) for n in range(DEGREE_CAP + 1)]
+        quad_gram(basis, basis)  # the rule and its Gram are cached from here on
+        assert traced_peak(lambda: quad_gram(basis, basis)) <= 2e6
+
+    def test_large_family_memory(self):
+        # 1000 states of two modes: the (1000, 1000) result is 8 MB; without
+        # tiles each route held two (2000, 2000) complex products, 130 MB
+        rng = random.Random(1000)
+        family = [psi_nm(QPair(rng.randint(0, 20), rng.randint(0, 20), rng.uniform(0.1, 1.5))) for _ in range(1000)]
+        for gram in (moment_gram, quad_gram):
+            gram(family, family)
+            assert traced_peak(lambda: gram(family, family)) <= 16e6
