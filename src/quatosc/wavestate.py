@@ -35,8 +35,9 @@ bounded module cache per normal form, coefficient width and _band_shift, so
 equal normal forms share it: per right-i power and dimension, one real vector
 per band offset, made once by running the band shifts over the identity, so
 bands that cancel are dropped then.  expectation reads <op s, s> from the
-same table without building op s: a bilinear form over the state's
-per-dimension Gram factors, whose product also gives the norm it checks.
+same table without building op s, in one pass over the dimensions that reads
+every block from the state's per-dimension Gram factors, whose product also
+gives the norm it checks; expectation_quaternionic makes a pass per normal form.
 
 Pointwise values add each term of the recurrence to a running sum as it is
 made; evaluate is the one-point case of evaluate_points, stepped on Python
@@ -693,7 +694,7 @@ class _Side(NamedTuple):
     coefs: np.ndarray
     levels: np.ndarray | None
     values: np.ndarray | None
-    nonzero: np.ndarray | None
+    lengths: np.ndarray
 
 
 def _side(states, t: float) -> _Side:
@@ -705,20 +706,21 @@ def _side(states, t: float) -> _Side:
 
 
 def _profile(coefs: np.ndarray) -> tuple:
-    """(levels, values, nonzero) of a stack's (dims, modes, width)
-    coefficients, from one pass over coefs != 0.
+    """(levels, values, lengths) of a stack's (dims, modes, width)
+    coefficients, from one pass over coefs != 0.  lengths is the (dims, modes)
+    length of each row up to its last nonzero coefficient (0 for a row of zeros).
 
     When every row holds exactly one nonzero coefficient in every dimension
     (a single-level side: every built state until an operator is applied),
     levels and values are the (dims, modes) positions and values of those
-    coefficients, and nonzero is None.  Else levels and values are None and
-    nonzero is coefs != 0, which _slot_widths reads."""
+    coefficients, and lengths is levels + 1.  Else levels and values are None."""
     nonzero = coefs != 0
     if np.count_nonzero(nonzero) == nonzero.shape[0] * nonzero.shape[1]:  # one a row, or none in some row
         values = coefs.sum(axis=-1)  # exact: the one nonzero coefficient plus zeros
         if np.count_nonzero(values) == values.size:
-            return nonzero.argmax(axis=-1), values, None
-    return None, None, nonzero
+            levels = nonzero.argmax(axis=-1)
+            return levels, values, levels + 1
+    return None, None, np.where(nonzero.any(axis=-1), nonzero.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
 
 
 _SLOT_COLUMNS = np.array([[0], [1]])
@@ -727,12 +729,7 @@ _SLOT_COLUMNS = np.array([[0], [1]])
 def _slot_widths(side: _Side) -> list[list[int]]:
     """Per slot, per dimension: the longest coefficient row of the side up to
     its last nonzero coefficient, 0 in an empty slot."""
-    if side.levels is not None:
-        lengths = side.levels + 1
-    else:
-        nonzero = side.nonzero
-        lengths = np.where(nonzero.any(axis=-1), nonzero.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
-    return (lengths * (side.slot == _SLOT_COLUMNS)[:, None, :]).max(axis=-1, initial=0).tolist()
+    return (side.lengths * (side.slot == _SLOT_COLUMNS)[:, None, :]).max(axis=-1, initial=0).tolist()
 
 
 def _row_tiles(owner: np.ndarray, columns: int) -> list[slice]:
@@ -902,61 +899,51 @@ def _rule_gram(rule: QuadratureRule, width: int, hermite_functions) -> np.ndarra
     return g
 
 
-def _expectations(s: WaveState, t: float, check_norm: bool, *ops_terms) -> list[float]:
-    """<O s, s> for each normal form, from the state's per-dimension Gram
-    factors G_k = A_k A_k^H (A_k its coefficient rows), with no O s built.
+def _expectation(s: WaveState, t: float, check_norm: bool, terms: tuple) -> float:
+    """<O s, s> for the normal form terms of O, from the state's per-dimension
+    Gram factors G_k = A_k A_k^H (A_k its coefficient rows), with no O s built.
 
-    A block of O's band table that touches one dimension k (each term of H or
-    of a sum of ladders) puts F_k = banded(A_k) A_k^H, turned by i in slot 0
-    and -i in slot 1 for an odd right-i power, in place of G_k.  These blocks
-    sum to P (F_0 G_1 ... G_(p-1) + G_0 F_1 G_2 ... + ...), elementwise, P the
-    amplitude and slot matrix of _mode_gram, which one pass over the
-    dimensions forms by the product rule: T <- T G_k + Q F_k, Q <- Q G_k,
-    from T = 0 and Q = P.  So a few (modes, modes) matrices are held in any
-    dimension, and Q ends as the matrix whose entries sum to <s, s>, the norm
-    that check_norm requires to be 1.  A block touching several dimensions
-    takes a pass of its own.  The real parts of the entries are summed by
-    fsum (_exact_sum).
+    One pass over the dimensions forms each G_k once.  A block of O's band
+    table that touches one dimension k (each term of H or of a sum of ladders)
+    puts F_k = banded(A_k) A_k^H, turned by i in slot 0 and -i in slot 1 for
+    an odd right-i power, in place of G_k.  These blocks sum to
+    P (F_0 G_1 ... G_(p-1) + G_0 F_1 G_2 ... + ...), elementwise, P the amplitude
+    and slot matrix of _mode_gram, which the pass forms by the product rule:
+    T <- T G_k + Q F_k, Q <- Q G_k, from T = 0 and Q = P; Q ends as the matrix
+    whose entries sum to <s, s>, the norm that check_norm requires to be 1.
+    A block touching several dimensions keeps a running product from P in the
+    same pass, times F_k where it touches k and G_k elsewhere.  The real parts
+    of T and of those products are summed by fsum (_exact_sum).
     """
-    width = s.coefs.shape[2]
     amps = s.amps * np.exp(1j * s.freqs * t) if t else s.amps
     amps = amps * math.prod([1.0 / math.sqrt(s.params.alpha)] * s.dims)  # as in _mode_gram
     pair = np.multiply.outer(amps, amps.conj()) * np.equal.outer(s.slots, s.slots)
     turn = np.where(s.slots == 0, 1j, -1j)[:, None]
-    adjoints = [c.conj().T for c in s.coefs]
-
-    def form(k, parts):
-        forms = [(_banded(bands, s.coefs[k])[:, :width] @ adjoints[k], r) for r, bands in parts]
-        return _summed([turn * f if r else f for f, r in forms])
-
-    tables = [_band_table(terms, width, _band_shift) for terms in ops_terms]
-    singles = [{k: parts for k, parts, rest in table if not rest} for table in tables]
-    sums, head = [np.zeros_like(pair) for _ in tables], pair.copy()
+    table = _band_table(terms, s.coefs.shape[2], _band_shift)
+    singles = {k: parts for k, parts, rest in table if not rest}
+    crosses = [({k0: parts, **{k: ((0, bands),) for k, bands in rest}}, pair.copy()) for k0, parts, rest in table if rest]
+    total, head = np.zeros_like(pair), pair.copy()
     for k, c in enumerate(s.coefs):
-        g = c @ adjoints[k]
-        for total, one in zip(sums, singles):
-            total *= g
-            if k in one:
-                total += head * form(k, one[k])
+        adjoint = c.conj().T
+
+        def form(parts):
+            forms = [(_banded(bands, c)[:, :c.shape[1]] @ adjoint, r) for r, bands in parts]
+            return _summed([turn * f if r else f for f, r in forms])
+
+        g = c @ adjoint
+        total *= g
+        if k in singles:
+            total += head * form(singles[k])
         head *= g
+        for touched, prod in crosses:
+            prod *= form(touched[k]) if k in touched else g
     if check_norm:
         n = _exact_sum(head.real)
         if abs(n - 1.0) > NORM_CHECK_TOL:
             raise ValueError(
                 f"state norm^2 = {n!r} is not 1 within {NORM_CHECK_TOL}; "
                 "pass check_norm=False to override")
-    out = []
-    for table, total in zip(tables, sums):
-        entries = [total.real]
-        for k0, parts, rest in table:
-            if rest:
-                touched = {k0: parts, **{k: ((0, bands),) for k, bands in rest}}
-                prod = pair
-                for k, c in enumerate(s.coefs):
-                    prod = prod * (form(k, touched[k]) if k in touched else c @ adjoints[k])
-                entries.append(prod.real)
-        out.append(_exact_sum(np.concatenate([e.ravel() for e in entries])))
-    return out
+    return _exact_sum(np.concatenate([total.real.ravel()] + [prod.real.ravel() for _, prod in crosses]))
 
 
 def _exact_sum(entries: np.ndarray) -> float:
@@ -970,11 +957,11 @@ def expectation(op: Operator, s: WaveState, t: float = 0.0, check_norm: bool = T
 
     A banded bilinear form over the per-dimension Gram factors: each block of
     op's band table replaces the factors of the dimensions it touches, so no
-    op s is built, and the norm is read from the same factors (_expectations).
+    op s is built, and the norm is read from the same factors (_expectation).
     inner(apply(op, s), s, t) is the same number by the other order of work.
     """
     _check_dims(op, s)
-    return _expectations(s, t, check_norm, op._terms)[0]
+    return _expectation(s, t, check_norm, op._terms)
 
 
 def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
@@ -984,11 +971,13 @@ def expectation_quaternionic(op: Operator, s: WaveState, t: float = 0.0,
     first is the plain expectation of op, second the expectation of the
     right-i companion (op | i); second vanishes for Hermitian operators.
     The companion's normal form is op's with each right-i power raised by
-    one: right_i^2 = -1 negates the terms that had one.
+    one: right_i^2 = -1 negates the terms that had one.  Each normal form
+    takes its own pass (_expectation); the first checks the norm.
     """
     _check_dims(op, s)
     turned = tuple((-c if r else c, r ^ 1, words) for c, r, words in op._terms)
-    first, second = _expectations(s, t, check_norm, op._terms, turned)
+    first = _expectation(s, t, check_norm, op._terms)
+    second = _expectation(s, t, False, turned)
     return first + second, first, second
 
 

@@ -203,6 +203,10 @@ class TestSplitState:
         with pytest.raises(ValueError):
             SplitSpec(3, frozenset({0}), frozenset({1}), 0, 0, 0.1)
 
+    def test_dims_must_be_positive(self):
+        with pytest.raises(ValueError, match="dims must be >= 1, got 0"):
+            SplitSpec(0, frozenset(), frozenset(), 0, 0, 0.1)
+
     def test_tiny_alpha_in_forty_dimensions(self):
         # amplitudes of 8.8e-181 and a scale (1/alpha)^40 = 1e360: neither their square
         # nor the scale fits a double, but the norm is 1
@@ -617,8 +621,8 @@ class TestLabels:
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make", [
         lambda th: SplitSpec(1, {0}, {0}, 1, 2, th), lambda th: radial_state(0, 1, 2, th),
-        lambda th: QSphericalHarmonic(1, 0, 1, th),
-    ], ids=["split", "radial", "spherical"])
+        lambda th: QSphericalHarmonic(1, 0, 1, th), lambda th: QPair(1, 0, th),
+    ], ids=["split", "radial", "spherical", "qpair"])
     def test_theta_must_be_finite(self, make, theta):
         with pytest.raises(ValueError, match="theta must be finite"):
             make(theta)

@@ -79,6 +79,11 @@ class TestMul:
     def test_associative(self, p, q, r):
         assert abs((p * q) * r - p * (q * r)) <= 1e-12
 
+    def test_real_scalar_on_either_side(self):
+        q = Quaternion(0.3, -1.2, 4.0, 0.7)
+        assert 2.0 * q == q * 2.0 == Quaternion(0.6, -2.4, 8.0, 1.4)
+        assert 3 * q == q * 3
+
 
 class TestConj:
     def test_imaginary_negation(self):

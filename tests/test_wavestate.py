@@ -89,6 +89,10 @@ class TestEvaluate:
         assert (q.x0, q.x1, q.x3) == (0.0, 0.0, 0.0)
         assert q.x2 == pytest.approx(1.0)
 
+    def test_method_is_the_function(self):
+        s = psi_nm(QPair(3, 1, 0.6))
+        assert s.evaluate(0.7, 0.2) == evaluate(s, 0.7, 0.2)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             evaluate(psi_n(0), [0.0, 1.0], 0.0)
@@ -508,6 +512,13 @@ class TestNormalForm:
             assert_same_values(apply(right_i() ** 2, s), -s, 1e-15)
             assert_same_values(apply(right_i(), apply(right_i(), s)), -s, 1e-15)
 
+    def test_difference_real_factor_and_negative_power(self):
+        s = psi_nm(QPair(2, 3, 0.4))
+        assert_same_values(apply(mul_x() - d_dx(), s), apply(mul_x(), s) - apply(d_dx(), s), 1e-15)
+        assert_same_values(apply(mul_x() * 2.0, s), 2.0 * apply(mul_x(), s), 1e-15)
+        with pytest.raises(ValueError, match="operator powers must be non-negative"):
+            mul_x() ** -1
+
     def test_ladder_commutator_on_random_states(self):
         rng = np.random.default_rng(22)
         for dims in (1, 2, 3):
@@ -701,6 +712,48 @@ class TestBandForm:
         assert schrodinger_residual(psi_nm(QPair(3, 1, 0.6)), t=0.4) <= 1e-12
 
 
+class TestCrossBlocks:
+    # (X_0 + ... + X_19)^2 holds one block per pair j < k of dimensions, 190 cross
+    # blocks beside its 20 one-dimension blocks, all read in the one pass
+    @staticmethod
+    def product(thetas):
+        """A 20-factor solution product, thetas of its factors with theta != 0: 2^thetas modes."""
+        rng = random.Random(20 + thetas)
+        factors = [QPair(rng.randint(0, 3), rng.randint(0, 3), rng.uniform(0.2, 1.3) if j < thetas else 0.0)
+                   for j in range(20)]
+        rng.shuffle(factors)
+        return product_state(factors)
+
+    @staticmethod
+    def square():
+        xs = op_add(*(mul_x(k) for k in range(20)))
+        return xs * xs
+
+    @pytest.mark.parametrize("thetas, modes", [(1, 2), (5, 32)])
+    def test_match_the_apply_route(self, thetas, modes):
+        s, square = self.product(thetas), self.square()
+        assert len(s.slots) == modes
+        table = wavestate._band_table(square._terms, s.coefs.shape[2], wavestate._band_shift)
+        assert (len(table), sum(bool(rest) for _, _, rest in table)) == (210, 190)
+        want = inner(apply(square, s), s, 0.6)
+        assert abs(expectation(square, s, 0.6, check_norm=False) - want) <= 1e-12 * abs(want)
+        # on a product state the X_j X_k blocks add nothing (each term in one slot meets its
+        # like in the other with the opposite sign), but X_j^2 X_k^2 adds <X_j^2> <X_k^2> per mode,
+        # so dropping the cross blocks, or their right-i factor, moves these values
+        op = (square + mul_x(2) ** 2 * mul_x(5) ** 2 + momentum(3) * mul_x(11)
+              + right_i() * (0.5 * square + mul_x(0) ** 2 * mul_x(7) ** 2 + mul_x(0) * d_dx(7)))
+        want, want_i = apply_route(op, s, 0.6)
+        total, first, second = expectation_quaternionic(op, s, 0.6)
+        assert abs(first - want) <= 1e-12 * abs(want)
+        assert abs(second - want_i) <= 1e-12 * abs(want_i)
+
+    def test_memory(self):
+        # 190 running (32, 32) complex products and their real parts; about 6.5 MB
+        s, square = self.product(5), self.square()
+        expectation(square, s, check_norm=False)  # the band table is cached from here on
+        assert traced_peak(lambda: expectation(square, s, check_norm=False)) <= 8e6
+
+
 def algebra_products(seed):
     """The 4-D product states of the state-algebra benchmark for one seed:
     levels 0..6 and 6 over four factors in a seeded order, random angles."""
@@ -782,6 +835,12 @@ class TestColumnStorage:
         with pytest.raises(ValueError, match="expected points of 2 coordinates, got 3"):
             evaluate(zero_state(2), [0.1, 0.2, 0.3])
 
+    def test_many_points_of_no_states_or_the_wrong_width(self):
+        for z in evaluate_points([], [0.1, 0.2, 0.3]):
+            assert z.shape == (0, 3)
+        with pytest.raises(ValueError, match="expected points of 2 coordinates, got 3"):
+            evaluate_points([zero_state(2)], [[0.1, 0.2, 0.3]])
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hamiltonian_keeps_product_modes(self, seed):
         # H_k maps phi_n to (n + 1/2) phi_n: a scaled copy, merged into the mode it came from
@@ -843,6 +902,7 @@ class TestSelfGram:
     def test_empty_family(self):
         family: list = []
         assert moment_gram(family, family).shape == (0, 0)
+        assert quad_gram(family, family).shape == (0, 0)
 
 
 class TestCrossGram:
