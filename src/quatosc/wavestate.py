@@ -40,8 +40,10 @@ every block from the state's per-dimension Gram factors, whose product also
 gives the norm it checks; expectation_quaternionic makes a pass per normal form.
 
 Pointwise values add each term of the recurrence to a running sum as it is
-made; evaluate is the one-point case of evaluate_points, stepped on Python
-floats, and equal to it bit for bit.
+made, and form each complex product as separate real products and sums
+(_times), since numpy's complex multiply may fuse them into an FMA.  evaluate
+is the one-point case of evaluate_points, stepped on Python floats with one
+numpy call (the Gaussian's exp), and equal to it bit for bit.
 
 The real inner product used throughout is the scalar part
 
@@ -53,6 +55,7 @@ which is slot-diagonal and real by construction.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -316,9 +319,14 @@ class _Family(tuple):
         return profile
 
 
+def _stack(states) -> tuple:
+    """_stacked(states), made once per _Family."""
+    return states.stack if isinstance(states, _Family) else _stacked(states)
+
+
 def _stacked_at(states, t: float) -> tuple:
-    """_stacked(states), made once per _Family, with the amplitudes at time t."""
-    owner, slots, amps, freqs, coefs = states.stack if isinstance(states, _Family) else _stacked(states)
+    """_stack(states) with the amplitudes at time t."""
+    owner, slots, amps, freqs, coefs = _stack(states)
     return owner, slots, amps * np.exp(1j * freqs * t) if t else amps, freqs, coefs
 
 
@@ -350,69 +358,126 @@ def _hermite_functions(count: int, x: np.ndarray) -> np.ndarray:
     return h
 
 
+def _times(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) as its real and imaginary parts, each two
+    products and one sum, of floats or arrays alike.  numpy's complex
+    multiply may fuse a product into the sum (an FMA) and so round otherwise;
+    these separate operations round the same in numpy and in Python."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _times_parts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_times of (2, ...) arrays of real and imaginary parts: the same
+    products and sums, one numpy call each, as a new (2, ...) array."""
+    out = a * b  # (ar br, ai bi)
+    cross = a * b[::-1]  # (ar bi, ai br)
+    np.subtract(out[0], out[1], out=out[0])
+    np.add(cross[0], cross[1], out=out[1])
+    return out
+
+
+def _check_time(t) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+
+
+def _check_reach(alpha: float, dims: int, reach: float) -> None:
+    """Raise unless coordinates up to reach = |x| (nan if one is nan) are
+    finite and keep r^2 = sum_k (alpha x_k)^2 finite, with room for the
+    rounding of the sum."""
+    scaled = alpha * reach
+    if not math.isfinite(2.0 * dims * scaled * scaled):
+        if not math.isfinite(reach):
+            raise ValueError(f"x must be finite, got a coordinate {reach!r}")
+        raise ValueError(f"x is too far out: (alpha x)^2 overflows at |x| = {reach!r}")
+
+
 def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     """Symplectic components (z0, z1) of each state at each point and time t,
     as (states, points) complex arrays; x holds one position per row, (points,)
-    or (points, dims).
+    or (points, dims).  A non-finite x or t, or an x whose (alpha x)^2
+    overflows, is a ValueError.
 
     Per dimension, each term c_n h_n of the recurrence is added to a
     (modes, points) sum as it is made, in order of n, real and imaginary
-    parts apart; no (modes, points, width) product is formed.  Each point's
-    sums run alone and in one order, so its values do not depend on the
-    other points evaluated with it, and evaluate, which steps the same sums
-    on Python floats, equals them bit for bit."""
+    parts apart; no (modes, points, width) product is formed.  Every complex
+    product (amplitude by time phase exp(i (nu t)), then by each dimension's
+    sum) is formed by _times, and the Gaussian scales each part on its own.
+    Each point's sums run alone and in one order, so its values do not
+    depend on the other points evaluated with it, and evaluate, which steps
+    the same operations on Python floats, equals them bit for bit."""
+    _check_time(t)
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must have shape (points,) or (points, dims), got {x.shape}")
     if not states:
         return tuple(np.zeros((2, 0, len(x)), dtype=complex))
-    x = np.asarray(x, dtype=float).reshape(len(x), -1)
-    if x.shape[1] != states[0].dims:
-        raise ValueError(f"expected points of {states[0].dims} coordinates, got {x.shape[1]}")
-    coords = states[0].params.alpha * x.T
-    owner, slot, amp, _, coefs = _stacked_at(states, t)
-    terms = amp[:, None]
+    dims = states[0].dims
+    if x.ndim == 1:  # one coordinate a point; no points at all in any dims
+        x = x[:, None] if len(x) else x.reshape(0, dims)
+    if x.shape[1] != dims:
+        raise ValueError(f"expected points of {dims} coordinates, got {x.shape[1]}")
+    alpha = states[0].params.alpha
+    _check_reach(alpha, dims, float(np.abs(x).max(initial=0.0)))
+    coords = alpha * x.T
+    owner, slot, amp, freqs, coefs = _stack(states)
+    re, im = amp.real, amp.imag
+    if t:
+        phase = np.exp(1j * (freqs * t))
+        re, im = _times(re, im, phase.real, phase.imag)
+    terms = np.array([re, im])[..., None]  # (2, modes, 1), then (2, modes, points)
     for c, xk in zip(coefs, coords):
-        parts = np.stack([c.real, c.imag])[..., None]  # (2, modes, width, 1)
+        rows = np.array([c.real, c.imag]).transpose(2, 0, 1)[..., None]  # (width, 2, modes, 1)
         acc = np.zeros((2, len(c), len(xk)))
-        for n, h in enumerate(_hermite_rows(c.shape[1], xk)):
-            acc += parts[:, :, n] * h
-        sums = np.empty(acc.shape[1:], dtype=complex)
-        sums.real, sums.imag = acc
-        terms = terms * sums
-    z = np.zeros((2, len(states), len(x)), dtype=complex)
-    np.add.at(z, (slot, owner), terms)
+        for part, h in zip(rows, _hermite_rows(c.shape[1], xk)):
+            acc += part * h
+        terms = _times_parts(terms, acc)
+    z = np.zeros((2, len(states), len(x), 2))  # slot, state, point, real and imaginary part
+    np.add.at(z, (slot, owner), terms.transpose(1, 2, 0))
     r2 = functools.reduce(np.add, (xk * xk for xk in coords))  # in dimension order, whatever the points
     r2 *= -0.5
-    z *= np.exp(r2, out=r2)
-    return tuple(z)
+    z *= np.exp(r2, out=r2)[:, None]
+    return tuple(z.view(complex)[..., 0])
 
 
 def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     """Quaternion value of the state at position x (scalar or p-vector) and
     time t: the one-point case of evaluate_points, equal to it bit for bit.
-    The recurrence and the sums over the width step Python floats in the
-    same operations and order; the time phase, the per-dimension products
-    and the Gaussian stay numpy array operations of the same shapes, since
-    numpy's complex product and exp may round otherwise than Python's."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != state.dims:
-        raise ValueError(f"expected points of {state.dims} coordinates, got {x.size}")
-    coords = (state.params.alpha * x).tolist()
-    terms = (state.amps * np.exp(1j * state.freqs * t) if t else state.amps)[:, None]
-    for c, xk in zip(state.coefs, coords):
-        h = list(_hermite_rows(c.shape[1], xk))
-        sums = []
-        for row_re, row_im in zip(c.real.tolist(), c.imag.tolist()):
-            re = im = 0.0
-            for a, b, hn in zip(row_re, row_im, h):
-                re += a * hn
-                im += b * hn
-            sums.append(complex(re, im))
-        terms = terms * np.array(sums)[:, None]
-    z = [0j, 0j]
-    for slot, term in zip(state.slots.tolist(), terms[:, 0].tolist()):
-        z[slot] += term
+    Every step runs on Python floats in the operations and order of
+    evaluate_points (the time phase through cmath.exp, which rounds as
+    numpy's complex exp does) except the Gaussian, whose exp is numpy's on
+    a one-element array, since numpy's float exp may round otherwise than
+    math.exp."""
+    _check_time(t)
+    xs = [float(x)] if isinstance(x, (int, float)) else np.asarray(x, dtype=float).ravel().tolist()
+    if len(xs) != state.dims:
+        raise ValueError(f"expected points of {state.dims} coordinates, got {len(xs)}")
+    alpha = state.params.alpha
+    for xk in xs:
+        _check_reach(alpha, state.dims, abs(xk))
+    coords = [alpha * xk for xk in xs]
+    amps = state.amps.tolist()
+    if t:
+        phases = [cmath.exp(1j * (nu * t)) for nu in state.freqs.tolist()]
+        parts = [_times(a.real, a.imag, p.real, p.imag) for a, p in zip(amps, phases)]
+    else:
+        parts = [(a.real, a.imag) for a in amps]
+    width = state.coefs.shape[2]
+    for c, xk in zip(state.coefs.tolist(), coords):
+        h = list(_hermite_rows(width, xk))
+        for r, row in enumerate(c):
+            sr = si = 0.0
+            for a, hn in zip(row, h):
+                sr += a.real * hn
+                si += a.imag * hn
+            parts[r] = _times(*parts[r], sr, si)
+    z = [0.0, 0.0, 0.0, 0.0]
+    for slot, (re, im) in zip(state.slots.tolist(), parts):
+        z[2 * slot] += re
+        z[2 * slot + 1] += im
     r2 = sum(xk * xk for xk in coords)  # 0 + a == a: the sum evaluate_points reduces
-    z0, z1 = np.array(z) * np.exp([r2 * -0.5])
-    return Quaternion.from_symplectic(z0, z1)
+    (gauss,) = np.exp([r2 * -0.5]).tolist()
+    return Quaternion(z[0] * gauss, z[1] * gauss, z[2] * gauss, z[3] * gauss)
 
 
 def _magnitude(z0, z1):

@@ -482,6 +482,35 @@ def assert_same_values(a, b, rel):
     assert max(float(np.max(np.abs(x - y))) for x, y in zip(za, zb)) <= rel * scale_b
 
 
+def assert_one_point_bits(s, points, t):
+    """evaluate(s, x, t) at each point has the bytes of evaluate_points([s],
+    points, t) there: the same values, zeros of the same sign."""
+    z0, z1 = evaluate_points([s], points, t)
+    for p, x in enumerate(points):
+        q = evaluate(s, x, t)
+        want = np.array([z0[0, p].real, z0[0, p].imag, z1[0, p].real, z1[0, p].imag])
+        assert np.array([q.x0, q.x1, q.x2, q.x3]).tobytes() == want.tobytes(), (x, t)
+
+
+def complex_product_values(s, points, t):
+    """(z0, z1) of one state at (points, dims) points, its complex products
+    formed by numpy's complex multiply: amplitude by time phase, by each
+    dimension's sum (the recurrence summed in order of n), then the Gaussian."""
+    coords = s.params.alpha * np.asarray(points, dtype=float).T
+    terms = (s.amps * np.exp(1j * (s.freqs * t)))[:, None]
+    for c, xk in zip(s.coefs, coords):
+        re, im = np.zeros((len(c), len(xk))), np.zeros((len(c), len(xk)))
+        for n, h in enumerate(wavestate._hermite_rows(c.shape[1], xk)):
+            re += c[:, n, None].real * h
+            im += c[:, n, None].imag * h
+        sums = np.empty(re.shape, dtype=complex)
+        sums.real, sums.imag = re, im
+        terms = terms * sums
+    z = np.zeros((2, len(coords[0])), dtype=complex)
+    np.add.at(z, s.slots, terms)
+    return z * np.exp(-0.5 * sum(xk * xk for xk in coords))
+
+
 @st.composite
 def operator_cases(draw):
     dims = draw(st.integers(1, 3))
@@ -823,6 +852,98 @@ class TestColumnStorage:
         z0, z1 = evaluate_points([s], [0.7], 0.2)
         q = evaluate(s, x, 0.2)
         assert (q.x0, q.x1, q.x2, q.x3) == (z0[0, 0].real, z0[0, 0].imag, z1[0, 0].real, z1[0, 0].imag)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 8, 201])
+    @pytest.mark.parametrize("t", [-2.1, 0.0, 1.3, 1e4])
+    def test_one_point_bits_of_complex_products(self, dims, width, t):
+        # complex amplitudes and coefficients: where numpy's complex multiply, an FMA
+        # on some machines, would round otherwise than separate real operations
+        rng = np.random.default_rng(1000 * dims + width)
+        modes = 3
+        s = WaveState(dims, rng.integers(2, size=modes), rng.normal(size=modes) + 1j * rng.normal(size=modes),
+                      rng.choice((-1.5, 0.0, 0.5, 2.0), size=modes),
+                      rng.normal(size=(dims, modes, width)) + 1j * rng.normal(size=(dims, modes, width)))
+        # out to |X| = 30, where the Gaussian underflows to 0 in two or more dimensions,
+        # while the product of the per-dimension sums (up to ~1e132 each at width 201) stays finite
+        far = 30.0 if width < 201 or dims <= 2 else {3: 20.0, 4: 10.0}[dims]
+        edges = far * rng.choice((-1.0, 1.0), size=(3, dims))
+        points = np.concatenate([rng.uniform(-4.0, 4.0, size=(6, dims)), edges, rng.uniform(-far, far, size=(3, dims))])
+        assert_one_point_bits(s, points, t)
+        if dims >= 2 and far == 30.0:
+            assert not any(z.any() for z in evaluate_points([s], edges, t))
+
+    def test_one_point_bits_after_right_i_and_on_conjugated_rows(self):
+        rng = np.random.default_rng(41)
+        points = rng.uniform(-3.0, 3.0, size=(9, 3))
+        turned = apply(right_i(), random_state(rng, 3, 5))
+        # theta != 0 in every factor: both slots hold modes, and slot-1 rows enter conjugated
+        product = product_state([QPair(1, 2, 0.4), QPair(3, 0, 1.1), QPair(2, 2, 0.7)])
+        for state in (turned, product):
+            for t in (0.0, 0.9, -2.1):
+                assert_one_point_bits(state, points, t)
+
+    def test_one_point_takes_integer_x(self):
+        assert_one_point_bits(psi_nm(QPair(3, 4, 0.5)), [1, np.int64(-2)], 0.3)
+        assert_one_point_bits(product_state([QPair(1, 2, 0.4), QPair(0, 1, 0.3)]), [[1, np.int64(-2)]], 0.3)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_values_against_complex_multiplies(self, seed):
+        # real coefficients (every built state): numpy's complex products give the same values;
+        # complex ones: they round apart by a few units in the last place
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-4.0, 4.0, size=(15, 4))
+        built = [psi_nm(QPair(5, 2, 0.8)), oscillator1d.build_via_ladder(QPair(4, 5, 1.2)),
+                 product_state([QPair(1, 2, 0.4), QPair(3, 0, 1.1), QPair(2, 2, 0.7), QPair(0, 1, 0.2)])]
+        for s in built:
+            for t in (0.0, 0.7):
+                for got, want in zip(evaluate_points([s], points[:, :s.dims], t),
+                                     complex_product_values(s, points[:, :s.dims], t)):
+                    assert np.array_equal(got[0], want)
+        s = random_state(rng, 3, 6)
+        for t in (0.0, 0.7):
+            got, want = evaluate_points([s], points[:, :3], t), complex_product_values(s, points[:, :3], t)
+            scale = max(float(np.max(np.abs(z))) for z in want)
+            assert max(float(np.max(np.abs(g[0] - w))) for g, w in zip(got, want)) <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_or_t_is_named(self, bad):
+        s, product = psi_nm(QPair(2, 3, 0.4)), product_state([QPair(1, 2, 0.4), QPair(0, 1, 0.3)])
+        for call in (lambda: evaluate(s, bad, 0.3), lambda: evaluate(product, [0.5, bad], 0.3),
+                     lambda: evaluate(product, [bad, 0.5], 0.3), lambda: evaluate_points([s], [0.5, bad], 0.3),
+                     lambda: evaluate_points([product], [[0.5, 0.1], [0.2, bad]], 0.3)):
+            with pytest.raises(ValueError, match="x must be finite"):
+                call()
+        for call in (lambda: evaluate(s, 0.5, bad), lambda: evaluate_points([s], [0.5], bad),
+                     lambda: evaluate_points([], [0.5], bad)):
+            with pytest.raises(ValueError, match="t must be finite"):
+                call()
+
+    def test_x_whose_square_overflows_is_named(self):
+        s = psi_nm(QPair(2, 3, 0.4))
+        for x in (1e200, -1e155):
+            with pytest.raises(ValueError, match="x is too far out"):
+                evaluate(s, x)
+            with pytest.raises(ValueError, match="x is too far out"):
+                evaluate_points([s], [0.0, x])
+        # alpha scales x first: 1e150 is near enough at alpha = 1, too far at alpha = 1e5
+        gaussian, wider = bare_gaussian(), bare_gaussian(PhysicalParams(mu=1e10))
+        assert abs(evaluate(gaussian, 1e150)) == 0.0
+        assert not evaluate_points([gaussian], [1e150])[0].any()
+        with pytest.raises(ValueError, match="x is too far out"):
+            evaluate(wider, 1e150)
+        with pytest.raises(ValueError, match="x is too far out"):
+            evaluate_points([wider], [1e150])
+
+    def test_no_points_and_the_shape_of_x(self):
+        s, product = psi_nm(QPair(2, 3, 0.4)), product_state([QPair(1, 2, 0.4), QPair(0, 1, 0.3)])
+        for state, x in ((s, []), (product, []), (product, np.empty((0, 2)))):
+            for z in evaluate_points([state], x, 0.3):
+                assert z.shape == (1, 0) and z.dtype == complex
+        for states in ([s], []):
+            for x in (0.3, np.array(0.3), np.zeros((2, 1, 1))):
+                with pytest.raises(ValueError, match=r"\(points,\) or \(points, dims\)"):
+                    evaluate_points(states, x)
 
     @pytest.mark.parametrize("dims", [1, 3])
     def test_zero_state_evaluates_to_zero(self, dims):
