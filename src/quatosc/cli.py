@@ -358,7 +358,7 @@ def cmd_gram(args) -> int:
     checks: dict = {}
     quad_order = None  # radial families take their exact half-line rule in radial_gram
     if kind == "ho1d":
-        states = _Family(states)  # stacked once for the values and both Gram routes
+        states = _Family(states)  # one side, made once, for the values and both Gram routes
         g = gram(specs, args.time, params, states=states)
         quad_order = max(max(q.n, q.m) for q in specs) + 1
         with warnings.catch_warnings(record=True) as grabbed:

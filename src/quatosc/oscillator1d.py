@@ -233,7 +233,8 @@ def gram(pairs: list[QPair], t: float = 0.0, params: PhysicalParams | None = Non
     The entries come from the Hermite-function coefficients, so they equal
     the closed form by construction; quad_gram is the route that tests them.
     A caller already holding the states psi_nm(q, params) passes them in,
-    as a wavestate._Family to share their stack with its own quad_gram.
+    as a wavestate._Family, whose one Gram operand (its side) the values,
+    this Gram and the caller's own quad_gram then share.
     """
     params = params or PhysicalParams()
     pairs = tuple(pairs)

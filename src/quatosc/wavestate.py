@@ -17,14 +17,12 @@ integrals, through the rule's Gram matrix of the phi_n (cached per width).
 
 A state is its columns, one row per mode: every operation reads and writes
 them, and WaveState(dims, slots, amps, freqs, coefs) takes them directly.
-A _Family stacks its states' rows once for all its Grams and values.  A
-Gram stacks each of its two sides on its own, once per object: a side passed
-as both is stacked once.  Between two single-level sides (one nonzero
-coefficient a row per dimension, as every built state has) its per-dimension
-factor is a gather of the rule's Gram matrix, or of the identity, at the two
-rows' levels; and it is formed over row tiles of bounded size, so its memory
-is that of its result.  Like modes merge on normalized rows (see _merged),
-so scaled copies of one function become one mode.
+A Gram makes each side one operand (_side), once per object and per _Family:
+its rows and, when single-level (one nonzero coefficient a row per dimension,
+as in every built state), their levels and values, at which two such sides
+gather the rule's Gram matrix or the identity.  It is formed over row tiles
+of bounded size, so its memory is that of its result.  Like modes merge on
+normalized rows (see _merged), so scaled copies of one function become one mode.
 
 Operators are trees over X, d/dX, right multiplication by i and real
 scaling.  Since right_i commutes with the other three and squares to -1 in
@@ -290,44 +288,56 @@ def _stacked(states):
         return np.zeros(len(s.slots), dtype=int), s.slots, s.amps, s.freqs, s.coefs
     owner = np.repeat(np.arange(len(states)), [len(s.slots) for s in states])
     slots, amps, freqs = (np.concatenate(c) for c in zip(*((s.slots, s.amps, s.freqs) for s in states)))
-    return owner, slots, amps, freqs, _joined([s.coefs for s in states])
+    coefs = np.zeros((states[0].dims, len(owner), max(s.coefs.shape[2] for s in states)), dtype=complex)
+    for s, end in zip(states, np.cumsum([len(s.slots) for s in states]).tolist()):
+        coefs[:, end - len(s.slots):end, :s.coefs.shape[2]] = s.coefs  # one slice a state
+    return owner, slots, amps, freqs, coefs
+
+
+class _Side(NamedTuple):
+    """One operand of a Gram: _stacked's columns, then _side's levels and values."""
+
+    owner: np.ndarray
+    slot: np.ndarray
+    amp: np.ndarray
+    freqs: np.ndarray
+    coefs: np.ndarray
+    levels: np.ndarray | None
+    values: np.ndarray | None
+
+
+def _side(states) -> _Side:
+    """The Gram operand of these states, made once per _Family (its side).
+    When every row holds exactly one nonzero coefficient in every dimension
+    (single-level: every built state until an operator is applied), levels
+    and values are their (dims, modes) positions and values, from one pass
+    over coefs != 0; else None."""
+    if type(states) is _Family:
+        return states.side
+    owner, slots, amps, freqs, coefs = _stacked(states)
+    nonzero = coefs != 0
+    if np.count_nonzero(nonzero) == nonzero.shape[0] * nonzero.shape[1]:  # one a row, or none in some row
+        values = coefs.sum(axis=-1)  # exact: the one nonzero coefficient plus zeros
+        if np.count_nonzero(values) == values.size:
+            return _Side(owner, slots, amps, freqs, coefs, nonzero.argmax(axis=-1), values)
+    return _Side(owner, slots, amps, freqs, coefs, None, None)
 
 
 class _Family(tuple):
-    """States whose modes are stacked once, on first use, then shared by every
-    evaluation and Gram of the family (_Family(f) is f).  The stack is a pure,
-    read-only function of immutable states, so a family is as safe to share
-    as they are."""
+    """States whose Gram operand (_side) is made once, on first use, and
+    shared by every evaluation and Gram of the family (_Family(f) is f); it
+    is a read-only function of immutable states, as safe to share as they."""
 
     def __new__(cls, states=()):
         return states if type(states) is cls else super().__new__(cls, states)
 
     @cached_property
-    def stack(self) -> tuple:
-        stack = _stacked(self)
-        for a in stack:
-            a.setflags(write=False)
-        return stack
-
-    @cached_property
-    def profile(self) -> tuple:
-        """_profile of the stack, made once and read-only like it."""
-        profile = _profile(self.stack[4])
-        for a in profile:
+    def side(self) -> _Side:
+        side = _side(tuple(self))
+        for a in side:
             if a is not None:
                 a.setflags(write=False)
-        return profile
-
-
-def _stack(states) -> tuple:
-    """_stacked(states), made once per _Family."""
-    return states.stack if isinstance(states, _Family) else _stacked(states)
-
-
-def _stacked_at(states, t: float) -> tuple:
-    """_stack(states) with the amplitudes at time t."""
-    owner, slots, amps, freqs, coefs = _stack(states)
-    return owner, slots, amps * np.exp(1j * freqs * t) if t else amps, freqs, coefs
+        return side
 
 
 def _hermite_rows(count: int, x):
@@ -381,6 +391,12 @@ def _check_time(t) -> None:
         raise ValueError(f"t must be finite, got {t!r}")
 
 
+def _check_phases(finite: bool, t: float) -> None:
+    """Raise, naming t, unless (finite) every time phase nu t is finite."""
+    if not finite:
+        raise ValueError(f"t = {t!r} puts a time phase nu t past the float range")
+
+
 def _check_reach(alpha: float, dims: int, reach: float) -> None:
     """Raise unless coordinates up to reach = |x| (nan if one is nan) are
     finite and keep r^2 = sum_k (alpha x_k)^2 finite, with room for the
@@ -395,8 +411,8 @@ def _check_reach(alpha: float, dims: int, reach: float) -> None:
 def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     """Symplectic components (z0, z1) of each state at each point and time t,
     as (states, points) complex arrays; x holds one position per row, (points,)
-    or (points, dims).  A non-finite x or t, or an x whose (alpha x)^2
-    overflows, is a ValueError.
+    or (points, dims).  A non-finite x or t, an x whose (alpha x)^2
+    overflows, or a t whose time phase nu t overflows, is a ValueError.
 
     Per dimension, each term c_n h_n of the recurrence is added to a
     (modes, points) sum as it is made, in order of n, real and imaginary
@@ -420,9 +436,10 @@ def evaluate_points(states: list[WaveState], x, t: float = 0.0):
     alpha = states[0].params.alpha
     _check_reach(alpha, dims, float(np.abs(x).max(initial=0.0)))
     coords = alpha * x.T
-    owner, slot, amp, freqs, coefs = _stack(states)
+    owner, slot, amp, freqs, coefs, *_ = states.side if type(states) is _Family else _stacked(states)
     re, im = amp.real, amp.imag
     if t:
+        _check_phases(math.isfinite(float(np.abs(freqs).max(initial=0.0)) * t), t)  # the largest |nu t|
         phase = np.exp(1j * (freqs * t))
         re, im = _times(re, im, phase.real, phase.imag)
     terms = np.array([re, im])[..., None]  # (2, modes, 1), then (2, modes, points)
@@ -447,7 +464,7 @@ def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     evaluate_points (the time phase through cmath.exp, which rounds as
     numpy's complex exp does) except the Gaussian, whose exp is numpy's on
     a one-element array, since numpy's float exp may round otherwise than
-    math.exp."""
+    math.exp.  Its inputs are checked as evaluate_points checks them."""
     _check_time(t)
     xs = [float(x)] if isinstance(x, (int, float)) else np.asarray(x, dtype=float).ravel().tolist()
     if len(xs) != state.dims:
@@ -458,7 +475,9 @@ def evaluate(state: WaveState, x, t: float = 0.0) -> Quaternion:
     coords = [alpha * xk for xk in xs]
     amps = state.amps.tolist()
     if t:
-        phases = [cmath.exp(1j * (nu * t)) for nu in state.freqs.tolist()]
+        angles = [nu * t for nu in state.freqs.tolist()]
+        _check_phases(all(map(math.isfinite, angles)), t)
+        phases = [cmath.exp(1j * a) for a in angles]
         parts = [_times(a.real, a.imag, p.real, p.imag) for a, p in zip(amps, phases)]
     else:
         parts = [(a.real, a.imag) for a in amps]
@@ -750,42 +769,12 @@ def _band_shift(c: np.ndarray, upper_sign: float) -> np.ndarray:
 _TILE_ELEMENTS = 1 << 13  # (a rows) x (b modes) entries of one tile of _mode_gram's product
 
 
-class _Side(NamedTuple):
-    """One side of a Gram: its stack at time t and the stack's _profile."""
-
-    owner: np.ndarray
-    slot: np.ndarray
-    amp: np.ndarray
-    coefs: np.ndarray
-    levels: np.ndarray | None
-    values: np.ndarray | None
-    lengths: np.ndarray
-
-
-def _side(states, t: float) -> _Side:
-    """The side of a Gram holding these states: their stack at time t and its
-    _profile, both made once per _Family."""
-    owner, slots, amps, _, coefs = _stacked_at(states, t)
-    profile = states.profile if isinstance(states, _Family) else _profile(coefs)
-    return _Side(owner, slots, amps, coefs, *profile)
-
-
-def _profile(coefs: np.ndarray) -> tuple:
-    """(levels, values, lengths) of a stack's (dims, modes, width)
-    coefficients, from one pass over coefs != 0.  lengths is the (dims, modes)
-    length of each row up to its last nonzero coefficient (0 for a row of zeros).
-
-    When every row holds exactly one nonzero coefficient in every dimension
-    (a single-level side: every built state until an operator is applied),
-    levels and values are the (dims, modes) positions and values of those
-    coefficients, and lengths is levels + 1.  Else levels and values are None."""
-    nonzero = coefs != 0
-    if np.count_nonzero(nonzero) == nonzero.shape[0] * nonzero.shape[1]:  # one a row, or none in some row
-        values = coefs.sum(axis=-1)  # exact: the one nonzero coefficient plus zeros
-        if np.count_nonzero(values) == values.size:
-            levels = nonzero.argmax(axis=-1)
-            return levels, values, levels + 1
-    return None, None, np.where(nonzero.any(axis=-1), nonzero.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
+def _amps_at(amps: np.ndarray, freqs: np.ndarray, t: float) -> np.ndarray:
+    """The amplitudes at time t, amps exp(i freqs t); amps itself at t = 0."""
+    if not t:
+        return amps
+    _check_phases(math.isfinite(float(np.abs(freqs).max(initial=0.0)) * t), t)  # the largest |nu t|
+    return amps * np.exp(1j * freqs * t)
 
 
 _SLOT_COLUMNS = np.array([[0], [1]])
@@ -793,8 +782,14 @@ _SLOT_COLUMNS = np.array([[0], [1]])
 
 def _slot_widths(side: _Side) -> list[list[int]]:
     """Per slot, per dimension: the longest coefficient row of the side up to
-    its last nonzero coefficient, 0 in an empty slot."""
-    return (side.lengths * (side.slot == _SLOT_COLUMNS)[:, None, :]).max(axis=-1, initial=0).tolist()
+    its last nonzero coefficient (level + 1 on a single-level side), 0 in an
+    empty slot."""
+    if side.levels is not None:
+        lengths = side.levels + 1
+    else:
+        nonzero = side.coefs != 0
+        lengths = np.where(nonzero.any(axis=-1), nonzero.shape[-1] - nonzero[..., ::-1].argmax(axis=-1), 0)
+    return (lengths * (side.slot == _SLOT_COLUMNS)[:, None, :]).max(axis=-1, initial=0).tolist()
 
 
 def _row_tiles(owner: np.ndarray, columns: int) -> list[slice]:
@@ -826,20 +821,21 @@ def _mode_gram(a_states, b_states, t: float, grams) -> np.ndarray:
     state's modes.  The product is formed over row tiles of the a side
     (_row_tiles), cut at state boundaries, so each entry of the result sums
     the same terms in the same order whatever the tiles, and a tile holds
-    about _TILE_ELEMENTS products.  Each side is stacked on its own, at its
-    own width; a side passed as both (b_states is a_states) is stacked once
-    and passed as both.
+    about _TILE_ELEMENTS products.  Each side is made by _side, at its own
+    width, and phased to time t here; a side passed as both (b_states is
+    a_states) is made and phased once.
     """
     out = np.zeros((len(a_states), len(b_states)))
     if not (a_states and b_states):
         return out
     _check_compatible(a_states[0], b_states[0])
-    a = _side(a_states, t)
-    b = a if b_states is a_states else _side(b_states, t)
+    a = _side(a_states)
+    b = a if b_states is a_states else _side(b_states)
     # x_k integrals are 1/alpha times X_k ones, folded into the amplitudes (each holding sqrt(alpha) per
     # dimension) before their outer product: neither it nor the scale then leaves the double range
     scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * a.coefs.shape[0])
-    a_amp, b_amp = a.amp * scale, (b.amp * scale).conj()
+    a_amp = _amps_at(a.amp, a.freqs, t) * scale
+    b_amp = (a_amp if b is a else _amps_at(b.amp, b.freqs, t) * scale).conj()
     factors = _factors(a, b, grams(a, b))
     for rows in _row_tiles(a.owner, len(b.slot)):
         prod = np.multiply.outer(a_amp[rows], b_amp)
@@ -891,7 +887,7 @@ def moment_gram(a_states: list[WaveState], b_states: list[WaveState], t: float =
     single-level sides that is a gather, [l_a == l_b] times the values;
     otherwise one complex matmul per dimension over the narrower side's width
     (past it, that side's coefficients are 0); see _factors.  Each side is
-    stacked once, as in _mode_gram.
+    made once, as in _mode_gram.
     """
     return _mode_gram(a_states, b_states, t, lambda a, b: [None] * len(a.coefs))
 
@@ -924,7 +920,8 @@ def quad_gram(a_states: list[WaveState], b_states: list[WaveState], t: float = 0
     of Sc(a * conj(b)); on the tensor-product grid that sum factors into one
     node sum per dimension, A G B^H with G the rule's Gram matrix of the
     Hermite functions (_rule_gram, made once per rule and width), its block
-    of the two sides' widths.  Each side is stacked once, as in _mode_gram.
+    of the two sides' widths.  Each side is made once, as in _mode_gram; the
+    default orders read its row lengths, found here alone (_slot_widths).
     """
     if not (a_states or b_states):
         return np.zeros((0, 0))
@@ -980,8 +977,7 @@ def _expectation(s: WaveState, t: float, check_norm: bool, terms: tuple) -> floa
     same pass, times F_k where it touches k and G_k elsewhere.  The real parts
     of T and of those products are summed by fsum (_exact_sum).
     """
-    amps = s.amps * np.exp(1j * s.freqs * t) if t else s.amps
-    amps = amps * math.prod([1.0 / math.sqrt(s.params.alpha)] * s.dims)  # as in _mode_gram
+    amps = _amps_at(s.amps, s.freqs, t) * math.prod([1.0 / math.sqrt(s.params.alpha)] * s.dims)  # as in _mode_gram
     pair = np.multiply.outer(amps, amps.conj()) * np.equal.outer(s.slots, s.slots)
     turn = np.where(s.slots == 0, 1j, -1j)[:, None]
     table = _band_table(terms, s.coefs.shape[2], _band_shift)
@@ -1004,7 +1000,7 @@ def _expectation(s: WaveState, t: float, check_norm: bool, terms: tuple) -> floa
             prod *= form(touched[k]) if k in touched else g
     if check_norm:
         n = _exact_sum(head.real)
-        if abs(n - 1.0) > NORM_CHECK_TOL:
+        if not abs(n - 1.0) <= NORM_CHECK_TOL:  # a NaN norm fails too
             raise ValueError(
                 f"state norm^2 = {n!r} is not 1 within {NORM_CHECK_TOL}; "
                 "pass check_norm=False to override")

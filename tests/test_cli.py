@@ -816,6 +816,20 @@ class TestUnitsAndFlags:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1 and "must be finite" in err
 
+    @pytest.mark.parametrize("argv", [["spectrum"], ["gram"], ["sample", "--grid", "-1:1:3"]], ids=" ".join)
+    def test_time_whose_phase_overflows_is_rejected(self, argv, tmp_path, capsys):
+        # the phases nu t of (2, 3) pass the float range at t = 1e308 (|nu| up to 3.5): these
+        # once printed NaN and exited 3, or exited 2 blaming the sampled values
+        over = write_states(tmp_path / "over.jsonl", [{"kind": "ho1d", "n": 2, "m": 3, "theta": 0.4}])
+        proc = run_cli(*argv, "--time", "1e308", "--states", over)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2 and proc.stdout == b"" and len(err.splitlines()) == 1
+        assert "t = 1e+308 puts a time phase nu t past the float range" in err
+        # those of (1, 0), |nu| <= 1.5, stay finite
+        fine = write_states(tmp_path / "fine.jsonl", [{"kind": "ho1d", "n": 1, "m": 0, "theta": 0.5}])
+        assert cli.main([*argv, "--time", "1e308", "--states", fine]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["inputs"]["time"] == 1e308
+
     @pytest.mark.parametrize("argv", [["gram", "--mu", "-inf"], ["spectrum", "--omega", "-nan"],
                                       ["sample", "--grid", "-inf:0:3"], ["sample", "--grid", "-NAN:0:3"]],
                              ids=" ".join)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatosc import oscillator1d, wavestate
-from quatosc.multidim import SplitSpec, product_state, split_state
+from quatosc.multidim import SplitSpec, cartesian_energy, product_state, split_state
 from quatosc.oscillator1d import (QPair, _hamiltonian, _ladder, energy_nm, hamiltonian, ladder, momentum, psi_n, psi_nm,
                                   schrodinger_residual)
 from quatosc.specfun import DEGREE_CAP, make_rule
@@ -271,10 +271,10 @@ class TestInnerQuad:
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_family_stack_is_read_only(self, count):
-        # every Gram of the family shares the stack, so none may write into it
+        # every Gram of the family shares its side, so none may write into it
         family = wavestate._Family([psi_nm(QPair(n, 2, 0.4)) for n in range(count)])
-        assert family.stack is family.stack
-        assert not any(a.flags.writeable for a in family.stack)
+        assert family.side is family.side
+        assert not any(a.flags.writeable for a in family.side)
 
 
 class TestHighDegree:
@@ -1107,8 +1107,10 @@ def dense_gram(a_states, b_states, t=0.0, rules=None):
     dimension A_k B_k^H, or A_k G_k B_k^H with G_k the block of rules[k]'s Gram
     of the phi_n for the two sides' widths, each a matmul; their product over
     dimensions summed into states by np.add.at."""
-    a_owner, a_slot, a_amp, _, a = wavestate._stacked_at(a_states, t)
-    b_owner, b_slot, b_amp, _, b = wavestate._stacked_at(b_states, t)
+    a_owner, a_slot, a_amp, a_freqs, a = wavestate._stacked(a_states)
+    b_owner, b_slot, b_amp, b_freqs, b = wavestate._stacked(b_states)
+    if t:
+        a_amp, b_amp = a_amp * np.exp(1j * a_freqs * t), b_amp * np.exp(1j * b_freqs * t)
     scale = math.prod([1.0 / math.sqrt(a_states[0].params.alpha)] * len(a))
     prod = np.multiply.outer(a_amp * scale, (b_amp * scale).conj()) * np.equal.outer(a_slot, b_slot)
     for k, (ak, bk) in enumerate(zip(a, b)):
@@ -1154,7 +1156,7 @@ class TestGramKernel:
     @pytest.mark.parametrize("t", [0.0, 1.3])
     def test_single_level_gather_equals_the_dense_product(self, kind, t):
         states = self.families()[kind]
-        assert all(wavestate._profile(s.coefs)[0] is not None for s in states)
+        assert all(wavestate._side([s]).levels is not None for s in states)
         others = states[::-2]  # a second side of another width and order
         rules = [make_rule("gauss_hermite", 25)] * states[0].dims
         for b_states in (states, others):
@@ -1173,8 +1175,8 @@ class TestGramKernel:
         # H and the ladders keep a built state single-level; X takes each row to two levels
         ops = [hamiltonian(dims=dims) + mul_x(0), mul_x(dims - 1), ladder("raise", 0) + mul_x(dims - 1)]
         applied = [apply(ops[i % 3], s) for i, s in enumerate(states[:6])]
-        assert wavestate._profile(apply(hamiltonian(dims=dims), states[0]).coefs)[0] is not None
-        assert all(wavestate._profile(s.coefs)[0] is None for s in applied)
+        assert wavestate._side([apply(hamiltonian(dims=dims), states[0])]).levels is not None
+        assert all(wavestate._side([s]).levels is None for s in applied)
         rules = [make_rule("gauss_hermite", 30)] * dims
         for a_states, b_states in ((applied, states), (states, applied), (applied, applied)):
             for got, want in ((moment_gram(a_states, b_states, 0.4), dense_gram(a_states, b_states, 0.4)),
@@ -1196,7 +1198,7 @@ class TestGramKernel:
                     rng.uniform(0.2, 2.0, size=modes) * np.exp(1j * rng.uniform(-3.0, 3.0, size=modes)))
             states.append(WaveState(dims, rng.integers(0, 2, size=modes), rng.normal(size=modes) + 1j,
                                     rng.normal(size=modes), coefs))
-        assert wavestate._profile(wavestate._stacked(states)[4])[0] is not None
+        assert wavestate._side(states).levels is not None
         rules = [make_rule("gauss_hermite", 10)] * dims
         for got, want in ((moment_gram(states, states, 0.8), dense_gram(states, states, 0.8)),
                           (quad_gram(states, states, 0.8, rules), dense_gram(states, states, 0.8, rules))):
@@ -1228,12 +1230,12 @@ class TestGramKernel:
 
     @pytest.mark.parametrize("applied", [False, True])
     def test_family_profile_is_read_only(self, applied):
-        # every Gram of the family shares the profile, as it shares the stack
+        # every Gram of the family shares its side, levels and values included
         states = self.families()["ho1d"][:5]
         family = wavestate._Family([apply(mul_x(0), s) for s in states] if applied else states)
-        assert family.profile is family.profile
-        assert (family.profile[0] is None) is applied
-        assert not any(a.flags.writeable for a in family.profile if a is not None)
+        assert family.side is family.side
+        assert (family.side.levels is None) is applied
+        assert not any(a.flags.writeable for a in family.side if a is not None)
 
     def test_order_warning_once_at_the_caller(self, monkeypatch):
         monkeypatch.setattr(wavestate, "_TILE_ELEMENTS", 1)  # many tiles, one warning
@@ -1258,3 +1260,149 @@ class TestGramKernel:
         for gram in (moment_gram, quad_gram):
             gram(family, family)
             assert traced_peak(lambda: gram(family, family)) <= 16e6
+
+
+def trailing_widths(states, dims):
+    """Per slot and dimension, the longest coefficient row of the states up to
+    its last nonzero entry, row by row (0 in an empty slot)."""
+    widths = [[0] * dims for _ in (0, 1)]
+    for s in states:
+        for k, c in enumerate(s.coefs):
+            for slot, row in zip(s.slots.tolist(), c):
+                if row.any():
+                    widths[slot][k] = max(widths[slot][k], int(np.flatnonzero(row)[-1]) + 1)
+    return widths
+
+
+class TestGramOperand:
+    # _side makes a Gram operand once per object (once per _Family); the row
+    # lengths are computed only for quad_gram's rule orders
+    @staticmethod
+    def sides(dims):
+        rng = random.Random(25 + dims)
+        built = [product_state([QPair(rng.randint(0, 9), rng.randint(0, 3), rng.uniform(0.1, 1.4))
+                                for _ in range(dims)]) for _ in range(6)]
+        built.append(product_state([QPair(rng.randint(0, 5), 0, 0.0) for _ in range(dims)]))  # slot 0 alone
+        wide = np.zeros((dims, 2, 12), dtype=complex)
+        wide[:, 0, 11] = wide[:, 1, 1] = 1.0
+        built.append(WaveState(dims, [0, 1], [0.6, 0.8], [-1.5, 2.5], wide))  # slot 0 the wider in every dimension
+        applied = [apply(mul_x(i % dims), s) for i, s in enumerate(built)]
+        return {"single-level": built, "applied": applied, "mixed": built[::2] + applied[1::2]}
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_slot_widths_follow_the_trailing_nonzero_rule(self, dims):
+        sides = self.sides(dims)
+        assert wavestate._side(sides["single-level"]).levels is not None
+        assert wavestate._side(sides["applied"]).levels is None and wavestate._side(sides["mixed"]).levels is None
+        widths = [wavestate._slot_widths(wavestate._side(states)) for states in sides.values()]
+        assert widths == [trailing_widths(states, dims) for states in sides.values()]
+        assert any(w[0] != w[1] for w in widths)  # the slots differ in width
+        # one slot empty: its widths are 0
+        slot0 = [psi_n(n) for n in (2, 5)]
+        assert wavestate._slot_widths(wavestate._side(slot0)) == [[6], [0]]
+        assert wavestate._slot_widths(wavestate._side([apply(mul_x(0), s) for s in slot0])) == [[7], [0]]
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_default_rule_order_is_the_trailing_rule_one(self, dims, monkeypatch):
+        orders = []
+        made = wavestate.make_rule
+        monkeypatch.setattr(wavestate, "make_rule", lambda kind, order: orders.append(order) or made(kind, order))
+        sides = self.sides(dims)
+        for a_states, b_states in itertools.product(sides.values(), repeat=2):
+            wa, wb = trailing_widths(a_states, dims), trailing_widths(b_states, dims)
+            want = [max((wa[s][k] + wb[s][k] - 2 for s in (0, 1) if wa[s][k] and wb[s][k]), default=0) // 2 + 1
+                    for k in range(dims)]
+            orders.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", QuadratureOrderWarning)
+                got = quad_gram(a_states, b_states, 0.6)
+            assert orders == want
+            rules = [made("gauss_hermite", order) for order in want]
+            assert np.array_equal(got, quad_gram(a_states, b_states, 0.6, rules))
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_stacked_copies_each_state_in_order(self, dims):
+        rng = np.random.default_rng(250 + dims)
+        states = [random_state(rng, dims, int(rng.integers(1, 4))) for _ in range(5)]
+        states.insert(2, product_state([QPair(7, 1, 0.3)] * dims))  # wider than the others
+        assert len({s.coefs.shape[2] for s in states}) > 1
+        owner, slots, amps, freqs, coefs = wavestate._stacked(states)
+        assert np.array_equal(coefs, wavestate._joined([s.coefs for s in states]))
+        assert np.array_equal(owner, np.repeat(np.arange(len(states)), [len(s.slots) for s in states]))
+        for got, column in ((slots, "slots"), (amps, "amps"), (freqs, "freqs")):
+            assert np.array_equal(got, np.concatenate([getattr(s, column) for s in states]))
+
+    @pytest.mark.parametrize("applied", [False, True])
+    def test_family_side_made_once_and_read_only(self, applied, monkeypatch):
+        calls = []
+        stacked = wavestate._stacked
+        monkeypatch.setattr(wavestate, "_stacked", lambda states: calls.append(len(states)) or stacked(states))
+        states = self.sides(1)["applied" if applied else "single-level"]
+        family = wavestate._Family(states)
+        for t in (0.0, 0.8):
+            moment_gram(family, family, t)
+            quad_gram(family, family, t)
+            evaluate_points(family, [-0.5, 1.0], t)
+        assert calls == [len(states)]
+        side = family.side
+        assert wavestate._side(family) is side and (side.levels is None) is applied
+        fresh = wavestate._side(states)
+        assert all(x is y is None or np.array_equal(x, y) for x, y in zip(side, fresh))
+        for a in side:
+            if a is not None:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0
+
+
+class TestTimePhaseAndNorm:
+    # a time t whose phase nu t overflows is refused, naming t, wherever a phase
+    # is formed; a NaN norm fails the norm check
+    @staticmethod
+    def calls(s, t):
+        family = wavestate._Family([s])
+        small = psi_n(0)
+        return {
+            "expectation": lambda: expectation(hamiltonian(), s, t),
+            "cartesian_energy": lambda: cartesian_energy(s, t),
+            "expectation_quaternionic": lambda: expectation_quaternionic(hamiltonian(), s, t),
+            "inner": lambda: inner(s, s, t),
+            "inner_quad": lambda: inner_quad(s, s, t),
+            "moment_gram cross": lambda: moment_gram([small], [s], t),
+            "quad_gram family": lambda: quad_gram(family, family, t),
+            "evaluate_points": lambda: evaluate_points([s], [0.5], t),
+            "evaluate_points family": lambda: evaluate_points(family, [0.5], t),
+            "evaluate": lambda: evaluate(s, 0.5, t),
+        }
+
+    @pytest.mark.parametrize("t", [1e308, -1e308, 6e307])
+    def test_overflowing_phase_names_t(self, t):
+        s = psi_nm(QPair(2, 3, 0.4))  # |nu| up to 3.5
+        for name, call in self.calls(s, t).items():
+            with pytest.raises(ValueError, match=r"^t = .* puts a time phase nu t past the float range"):
+                call()
+
+    def test_large_frequency_overflows_at_small_t(self):
+        s = WaveState(1, [0], [1.0], [1e300], np.ones((1, 1, 1)))
+        for call in (lambda: inner(s, s, 1e9), lambda: evaluate(s, 0.0, 1e9), lambda: evaluate_points([s], [0.0], 1e9),
+                     lambda: expectation(hamiltonian(), s, 1e9, check_norm=False)):
+            with pytest.raises(ValueError, match=r"^t = 1000000000\.0 "):
+                call()
+        assert inner(s, s, 1e5) == pytest.approx(1.0)
+
+    def test_finite_phases_at_a_huge_t_still_work(self):
+        s = psi_nm(QPair(1, 0, 0.5))  # |nu| <= 1.5: 1.5e308 is finite
+        values = {name: call() for name, call in self.calls(s, 1e308).items()}
+        assert values["inner"] == pytest.approx(1.0) and values["inner_quad"] == pytest.approx(1.0)
+        assert values["expectation"] == pytest.approx(energy_nm(QPair(1, 0, 0.5)))
+        assert all(np.isfinite(v).all() for name, v in values.items() if name.startswith("evaluate_points"))
+        assert math.isfinite(abs(values["evaluate"]))
+
+    def test_nan_norm_is_refused(self):
+        # amplitudes 1e200 square past the float range: the norm reads NaN, not 1
+        s = WaveState(1, [0, 0], [1e200, 1e200], [-0.5, -1.5], np.eye(2, dtype=complex)[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (lambda: expectation(hamiltonian(), s), lambda: cartesian_energy(s),
+                         lambda: expectation_quaternionic(hamiltonian(), s)):
+                with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
+                    call()
