@@ -1,10 +1,10 @@
 """Quaternionic quantum harmonic oscillator in a real Hilbert space.
 
-The package builds every solution family of the model exactly (Cartesian
-states in orthonormal Hermite-function coefficients, radial states by their
-Laguerre labels), evaluates the real inner product from the coefficients and
-by quadrature, or for radial states by exact half-line Gauss quadrature, and
-verifies the orthogonality, energy, ladder-algebra and differential-equation claims.
+The package builds every solution family of the model exactly (Cartesian states in
+orthonormal Hermite-function coefficients, valued by their normalized recurrence; radial
+states by Laguerre labels), evaluates the real inner product from the coefficients and
+by quadrature (for radial states by exact half-line Gauss quadrature) and verifies the
+orthogonality, energy, ladder-algebra and differential-equation claims.
 """
 
 from .quaternion import (
@@ -18,8 +18,6 @@ from .quaternion import (
 )
 from .specfun import (
     QuadratureRule,
-    hermite,
-    hermite_norm_const,
     laguerre,
     laguerre_norm_const,
     make_rule,

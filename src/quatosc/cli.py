@@ -31,7 +31,7 @@ import re
 import sys
 import time
 import warnings
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -121,18 +121,15 @@ def _load_descriptors(path: str) -> list[dict]:
     return descriptors
 
 
-def _get_int(desc: dict, name: str, minimum: int = 0) -> int:
+def _get_int(desc: dict, name: str, minimum: int | None = 0) -> int:
     v = desc.get(name)
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise ValidationError(f"field {name!r} must be an integer >= {minimum}, got {v!r}")
+    if not isinstance(v, int) or isinstance(v, bool) or minimum is not None and v < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"field {name!r} must be an integer{bound}, got {v!r}")
     return v
 
 
-def _get_signed_int(desc: dict, name: str) -> int:
-    v = desc.get(name)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValidationError(f"field {name!r} must be an integer, got {v!r}")
-    return v
+_get_signed_int = partial(_get_int, minimum=None)
 
 
 def _get_num(desc: dict, name: str, default: float = 0.0) -> float:

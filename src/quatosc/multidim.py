@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -326,13 +325,6 @@ def qsph_harm(spec: QSphericalHarmonic, conjugate_slot1: bool = False) -> Angula
     return AngularState(spec, conjugate_slot1)
 
 
-@lru_cache(maxsize=16)
-def _azimuth_phases(az, top: int) -> np.ndarray:
-    """exp(i k azimuth) on the rule's nodes, row k + top for |k| <= top; read-only."""
-    (e := np.exp(1j * np.outer(np.arange(-top, top + 1), az.nodes))).setflags(write=False)
-    return e
-
-
 def angular_order(specs: list[QSphericalHarmonic]) -> int:
     """Gauss-Legendre order l_max + 1, exact beside 2 l_max + 2 azimuth nodes: those keep only
     equal azimuth frequencies, whose polar products have degree l + l' <= 2 l_max in cos(polar)."""
@@ -345,9 +337,9 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int | None = None, n_
     x uniform-azimuth quadrature: by default the exact rule, angular_order(specs) polar nodes
     and twice as many azimuth nodes.  Y_l^m(polar, azimuth) = Y_l^m(polar, 0) exp(i m azimuth)
     on a tensor-product rule, so each slot's node sum factors: Re sum_s (F_s W F_s^T) o
-    (E_s V E_s^H), with F_s the real polar profiles and E_s the azimuth phases exp(+-i m
-    azimuth) on the nodes.  The Legendre rows of every state come from one pass per distinct
-    |m| over the polar nodes and the parallelism test's sample angles together."""
+    (E_s V E_s^H), with F_s the real polar profiles and E_s the phases exp(i k azimuth) on the
+    nodes, one row per distinct frequency k of the slot.  The Legendre rows of every state come
+    from one pass per distinct |m| over the polar nodes and the parallelism test's sample angles."""
     specs = tuple(specs)
     n = len(specs)
     order = angular_order(specs)
@@ -369,11 +361,10 @@ def angular_gram(specs: list[QSphericalHarmonic], n_polar: int | None = None, n_
     freqs = ms * np.array([[1], [-1 if conjugate_slot1 else 1]])
     f = mix * leg[..., :gl.order]
     entries = np.zeros((n, n))
-    top = int(np.abs(ms).max(initial=0))
     for fs, ks in zip(f, freqs):
         # one azimuth row per distinct frequency k, spread back to the states
         k, row = np.unique(ks, return_inverse=True)
-        e = _azimuth_phases(az, top)[k + top]
+        e = np.exp(1j * np.outer(k, az.nodes))
         entries += (((fs * gl.weights) @ fs.T) * ((e * az.weights) @ e.conj().T)[np.ix_(row, row)]).real
     values = mix * (leg[..., gl.order:] * np.exp(1j * freqs[..., None] * phis))
     return _family_gram(specs, entries, [((s.l, s.m1), (s.l, s.m2)) for s in specs], values)

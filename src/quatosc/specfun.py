@@ -1,13 +1,14 @@
 """Special functions, normalization constants and quadrature rules.
 
-Hermite and generalized Laguerre polynomials are evaluated by their
-three-term recurrences (stable, no factorial ratios).  Spherical harmonics
-take their normalized associated Legendre factor, Condon-Shortley phase,
-from one upward pass over the degree per order m, and laguerre a sequence
-of degrees from one pass, so each yields every degree a family asks for at
-once.  The quadrature rules cross-check the Cartesian coefficient inner
-products and are the radial sector's one numeric route, exact for its
-polynomial degrees.
+Generalized Laguerre polynomials are evaluated by their three-term
+recurrence (stable, no factorial ratios), the Hermite functions by
+wavestate's normalized one; the literal H_n and its norm constant are test
+oracles (tests/monomial_refs.py).  Spherical harmonics take their normalized
+associated Legendre factor, Condon-Shortley phase, from one upward pass over
+the degree per order m, and laguerre a sequence of degrees from one pass, so
+each yields every degree a family asks for at once.  The quadrature rules
+cross-check the Cartesian coefficient inner products and are the radial
+sector's one numeric route, exact for its polynomial degrees.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ import numpy as np
 __all__ = [
     "DEGREE_CAP",
     "QuadratureRule",
-    "hermite",
     "laguerre",
     "sph_harm",
-    "hermite_norm_const",
     "laguerre_norm_const",
     "make_rule",
 ]
@@ -47,22 +46,6 @@ def _check_degree(n: int, name: str) -> None:
         raise ValueError(f"{name} must be non-negative, got {n}")
     if n > DEGREE_CAP:
         raise ValueError(f"{name}={n} exceeds the degree cap {DEGREE_CAP}")
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x).
-
-    Uses H_{n+1} = 2x H_n - 2n H_{n-1}; accepts scalars or numpy arrays.
-    """
-    _check_degree(n, "n")
-    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
-    h_prev = np.ones_like(x) if not np.isscalar(x) else 1.0
-    if n == 0:
-        return h_prev
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h
 
 
 def laguerre(u, alpha: float, x):
@@ -147,16 +130,6 @@ def sph_harm(l: int, m: int, theta, phi):
     if y.ndim == 0:
         return complex(y)
     return y
-
-
-def hermite_norm_const(n: int, params=None) -> float:
-    """Normalization (mu*omega/(pi*hbar))^(1/4) / sqrt(2^n n!) of the n-th
-    oscillator eigenfunction; log-gamma based to stay finite for large n."""
-    _check_degree(n, "n")
-    mu, omega, hbar = (1.0, 1.0, 1.0) if params is None else (params.mu, params.omega, params.hbar)
-    log_a = 0.25 * math.log(mu * omega / (math.pi * hbar)) \
-        - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
-    return math.exp(log_a)
 
 
 def laguerre_norm_const(u: int, l: int) -> float:

@@ -961,6 +961,7 @@ def _rule_gram(rule: QuadratureRule, width: int, hermite_functions) -> np.ndarra
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing state fails the norm check instead
 def _expectation(s: WaveState, t: float, check_norm: bool, terms: tuple) -> float:
     """<O s, s> for the normal form terms of O, from the state's per-dimension
     Gram factors G_k = A_k A_k^H (A_k its coefficient rows), with no O s built.

@@ -1,10 +1,13 @@
 """Monomial-basis references for the special-function tests.
 
-Coefficients of H_n and L_u^(alpha) in ascending powers, and the exact
-Gaussian moments they contract against.  Evaluated in double precision they
-lose all accuracy well inside quatosc's DEGREE_CAP, so they serve only as
-low-degree oracles here; quatosc itself stores orthonormal-function
-coefficients.
+The literal Hermite polynomial H_n by its unnormalized recurrence and the
+oscillator norm constant N_n, whose product N_n H_n(x) exp(-x^2/2) is the
+textbook eigenfunction; coefficients of H_n and L_u^(alpha) in ascending
+powers, and the exact Gaussian moments they contract against.  Evaluated in
+double precision the monomial forms lose all accuracy well inside quatosc's
+DEGREE_CAP, so they serve only as low-degree oracles here; quatosc itself
+stores orthonormal-function coefficients and evaluates the Hermite
+functions by their normalized recurrence.
 """
 
 import math
@@ -13,6 +16,32 @@ from functools import lru_cache
 import numpy as np
 
 from quatosc.specfun import _check_degree
+
+
+def hermite(n: int, x):
+    """Physicists' Hermite polynomial H_n(x).
+
+    Uses H_{n+1} = 2x H_n - 2n H_{n-1}; accepts scalars or numpy arrays.
+    """
+    _check_degree(n, "n")
+    x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
+    h_prev = np.ones_like(x) if not np.isscalar(x) else 1.0
+    if n == 0:
+        return h_prev
+    h = 2.0 * x
+    for k in range(1, n):
+        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    return h
+
+
+def hermite_norm_const(n: int, params=None) -> float:
+    """Normalization (mu*omega/(pi*hbar))^(1/4) / sqrt(2^n n!) of the n-th
+    oscillator eigenfunction; log-gamma based to stay finite for large n."""
+    _check_degree(n, "n")
+    mu, omega, hbar = (1.0, 1.0, 1.0) if params is None else (params.mu, params.omega, params.hbar)
+    log_a = 0.25 * math.log(mu * omega / (math.pi * hbar)) \
+        - 0.5 * (n * math.log(2.0) + math.lgamma(n + 1.0))
+    return math.exp(log_a)
 
 
 @lru_cache(maxsize=None)

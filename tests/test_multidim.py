@@ -32,7 +32,7 @@ from quatosc.multidim import (
 from quatosc.oscillator1d import (QPair, default_grid, energy_nm, hamiltonian, psi_n, psi_nm,
                                   schrodinger_residual)
 from quatosc.quaternion import is_parallel
-from quatosc.specfun import DEGREE_CAP, hermite, laguerre, make_rule, sph_harm
+from quatosc.specfun import DEGREE_CAP, laguerre, make_rule, sph_harm
 from quatosc.wavestate import (
     PhysicalParams,
     WaveState,
@@ -596,14 +596,14 @@ class TestLabels:
     # the label is made or read, not a TypeError, an IndexError or a wrong state
     # (True as a level once indexed as a mask: psi_n(True) was phi_0 + phi_1)
     @pytest.mark.parametrize("make", [
-        lambda: psi_n(True), lambda: psi_n(1.5), lambda: hermite(True, 0.3),
+        lambda: psi_n(True), lambda: psi_n(1.5), lambda: laguerre(True, 0.5, 0.3),
         lambda: psi_nm(QPair(True, 2, 0.3)), lambda: psi_nm(QPair(1.5, 2, 0.3)), lambda: QPair(2, 2.0, 0.3),
         lambda: split_state(SplitSpec(1, {0}, {0}, True, 2, 0.3)),
         lambda: product_state([QPair(1, 2, 0.3), QPair(0, True, 0.0)]),
         lambda: radial_state(1.5, 0, 1), lambda: radial_state(0, 1, True),
         lambda: QSphericalHarmonic(1.5, 0, 0), lambda: sph_harm(1.5, 0, 0.3, 0.2),
         lambda: laguerre(1.5, 0.5, 0.3), lambda: laguerre([0, True], 0.5, 0.3),
-    ], ids=["psi_n-bool", "psi_n-float", "hermite-bool", "qpair-bool", "qpair-float", "qpair-float-m",
+    ], ids=["psi_n-bool", "psi_n-float", "laguerre-bool", "qpair-bool", "qpair-float", "qpair-float-m",
             "split-bool", "product-bool", "radial-float", "radial-bool-l", "spherical-float",
             "sph_harm-float", "laguerre-float", "laguerre-bool-in-list"])
     def test_level_must_be_an_integer(self, make):
@@ -704,15 +704,23 @@ class TestAngularGram:
         assert bool(g.theta_equal[0, 1]) and not bool(g.theta_equal[0, 2])
 
     @pytest.mark.parametrize("conjugate", [False, True])
-    @pytest.mark.parametrize("n_polar, n_azimuth", [(64, 128), (9, 18)])
-    def test_matches_sum_over_every_sphere_node(self, conjugate, n_polar, n_azimuth):
+    @pytest.mark.parametrize("n_polar, n_azimuth, top", [
+        (64, 128, [QSphericalHarmonic(8, -8, -7, 0.4)]),
+        (9, 18, [QSphericalHarmonic(8, -8, -7, 0.4)]),
+        # |m| up to the degree cap on 100 azimuth nodes, where frequencies a multiple
+        # of 100 apart alias: a phase row off by one frequency changes the entries
+        (DEGREE_CAP + 1, 100, [QSphericalHarmonic(DEGREE_CAP, -DEGREE_CAP, DEGREE_CAP, 0.4),
+                               QSphericalHarmonic(DEGREE_CAP, DEGREE_CAP - 1, -DEGREE_CAP, 1.1),
+                               QSphericalHarmonic(150, -150, 0, 2.0), QSphericalHarmonic(100, 100, -1, 0.9)]),
+    ], ids=["64-128", "9-18", "201-100"])
+    def test_matches_sum_over_every_sphere_node(self, conjugate, n_polar, n_azimuth, top):
         rng = np.random.default_rng(n_polar + conjugate)
         specs = []
         for _ in range(12):
             l = int(rng.integers(0, 9))
             m1, m2 = (int(m) for m in rng.integers(-l, l + 1, size=2))
             specs.append(QSphericalHarmonic(l, m1, m2, float(rng.uniform(0.0, math.pi))))
-        specs.append(QSphericalHarmonic(8, -8, -7, 0.4))
+        specs += top
         want = _sum_over_every_sphere_node(specs, n_polar, n_azimuth, conjugate)
         g = angular_gram(specs, n_polar, n_azimuth, conjugate_slot1=conjugate)
         np.testing.assert_allclose(g.entries, want, rtol=0, atol=1e-14)

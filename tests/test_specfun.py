@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import binom, eval_genlaguerre, eval_hermite, roots_genlaguerre, sph_harm_y
 
-from monomial_refs import gaussian_moment, hermite_coeffs, laguerre_coeffs, radial_moment
+from monomial_refs import gaussian_moment, hermite, hermite_coeffs, hermite_norm_const, laguerre_coeffs, radial_moment
 from quatosc.specfun import (
     DEGREE_CAP,
     _legendre_rows,
-    hermite,
-    hermite_norm_const,
     laguerre,
     laguerre_norm_const,
     make_rule,

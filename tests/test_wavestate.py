@@ -1406,3 +1406,14 @@ class TestTimePhaseAndNorm:
                          lambda: expectation_quaternionic(hamiltonian(), s)):
                 with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
                     call()
+
+    def test_overflowing_state_raises_the_norm_error_not_a_warning(self):
+        # no np.errstate here: numpy's default state warns on the overflow, and that
+        # warning, raised as an error, must not come before the norm check's ValueError
+        s = WaveState(1, [0, 0], [1e200, 1e200], [-0.5, -1.5], np.eye(2, dtype=complex)[None])
+        for call in (lambda: expectation(hamiltonian(), s), lambda: cartesian_energy(s),
+                     lambda: expectation_quaternionic(hamiltonian(), s)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
+                    call()
