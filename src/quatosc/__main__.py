@@ -1,5 +1,4 @@
-import sys
+# python -m quatosc: the same entry point as the quatosc script, which freezes the imported heap
+from .cli import run
 
-from .cli import main
-
-sys.exit(main())
+run()

@@ -1005,13 +1005,22 @@ def _expectation(s: WaveState, t: float, check_norm: bool, terms: tuple) -> floa
             raise ValueError(
                 f"state norm^2 = {n!r} is not 1 within {NORM_CHECK_TOL}; "
                 "pass check_norm=False to override")
-    return _exact_sum(np.concatenate([total.real.ravel()] + [prod.real.ravel() for _, prod in crosses]))
+    value = _exact_sum(np.concatenate([total.real.ravel()] + [prod.real.ravel() for _, prod in crosses]))
+    if not math.isfinite(value):  # check_norm=False waives the norm check, not this one
+        raise ValueError(f"expectation = {value!r} is not finite")
+    return value
 
 
 def _exact_sum(entries: np.ndarray) -> float:
     """fsum of the entries, correctly rounded; the exact zeros (rows in other
-    slots, or orthogonal in some dimension) are dropped first, as they add nothing."""
-    return math.fsum(entries[entries != 0].tolist())
+    slots, or orthogonal in some dimension) are dropped first, as they add nothing.
+    Finite entries whose partial sums pass the float range, which fsum refuses
+    with an OverflowError, sum to an infinity instead."""
+    kept = entries[entries != 0].tolist()
+    try:
+        return math.fsum(kept)
+    except OverflowError:
+        return sum(kept)
 
 
 def expectation(op: Operator, s: WaveState, t: float = 0.0, check_norm: bool = True) -> float:

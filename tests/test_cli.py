@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -976,3 +977,38 @@ def test_generated_descriptors_keep_the_exit_code_contract(request, tmp_path_fac
             assert kind == "ho1d"
         if "--conjugate-angular" in argv:
             assert kind == "spherical"
+
+
+class TestEntryPoints:
+    # run() freezes the imported heap; main() leaves the collector alone for in-process callers
+    def test_main_leaves_the_freeze_count_unchanged(self):
+        frozen = gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "algebra"]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_freezes_the_heap_before_main(self):
+        script = ("import gc, sys\n"
+                  "from quatosc import cli\n"
+                  "cli.main = lambda: print(gc.get_freeze_count() > 0) or 7\n"
+                  "cli.run()\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (7, b"True\n", b"")
+
+    def test_both_module_entry_points_agree(self, tmp_path):
+        nope = write_states(tmp_path / "nope.jsonl", [{"kind": "nope"}])
+        # one request per exit code: 0, 1 (usage), 2 (validation), 3 (check failed)
+        requests = {0: ["verify", "algebra"], 1: ["verify", "nosuch"],
+                    2: ["gram", "--states", nope], 3: ["verify", "algebra", "--tol", "0"]}
+        for code, argv in requests.items():
+            runs = [subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, timeout=120)
+                    for module in ("quatosc", "quatosc.cli")]
+            assert [p.returncode for p in runs] == [code, code], argv
+            assert runs[0].stderr == runs[1].stderr, argv
+            assert body_of(runs[0].stdout) == body_of(runs[1].stdout), argv
+            assert (runs[0].stdout != b"") == (code in (0, 3)), argv
+
+    def test_cli_import_leaves_csv_out(self):
+        proc = subprocess.run([sys.executable, "-c", "import sys, quatosc.cli; sys.exit('csv' in sys.modules)"],
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -1417,3 +1417,25 @@ class TestTimePhaseAndNorm:
                 warnings.simplefilter("error", RuntimeWarning)
                 with pytest.raises(ValueError, match=r"norm\^2 = nan is not 1"):
                     call()
+
+    @pytest.mark.parametrize("amp, value", [(1e200, "nan"), (1.2e154, "inf")])
+    def test_non_finite_expectation_is_refused_without_the_norm_check(self, amp, value):
+        # check_norm=False waives the norm check, not finiteness; at 1.2e154 the
+        # squares are finite but their sum is not, where fsum raised OverflowError
+        s = WaveState(1, [0, 0], [amp, amp], [-0.5, -1.5], np.eye(2, dtype=complex)[None])
+        for call in (lambda: expectation(hamiltonian(), s, check_norm=False),
+                     lambda: cartesian_energy(s, check_norm=False),
+                     lambda: expectation_quaternionic(hamiltonian(), s, check_norm=False)):
+            with pytest.raises(ValueError, match=rf"^expectation = {value} is not finite$"):
+                call()
+        with pytest.raises(ValueError, match=rf"^state norm\^2 = {value} is not 1"):
+            expectation(hamiltonian(), s)
+
+    def test_the_flag_leaves_a_normalized_state_bit_identical(self):
+        s = product_state([QPair(3, 1, 0.4), QPair(0, 2, 1.1)])
+        op = hamiltonian(s.params, 2) + mul_x(0) * d_dx(1)
+        for t in (0.0, 0.7):
+            assert expectation(op, s, t).hex() == expectation(op, s, t, check_norm=False).hex()
+            assert cartesian_energy(s, t).hex() == cartesian_energy(s, t, check_norm=False).hex()
+            on, off = expectation_quaternionic(op, s, t), expectation_quaternionic(op, s, t, check_norm=False)
+            assert [v.hex() for v in on] == [v.hex() for v in off]
