@@ -37,7 +37,7 @@ import re
 import sys
 import time
 import warnings
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -127,29 +127,7 @@ def _load_descriptors(path: str) -> list[dict]:
     return descriptors
 
 
-def _get_int(desc: dict, name: str, minimum: int | None = 0) -> int:
-    v = desc.get(name)
-    if not isinstance(v, int) or isinstance(v, bool) or minimum is not None and v < minimum:
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ValidationError(f"field {name!r} must be an integer{bound}, got {v!r}")
-    return v
-
-
-_get_signed_int = partial(_get_int, minimum=None)
-
-
-def _get_num(desc: dict, name: str, default: float = 0.0) -> float:
-    v = desc.get(name, default)
-    try:  # float() of an int past the double range raises OverflowError
-        if isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(float(v)):
-            return float(v)
-    except OverflowError:
-        pass
-    raise ValidationError(f"field {name!r} must be a finite number, got {v!r}")
-
-
 def _params_for(desc: dict, args) -> PhysicalParams:
-    mu, omega, hbar = args.mu, args.omega, args.hbar
     override = desc.get("params")
     if override is not None:
         if not isinstance(override, dict):
@@ -157,15 +135,13 @@ def _params_for(desc: dict, args) -> PhysicalParams:
         extra = set(override) - {"mu", "omega", "hbar"}
         if extra:
             raise ValidationError(f"unknown params fields: {sorted(extra)}")
-        mu = _get_num(override, "mu", mu)
-        omega = _get_num(override, "omega", omega)
-        hbar = _get_num(override, "hbar", hbar)
-    return PhysicalParams(mu, omega, hbar)
+    return PhysicalParams(**{"mu": args.mu, "omega": args.omega, "hbar": args.hbar, **(override or {})})
 
 
-# Each builder maps the read field values and params to (spec, state), the spec
-# bearing the labels; it looks psi_nm, radial_state or QSphericalHarmonic up in
-# this module per call, so a rebound name is the one that runs.
+# Each builder maps the descriptor's raw field values, in label order, and params
+# to (spec, state), the spec bearing the labels; the label types check every
+# value.  It looks psi_nm, radial_state or QSphericalHarmonic up in this module
+# per call, so a rebound name is the one that runs.
 
 def _ho1d(values: list, params: PhysicalParams):
     q = QPair(*values)
@@ -182,12 +158,11 @@ def _spherical(values: list, params: PhysicalParams):
     return spec, spec
 
 
-# state kind -> (field readers in label order, commands accepting it, builder)
+# state kind -> (field names in label order, commands accepting it, builder)
 _KINDS = {
-    "ho1d": ({"n": _get_int, "m": _get_int, "theta": _get_num}, ("spectrum", "gram", "sample"), _ho1d),
-    "radial": ({"u": _get_int, "v": _get_int, "l": _get_int, "theta": _get_num}, ("gram", "sample"), _radial),
-    "spherical": ({"l": _get_int, "m1": _get_signed_int, "m2": _get_signed_int, "theta": _get_num},
-                  ("gram",), _spherical),
+    "ho1d": (("n", "m", "theta"), ("spectrum", "gram", "sample"), _ho1d),
+    "radial": (("u", "v", "l", "theta"), ("gram", "sample"), _radial),
+    "spherical": (("l", "m1", "m2", "theta"), ("gram",), _spherical),
 }
 
 
@@ -225,13 +200,13 @@ def _build(desc: dict, args) -> tuple:
     """(spec, label, state, params) of a checked descriptor; a library
     ValueError on the descriptor's values is a validation error, which
     main() reports."""
-    readers, _, build = _KINDS[desc["kind"]]
-    extra = set(desc) - readers.keys() - {"kind", "params"}
+    fields, _, build = _KINDS[desc["kind"]]
+    extra = set(desc) - {*fields, "kind", "params"}
     if extra:
         raise ValidationError(f"unknown fields for kind {desc['kind']!r}: {sorted(extra)}")
     params = _params_for(desc, args)
-    spec, state = build([read(desc, name) for name, read in readers.items()], params)
-    return spec, {name: getattr(spec, name) for name in readers}, state, params
+    spec, state = build([desc.get(name, 0.0 if name == "theta" else None) for name in fields], params)
+    return spec, {name: getattr(spec, name) for name in fields}, state, params
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +305,16 @@ def cmd_spectrum(args) -> int:
                      "energy_expectation": e_exp, "energy_quadrature": e_quad,
                      "delta_expectation": abs(e_exp - e_closed),
                      "delta_quadrature": abs(e_quad - e_closed)})
+    # np.max, not max: a NaN delta must fail the check, and max drops one that follows a number
     checks = {
-        "max_delta_expectation": max(r["delta_expectation"] for r in rows),
-        "max_delta_forms": max(abs(r["energy_correction_form"] - r["energy"]) for r in rows),
-        "max_delta_quadrature": max(r["delta_quadrature"] for r in rows),
+        "max_delta_expectation": float(np.max([r["delta_expectation"] for r in rows])),
+        "max_delta_forms": float(np.max([abs(r["energy_correction_form"] - r["energy"]) for r in rows])),
+        "max_delta_quadrature": float(np.max([r["delta_quadrature"] for r in rows])),
         "tolerance": args.tol if args.tol is not None else 1e-10,
         "warnings": sorted(set(caught)),
     }
-    checks["within_tolerance"] = bool(max(checks["max_delta_expectation"], checks["max_delta_quadrature"])
-                                      <= checks["tolerance"])
+    checks["within_tolerance"] = (checks["max_delta_expectation"] <= checks["tolerance"]
+                                  and checks["max_delta_quadrature"] <= checks["tolerance"])
     report = {
         "command": "spectrum",
         "inputs": {"states": descriptors, "time": args.time, "quad_order": quad_order,
@@ -416,18 +392,18 @@ def _suite_algebra(tol) -> list[dict]:
     # would add about 6 MB to the process
     rng = random.Random(7)
     qs = [qt.Quaternion(*(rng.uniform(-2.0, 2.0) for _ in range(4))) for _ in range(200)]
-    norm_dev = assoc_dev = sc_dev = sym_dev = quad_i_dev = 0.0
+    devs = []  # a row per triple; np.max keeps a NaN, which max drops after a number
     for p, q, r in zip(qs, qs[1:] + qs[:1], qs[2:] + qs[:2]):
-        norm_dev = max(norm_dev, abs(abs(p * q) - abs(p) * abs(q)))
-        assoc_dev = max(assoc_dev, abs((p * q) * r - p * (q * r)))
-        sc_dev = max(sc_dev, abs(qt.sc(p * qt.conj(q)) - qt.sc(q * qt.conj(p))))
         z0, z1 = qt.right_mul_i(p).to_symplectic()
         w0, w1 = p.to_symplectic()
-        sym_dev = max(sym_dev, abs(z0 - 1j * w0), abs(z1 + 1j * w1))
         p4 = p
         for _ in range(4):
             p4 = qt.right_mul_i(p4)
-        quad_i_dev = max(quad_i_dev, abs(p4 - p))
+        devs.append([abs(abs(p * q) - abs(p) * abs(q)), abs((p * q) * r - p * (q * r)),
+                     abs(qt.sc(p * qt.conj(q)) - qt.sc(q * qt.conj(p))),
+                     abs(z0 - 1j * w0), abs(z1 + 1j * w1), abs(p4 - p)])
+    norm_dev, assoc_dev, sc_dev, sym0_dev, sym1_dev, quad_i_dev = np.max(devs, axis=0)
+    sym_dev = np.max([sym0_dev, sym1_dev])
     return [
         _check("hamilton_product_norm_multiplicative", norm_dev, 1e-12, tol),
         _check("hamilton_product_associative", assoc_dev, 1e-12, tol),
@@ -442,11 +418,11 @@ def _suite_ladder(tol) -> list[dict]:
     lower, raise_op = ladder("lower"), ladder("raise")
     ground_killed = psi_n(0, params)
     ground_killed = apply(lower, ground_killed).norm()
-    comm_dev = 0.0
+    comm_devs = []
     for n in range(21):
         s = psi_n(n, params)
         comm = apply(lower, apply(raise_op, s)) - apply(raise_op, apply(lower, s))
-        comm_dev = max(comm_dev, (comm - s).norm())
+        comm_devs.append((comm - s).norm())
     pairs = [QPair(n, m, 0.7) for n in range(7) for m in range(7)]
     gaps = [build_via_ladder(q, params) - psi_nm(q, params) for q in pairs]
     build_dev = float(np.max(_magnitude(*evaluate_points(gaps, np.linspace(-6.0, 6.0, 41), 0.4))))
@@ -455,7 +431,7 @@ def _suite_ladder(tol) -> list[dict]:
     ortho_dev = float(np.max(np.abs(quad - np.eye(DEGREE_CAP + 1))))
     return [
         _check("lowering_annihilates_ground_state", ground_killed, 1e-13, tol),
-        _check("ladder_commutator_is_identity", comm_dev, 1e-10, tol),
+        _check("ladder_commutator_is_identity", np.max(comm_devs), 1e-10, tol),
         _check("algebraic_state_matches_direct_build", build_dev, 1e-10, tol),
         _check("hermite_functions_orthonormal_by_quadrature", ortho_dev, 1e-12, tol),
     ]
@@ -471,9 +447,7 @@ def _residual_samples() -> list[QPair]:
 
 def _suite_residual(tol) -> list[dict]:
     params = PhysicalParams()
-    res_dev = 0.0
-    for q in _residual_samples():
-        res_dev = max(res_dev, schrodinger_residual(psi_nm(q, params), t=0.9))
+    res_dev = np.max([schrodinger_residual(psi_nm(q, params), t=0.9) for q in _residual_samples()])
     h = 1e-6
     states = [psi_nm(q, params) for q in _residual_samples()[:5]]
     xs = (-1.3, 0.2, 2.1)
@@ -489,24 +463,21 @@ def _suite_residual(tol) -> list[dict]:
 
 def _suite_radial(tol) -> list[dict]:
     params = PhysicalParams()
-    gram_dev = 0.0
+    gram_devs, res_true, margins = [], [], []
     for l in range(4):
         states = [radial_state(u, v, l, math.pi / 3, params) for u in range(5) for v in range(5)]
-        g = radial_gram(states)
-        gram_dev = max(gram_dev, g.max_closed_form_deviation())
-    res_true = 0.0
-    res_margin = math.inf
+        gram_devs.append(radial_gram(states).max_closed_form_deviation())
     for (u, v, l) in [(0, 0, 0), (1, 2, 1), (3, 1, 2), (2, 4, 3)]:
         state = radial_state(u, v, l, 0.6, params)
-        res_true = max(res_true, radial_ode_residual(state))
+        res_true.append(radial_ode_residual(state))
         peak = float(np.max(_magnitude(*state.components(np.linspace(0.15, 6.0, 40)))))
         for shift in (-1.0, 1.0):
             energies = (radial_energy(u, l, params) + shift, radial_energy(v, l, params) + shift)
-            res_margin = min(res_margin, radial_ode_residual(state, energies) / peak)
+            margins.append(radial_ode_residual(state, energies) / peak)
     return [
-        _check("radial_gram_matches_closed_form", gram_dev, 1e-10, tol),
-        _check("radial_equation_residual_at_true_energy", res_true, 1e-9, tol),
-        _check("radial_residual_detects_energy_shift", res_margin, 0.05, comparison=">="),
+        _check("radial_gram_matches_closed_form", np.max(gram_devs), 1e-10, tol),
+        _check("radial_equation_residual_at_true_energy", np.max(res_true), 1e-9, tol),
+        _check("radial_residual_detects_energy_shift", np.min(margins), 0.05, comparison=">="),
     ]
 
 

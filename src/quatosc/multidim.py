@@ -23,8 +23,8 @@ import numpy as np
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import Quaternion, is_parallel  # noqa: F401
 from .oscillator1d import GramMatrix, QPair, _family_gram, _sample_points, _slot_state, hamiltonian
-from .specfun import (DEGREE_CAP, _check_degree, _check_integer, _legendre_rows, laguerre, laguerre_norm_const,
-                      make_rule, sph_harm)
+from .specfun import (DEGREE_CAP, _check_degree, _check_integer, _check_real, _legendre_rows, laguerre,
+                      laguerre_norm_const, make_rule, sph_harm)
 from .wavestate import PhysicalParams, WaveState, _joined, _merged, expectation
 
 __all__ = [
@@ -94,16 +94,19 @@ class SplitSpec:
     theta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "slot0_dims", frozenset(self.slot0_dims))
-        object.__setattr__(self, "slot1_dims", frozenset(self.slot1_dims))
+        for name in ("slot0_dims", "slot1_dims"):
+            try:
+                object.__setattr__(self, name, frozenset(getattr(self, name)))
+            except TypeError:  # not an iterable of hashables
+                raise ValueError(f"{name} must be a set of dimensions, got {getattr(self, name)!r}") from None
+        _check_integer(self.dims, "dims")
         if self.dims < 1:
             raise ValueError(f"dims must be >= 1, got {self.dims}")
         _check_degree(self.n, "n")
         _check_degree(self.m, "m")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        full = frozenset(range(self.dims))
-        if self.slot0_dims | self.slot1_dims != full:
+        object.__setattr__(self, "theta", _check_real(self.theta, "theta"))
+        cover = self.slot0_dims | self.slot1_dims
+        if len(cover) != self.dims or cover != frozenset(range(self.dims)):  # no range of a huge dims
             raise ValueError("slot0_dims and slot1_dims must jointly cover all dimensions")
 
 
@@ -141,8 +144,9 @@ class RadialState:
     def __post_init__(self):
         for name in ("u", "v", "l"):
             _check_degree(getattr(self, name), name)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        object.__setattr__(self, "theta", _check_real(self.theta, "theta"))
+        if not isinstance(self.params, PhysicalParams):
+            raise ValueError(f"params must be PhysicalParams, got {self.params!r}")
 
     def components(self, rho):
         """Symplectic components (z0, z1) at dimensionless radius
@@ -244,7 +248,8 @@ def _radial_action(u: int, l: int, rho: np.ndarray) -> tuple[np.ndarray, np.ndar
 def radial_ode_residual(state: RadialState, energies: tuple[float, float] | None = None,
                         grid=None) -> float:
     """Sup over grid and slots of the time-independent radial equation
-    residual, each slot tested against its own energy (absolute units)."""
+    residual, each slot tested against its own energy (absolute units).  A NaN or
+    infinite radius or energy raises ValueError: it would read as a residual of 0."""
     params = state.params
     if energies is None:
         energies = (radial_energy(state.u, state.l, params),
@@ -252,14 +257,17 @@ def radial_ode_residual(state: RadialState, energies: tuple[float, float] | None
     if grid is None:
         grid = default_radial_grid()
     grid = np.asarray(grid, dtype=float)
+    for name, values in (("radius", grid), ("energy", np.asarray(energies, dtype=float))):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite, got {float(values[~np.isfinite(values)][0])!r}")
     if np.any(grid <= 0.0):
         raise ValueError("radial grid must contain positive radii only")
-    worst = 0.0
+    worst = []
     for level, mix, energy in ((state.u, math.cos(state.theta), energies[0]),
                                (state.v, math.sin(state.theta), energies[1])):
         r, hr = _radial_action(level, state.l, grid)
-        worst = max(worst, float(np.max(np.abs(mix * (hr - energy / params.energy_quantum * r)))))
-    return worst
+        worst.append(np.max(np.abs(mix * (hr - energy / params.energy_quantum * r))))
+    return float(np.max(worst))
 
 
 def radial_energy_expectation(state: RadialState) -> float:
@@ -290,10 +298,9 @@ class QSphericalHarmonic:
         _check_degree(self.l, "l")
         _check_integer(self.m1, "m1")
         _check_integer(self.m2, "m2")
+        object.__setattr__(self, "theta", _check_real(self.theta, "theta"))
         if abs(self.m1) > self.l or abs(self.m2) > self.l:
             raise ValueError(f"azimuthal indices out of range for l={self.l}")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import numpy as np
 
 # is_parallel is unused here; the benchmark's tracer checks this binding.
 from .quaternion import PARALLEL_TOL, _parallel, is_parallel  # noqa: F401
-from .specfun import _check_degree
+from .specfun import _check_degree, _check_real
 from .wavestate import (
     Operator,
     PhysicalParams,
@@ -75,8 +75,7 @@ class QPair:
     def __post_init__(self):
         _check_degree(self.n, "n")
         _check_degree(self.m, "m")
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        object.__setattr__(self, "theta", _check_real(self.theta, "theta"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +105,10 @@ class GramMatrix:
 
 
 def _slot_state(levels: tuple[tuple[int, ...], ...], theta: float, params: PhysicalParams) -> WaveState:
-    """A row for each slot of non-zero amplitude: slot s at level levels[s][k] in dimension k,
-    cos(theta) in slot 0 at minus its energy, sin(theta) in slot 1 (the conjugated eigenfunction)
-    at plus; theta = 0 gives slot 0 alone.  sqrt(alpha)^dims normalizes phi_n(alpha x)."""
+    """A row for each slot of non-zero amplitude: slot s at level levels[s][k] in dimension k, cos(theta) in slot
+    0 at minus its energy, sin(theta) in slot 1 (the conjugated eigenfunction) at plus; theta = 0 gives slot 0
+    alone.  sqrt(alpha)^dims normalizes phi_n(alpha x).  QPair, SplitSpec and psi_n check its inputs."""
     dims = len(levels[0])
-    for name, slot_levels in zip("nm", levels):
-        for level in slot_levels:
-            _check_degree(level, name)
     norm = math.sqrt(params.alpha) ** dims
     live = [(s, amp) for s, amp in enumerate((math.cos(theta) * norm, math.sin(theta) * norm)) if amp]
     coefs = np.zeros((dims, len(live), max(map(max, [levels[s] for s, _ in live]), default=0) + 1), dtype=complex)
@@ -126,7 +122,8 @@ def _slot_state(levels: tuple[tuple[int, ...], ...], theta: float, params: Physi
 
 
 def psi_n(n: int, params: PhysicalParams | None = None) -> WaveState:
-    """The n-th complex oscillator eigenfunction: psi_nm(QPair(n, n, 0.0)), one slot-0 row."""
+    """The n-th complex oscillator eigenfunction, psi_nm(QPair(n, n, 0.0)): one slot-0 row, n checked as in QPair."""
+    _check_degree(n, "n")
     return _slot_state(((n,), (n,)), 0.0, params or PhysicalParams())
 
 

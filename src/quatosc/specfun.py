@@ -13,6 +13,7 @@ sector's one numeric route, exact for its polynomial degrees.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -38,6 +39,17 @@ def _check_integer(n: int, name: str) -> None:
     A plain int skips the slower abstract-class check."""
     if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
+
+
+def _check_real(v: float, name: str) -> float:
+    """v as a float if it is a finite real (numpy's too) but not a bool, else ValueError, for an
+    int past the double range as well.  A plain float skips the slower abstract-class check."""
+    if type(v) is not float and not isinstance(v, bool) and isinstance(v, numbers.Real):
+        with contextlib.suppress(OverflowError):  # an int past the double range stays an int
+            v = float(v)
+    if type(v) is float and math.isfinite(v):
+        return v
+    raise ValueError(f"{name} must be finite and real, got {v!r}")
 
 
 def _check_degree(n: int, name: str) -> None:

@@ -64,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quaternion import Quaternion
-from .specfun import QuadratureRule, make_rule
+from .specfun import QuadratureRule, _check_real, make_rule
 
 __all__ = [
     "PhysicalParams",
@@ -108,8 +108,9 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("mu", "omega", "hbar", "alpha", "energy_quantum"):  # the last two can over- or underflow
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if type(v := getattr(self, name)) is not float:  # a field: the last two are floats once the fields are
+                object.__setattr__(self, name, v := _check_real(v, name))
+            if not 0.0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
 
     @property

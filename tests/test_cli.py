@@ -494,6 +494,41 @@ class TestNegativeControls:
         assert code == 3
         assert report["checks"]["failed"] == ["hermite_functions_orthonormal_by_quadrature"]
 
+    # a NaN deviation fails its check: max and min drop a NaN that follows a number
+    @staticmethod
+    def _nan_on_call(real, k):
+        """real, but NaN on its k-th call."""
+        calls = []
+
+        def patched(*args, **kwargs):
+            calls.append(args)
+            return math.nan if len(calls) == k else real(*args, **kwargs)
+        return patched
+
+    def test_nan_residual_fails_residual_suite(self, monkeypatch):
+        monkeypatch.setattr(cli, "schrodinger_residual", self._nan_on_call(cli.schrodinger_residual, 3))
+        code, report = self._report(["verify", "residual"])
+        assert code == 3
+        assert report["checks"]["failed"] == ["schrodinger_residual_on_solutions"]
+
+    def test_nan_shifted_residual_fails_radial_suite(self, monkeypatch):
+        real = cli.radial_ode_residual
+
+        def patched(state, energies=None, grid=None):
+            return math.nan if state.u == 1 and energies is not None else real(state, energies, grid)
+
+        monkeypatch.setattr(cli, "radial_ode_residual", patched)
+        code, report = self._report(["verify", "radial"])
+        assert code == 3
+        assert report["checks"]["failed"] == ["radial_residual_detects_energy_shift"]
+
+    def test_nan_quadrature_energy_fails_spectrum(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "inner_quad", self._nan_on_call(cli.inner_quad, 2))
+        code, report = self._report(["spectrum", "--states", write_states(tmp_path / "s.jsonl", HO1D)])
+        assert code == 3
+        assert math.isnan(report["checks"]["max_delta_quadrature"])
+        assert report["checks"]["within_tolerance"] is False
+
     def test_wrong_recurrence_fails_ho1d_gram(self, monkeypatch, tmp_path):
         monkeypatch.setattr(wavestate, "_hermite_functions", self._wrong_recurrence)
         path = write_states(tmp_path / "g.jsonl", [{"kind": "ho1d", "n": 5, "m": 2, "theta": 0.7},
@@ -904,11 +939,12 @@ _LEVEL = st.integers(0, 30)
 _THETA = st.floats(-4.0, 4.0)
 _PAIR = st.fixed_dictionaries({"n": _LEVEL, "m": _LEVEL, "theta": _THETA})
 _DIMS = st.lists(st.integers(0, 2), max_size=3)
-# values for each field reader of the CLI's kind registry
-_READ = {cli._get_int: _LEVEL, cli._get_signed_int: st.integers(-30, 30), cli._get_num: _THETA}
+# values for each field of the CLI's kind registry
+_READ = {"n": _LEVEL, "m": _LEVEL, "u": _LEVEL, "v": _LEVEL, "l": _LEVEL,
+         "m1": st.integers(-30, 30), "m2": st.integers(-30, 30), "theta": _THETA}
 _KINDS = {
-    **{kind: st.fixed_dictionaries({name: _READ[read] for name, read in readers.items()})
-       for kind, (readers, _, _) in cli._KINDS.items()},
+    **{kind: st.fixed_dictionaries({name: _READ[name] for name in fields})
+       for kind, (fields, _, _) in cli._KINDS.items()},
     # library-only kinds, unknown to the CLI
     "product": st.fixed_dictionaries({"factors": st.lists(_PAIR, min_size=1, max_size=3)}),
     "split": st.fixed_dictionaries({"dims": st.integers(1, 3), "slot0_dims": _DIMS,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -542,6 +543,18 @@ class TestRadialOdeResidual:
         with pytest.raises(ValueError):
             radial_ode_residual(radial_state(0, 0, 0), grid=[0.0, 1.0])
 
+    # a NaN or infinite radius or energy once read as a residual of 0, even at a wrong energy
+    @pytest.mark.parametrize("energies, grid, match", [
+        ((100.0, 100.0), [math.nan], "radius must be finite, got nan"),
+        (None, [1.0, math.inf], "radius must be finite, got inf"),
+        (None, [-math.inf, 1.0], "radius must be finite, got -inf"),
+        ((math.nan, math.nan), None, "energy must be finite, got nan"),
+        ((radial_energy(1, 1), math.inf), None, "energy must be finite, got inf"),
+    ])
+    def test_non_finite_input_is_refused(self, energies, grid, match):
+        with pytest.raises(ValueError, match=match):
+            radial_ode_residual(radial_state(1, 2, 1, 0.6), energies, grid)
+
 
 class TestQSphericalHarmonic:
     def test_theta_zero_is_plain_harmonic(self):
@@ -626,6 +639,29 @@ class TestLabels:
     def test_theta_must_be_finite(self, make, theta):
         with pytest.raises(ValueError, match="theta must be finite"):
             make(theta)
+
+    # every field of each label type and of PhysicalParams: a wrong value raises
+    # ValueError where it is given, not a TypeError or an OverflowError, or (for
+    # a huge dims) a range built to its length
+    @pytest.mark.parametrize("wrong", [None, True, "x", [0], 10**400, math.nan, math.inf, -math.inf],
+                             ids=["none", "bool", "str", "list", "int-1e400", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("valid", [
+        QPair(1, 2, 0.3), SplitSpec(3, {0, 1}, {2}, 1, 2, 0.3), radial_state(1, 2, 3, 0.3),
+        QSphericalHarmonic(2, -1, 1, 0.3), PhysicalParams(2.0, 0.5, 1.5),
+    ], ids=["qpair", "split", "radial", "spherical", "params"])
+    def test_every_field_refuses_a_wrong_value(self, valid, wrong):
+        for f in dataclasses.fields(valid):
+            with pytest.raises(ValueError):
+                dataclasses.replace(valid, **{f.name: wrong})
+
+    def test_theta_and_params_are_stored_as_floats(self):
+        for theta in (1, np.float32(0.5), np.int64(-2), np.float64(0.25)):
+            for label in (QPair(1, 2, theta), SplitSpec(1, {0}, {0}, 1, 2, theta), radial_state(1, 2, 3, theta),
+                          QSphericalHarmonic(2, -1, 1, theta)):
+                assert type(label.theta) is float and label.theta == float(theta)
+        params = PhysicalParams(2, np.float32(0.5), np.int64(3))
+        assert [type(v) for v in (params.mu, params.omega, params.hbar)] == [float] * 3
+        assert params == PhysicalParams(2.0, 0.5, 3.0)
 
     def test_numpy_integers_are_levels(self):
         n, l, m = np.int64(3), np.int32(2), np.int16(-1)
